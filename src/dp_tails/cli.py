@@ -21,7 +21,13 @@ from .errors import ConfigurationError, DPTailsError
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: malformed JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{path}: must hold a JSON object")
+    return payload
 
 
 def _dump(payload, path=None):

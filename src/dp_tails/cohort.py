@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,6 +100,9 @@ class CohortConfig:
     @classmethod
     def from_json(cls, text):
         raw = json.loads(text)
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"cohort: unknown key(s): {unknown}")
         for key in ("positive_prevalence", "group_prevalences", "years"):
             if key in raw and isinstance(raw[key], list):
                 raw[key] = tuple(raw[key])

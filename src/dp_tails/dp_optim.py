@@ -108,9 +108,9 @@ def clip_gradient(g, clip_norm):
     return g / max(1.0, float(np.linalg.norm(g)) / clip_norm)
 
 
-def _noised_batch_gradient(params, X, y, config, rng):
-    """Mean of clipped microbatch gradients plus scaled Gaussian noise."""
-    _, G = models.loss_and_per_example_grads(params, X, y)
+def _noised_batch_gradient(G, config, rng):
+    """Mean of clipped microbatch gradients plus scaled Gaussian noise, from
+    the batch's per-example gradient matrix G."""
     if not config.private:
         return G.mean(axis=0)
     m = config.microbatch_count
@@ -128,11 +128,21 @@ def _noised_batch_gradient(params, X, y, config, rng):
     return total / m
 
 
+def _step(params, features, labels, config, rng, adam=None, epoch=None):
+    """One gradient pass, a finite-loss check, then clip, noise and update.
+    Returns (updated params, batch loss)."""
+    loss, G = models.loss_and_per_example_grads(params, features, labels)
+    if not math.isfinite(loss):
+        raise TrainingError("training diverged (non-finite loss)", epoch=epoch)
+    g = _noised_batch_gradient(G, config, rng)
+    if adam is not None:
+        g = adam.direction(g)
+    return params.copy_with(params.theta - config.learning_rate * g), loss
+
+
 def dp_sgd_step(params, features, labels, config, rng):
     """One private SGD step; pure in (params, data, rng state)."""
-    g = _noised_batch_gradient(params, np.asarray(features, dtype=float),
-                               labels, config, rng)
-    return params.copy_with(params.theta - config.learning_rate * g)
+    return _step(params, features, labels, config, rng)[0]
 
 
 class _AdamState:
@@ -186,14 +196,8 @@ def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedM
         epoch_losses = []
         for b in range(steps_per_epoch):
             idx = perm[b * L:(b + 1) * L]
-            loss, _ = models.loss_and_per_example_grads(params, X[idx], y[idx])
-            if not math.isfinite(loss):
-                raise TrainingError("training diverged (non-finite loss)",
-                                    epoch=epoch)
-            g = _noised_batch_gradient(params, X[idx], y[idx], config, rng)
-            if adam is not None:
-                g = adam.direction(g)
-            params = params.copy_with(params.theta - config.learning_rate * g)
+            params, loss = _step(params, X[idx], y[idx], config, rng,
+                                 adam=adam, epoch=epoch)
             epoch_losses.append(loss)
             steps += 1
         trace.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)

@@ -4,16 +4,20 @@ deterministic JSON/CSV reports.
 
 Every cell of the (task x level x mechanism x seed) grid derives its rng
 from a stable hash so it is independently reproducible, and every epsilon
-in a report is recomputable from the logged (q, sigma, T, delta).
+in a report is recomputable from the logged (q, sigma, T, delta). A cell
+trains one model per pivot year, and every audit of the cell reads those
+models, so utility, fairness, influence and shift results describe the
+same models.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,15 +62,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
+        if not isinstance(raw, dict):
+            raise ConfigurationError("run config: must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config key(s): {unknown}")
+        if "cohort" not in raw:
+            raise ConfigurationError("cohort: required")
         raw = dict(raw)
         raw["cohort"] = cohort_mod.CohortConfig.from_json(
             json.dumps(raw["cohort"]))
         return cls(**raw)
-
-    @classmethod
-    def from_json_file(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def stable_seed(*parts):
@@ -99,98 +105,99 @@ def _train_cell(split, task, level, mechanism, config, seed):
         split, op_config, force_zero_noise=(level == "none"))
 
 
-def yearly_protocol(cohort, task, level, mechanism, config, seed):
-    """Train on prior years, test on each pivot year; returns per-year
-    metric rows plus the across-year aggregate."""
+def _pivot_models(cohort, task, level, mechanism, config, seed):
+    """Yield (pivot, split, TrainedModel) per pivot year, the model trained
+    once on the years before the pivot; every audit of the cell reads it.
+    Only one pivot's split is held at a time."""
     years = sorted(set(cohort.years.tolist()))
     if len(years) < 2:
         raise ConfigurationError("yearly protocol needs >= 2 years")
-    rows = []
     for pivot in years[1:]:
         cell_seed = stable_seed(seed, task["name"], level, mechanism, pivot)
         split = cohort_mod.split_yearly(cohort, pivot, "cumulative")
-        trained = _train_cell(split, task, level, mechanism, config, cell_seed)
-        scores = models.predict(trained.params, split.test.features)[:, 1]
-        rows.append({
-            "year": int(pivot),
-            "auroc": metrics.auroc(scores, split.test.labels),
-            "auprc": metrics.auprc(scores, split.test.labels),
-            "spend": trained.spend.to_dict(),
-            "accounting_log": trained.accounting_log,
-        })
+        yield pivot, split, _train_cell(split, task, level, mechanism, config,
+                                        cell_seed)
+
+
+def _utility_row(pivot, split, trained):
+    scores = models.predict(trained.params, split.test.features)[:, 1]
+    return {
+        "year": int(pivot),
+        "auroc": metrics.auroc(scores, split.test.labels),
+        "auprc": metrics.auprc(scores, split.test.labels),
+        "spend": trained.spend.to_dict(),
+        "accounting_log": trained.accounting_log,
+    }
+
+
+def _aggregate(rows):
     aurocs = [r["auroc"] for r in rows]
-    aggregate = {"auroc_mean": float(np.mean(aurocs)),
-                 "auroc_std": float(np.std(aurocs))}
-    return rows, aggregate
+    return {"auroc_mean": float(np.mean(aurocs)),
+            "auroc_std": float(np.std(aurocs))}
 
 
-def _robustness_audit(cohort, task, config, seed):
-    """Domain-classifier significance and malignancy per pivot year, plus
-    the gap-vs-malignancy Pearson correlation when enough years exist."""
-    years = sorted(set(cohort.years.tolist()))
-    reports, gaps, malignancies = [], [], []
-    for pivot in years[1:]:
-        split = cohort_mod.split_yearly(cohort, pivot, "cumulative")
-        report, scorer = shift_audit.domain_classifier_significance(
-            split.train, split.test, seed=stable_seed(seed, "shift", pivot),
-            year=pivot)
-        task_params = models.fit_lr_newton(
-            split.train.features, split.train.labels,
-            l2_lambda=task.get("l2_lambda", 0.01))
-        # In-distribution reference: held-back half of the training years.
-        half = split.train.n // 2
-        in_scores = models.predict(
-            task_params, split.train.features[half:])[:, 1]
-        out_scores = models.predict(task_params, split.test.features)[:, 1]
-        try:
-            gap = (metrics.auroc(in_scores, split.train.labels[half:])
-                   - metrics.auroc(out_scores, split.test.labels))
-        except DPTailsError:
-            gap = None
-        if report.significant:
-            shift_audit.shift_malignancy(report, split.test, scorer, task_params)
-        reports.append(report.to_dict())
-        if gap is not None and report.malignancy_accuracy is not None:
-            gaps.append(gap)
-            malignancies.append(report.malignancy_accuracy)
+def yearly_protocol(cohort, task, level, mechanism, config, seed):
+    """Train on prior years, test on each pivot year; returns per-year
+    metric rows plus the across-year aggregate."""
+    rows = [_utility_row(*p) for p in _pivot_models(
+        cohort, task, level, mechanism, config, seed)]
+    return rows, _aggregate(rows)
+
+
+def _shift_year(pivot, split, trained, seed):
+    """Domain-classifier significance and malignancy for one pivot year,
+    with the pivot's trained model as the task model; returns the report
+    dict and the in- vs out-of-distribution AUROC gap (None if undefined)."""
+    report, scorer = shift_audit.domain_classifier_significance(
+        split.train, split.test, seed=stable_seed(seed, "shift", pivot),
+        year=pivot)
+    # In-distribution reference: held-back half of the training years.
+    half = split.train.n // 2
+    in_scores = models.predict(trained.params, split.train.features[half:])[:, 1]
+    out_scores = models.predict(trained.params, split.test.features)[:, 1]
+    try:
+        gap = (metrics.auroc(in_scores, split.train.labels[half:])
+               - metrics.auroc(out_scores, split.test.labels))
+    except DPTailsError:
+        gap = None
+    if report.significant:
+        shift_audit.shift_malignancy(report, split.test, scorer, trained.params)
+    return report.to_dict(), gap
+
+
+def _robustness_audit(shifts):
+    """Per-year shift reports plus the gap-vs-malignancy Pearson
+    correlation when enough years exist."""
+    pairs = [(gap, report["malignancy_accuracy"]) for report, gap in shifts
+             if gap is not None and report["malignancy_accuracy"] is not None]
     correlation = None
-    if len(gaps) >= 3:
+    if len(pairs) >= 3:
+        gaps, malignancies = zip(*pairs)
         try:
-            result = shift_audit.robustness_correlation(gaps, malignancies)
+            result = shift_audit.robustness_correlation(list(gaps),
+                                                        list(malignancies))
             correlation = {"r": result.statistic, "p_value": result.p_value,
                            "method": result.method}
         except DPTailsError as exc:
             correlation = {"error": str(exc)}
-    return {"per_year": reports, "gap_malignancy_correlation": correlation}
+    return {"per_year": [report for report, _ in shifts],
+            "gap_malignancy_correlation": correlation}
 
 
-def _fairness_audit(cohort, task, level, mechanism, config, seed):
-    years = sorted(set(cohort.years.tolist()))
-    per_year = []
-    for pivot in years[1:]:
-        cell_seed = stable_seed(seed, task["name"], level, mechanism,
-                                "fairness", pivot)
-        split = cohort_mod.split_yearly(cohort, pivot, "cumulative")
-        trained = _train_cell(split, task, level, mechanism, config, cell_seed)
-        scores = models.predict(trained.params, split.test.features)[:, 1]
-        try:
-            report = fairness_audit.fairness_gaps(
-                scores, split.test.labels, split.test.groups, g1=0, g2=1)
-            per_year.append({"year": int(pivot), **report.to_dict()})
-        except DPTailsError as exc:
-            per_year.append({"year": int(pivot), "error": str(exc)})
-    return per_year
+def _fairness_audit(pivot, split, trained):
+    scores = models.predict(trained.params, split.test.features)[:, 1]
+    try:
+        report = fairness_audit.fairness_gaps(
+            scores, split.test.labels, split.test.groups, g1=0, g2=1)
+        return {"year": int(pivot), **report.to_dict()}
+    except DPTailsError as exc:
+        return {"year": int(pivot), "error": str(exc)}
 
 
-def _influence_audit(cohort, task, level, mechanism, config, seed):
-    pivot = sorted(set(cohort.years.tolist()))[-1]
-    split = cohort_mod.split_yearly(cohort, pivot, "cumulative")
-    cell_seed = stable_seed(seed, task["name"], level, mechanism, "influence")
-    trained = _train_cell(split, task, level, mechanism, config, cell_seed)
-    params = trained.params
+def _influence_audit(split, trained, config):
     train_sub = split.train.subset(slice(0, config.influence_train_cap))
     test_sub = split.test.subset(slice(0, config.influence_test_cap))
-    engine = influence.InfluenceEngine(params, train_sub)
+    engine = influence.InfluenceEngine(trained.params, train_sub)
     matrix = engine.matrix(train_sub, test_sub)
     panel_k = min(config.influence_panel, len(matrix.test_ids))
     panel_ids = influence.top_variance_test_points(matrix, k=panel_k)
@@ -226,6 +233,31 @@ def _influence_audit(cohort, task, level, mechanism, config, seed):
     }
 
 
+def _audit_cell(audits, base, task, level, mechanism, seed, config):
+    """Train the cell's pivot models once and run every requested audit on
+    them; returns the cell's audit results by name."""
+    rows, shifts, fairness = [], [], []
+    for pivot, split, trained in _pivot_models(base, task, level, mechanism,
+                                               config, seed):
+        if "utility" in audits:
+            rows.append(_utility_row(pivot, split, trained))
+        if "robustness" in audits:
+            shifts.append(_shift_year(pivot, split, trained, seed))
+        if "fairness" in audits:
+            fairness.append(_fairness_audit(pivot, split, trained))
+    out = {}
+    if "utility" in audits:
+        out["utility"] = {"per_year": rows, **_aggregate(rows)}
+    if "robustness" in audits:
+        out["robustness"] = _robustness_audit(shifts)
+    if "fairness" in audits:
+        out["fairness"] = fairness
+    if "influence" in audits:
+        # The loop leaves the last pivot's split and model bound.
+        out["influence"] = _influence_audit(split, trained, config)
+    return out
+
+
 def run_experiment(config: ExperimentConfig):
     """Execute the full grid; failed cells are recorded, not fatal.
 
@@ -237,31 +269,24 @@ def run_experiment(config: ExperimentConfig):
 
     cells = []
     failures = 0
-    for task in config.tasks:
-        for level in config.privacy_levels:
-            for mechanism in config.mechanisms:
-                for seed in config.seeds:
-                    cell = {"task": task["name"], "level": level,
-                            "mechanism": mechanism, "seed": seed}
-                    try:
-                        if "utility" in config.audits:
-                            rows, agg = yearly_protocol(
-                                base, task, level, mechanism, config, seed)
-                            cell["utility"] = {"per_year": rows, **agg}
-                        if "robustness" in config.audits and mechanism == "dp-sgd" \
-                                and level == config.privacy_levels[0]:
-                            cell["robustness"] = _robustness_audit(
-                                base, task, config, seed)
-                        if "fairness" in config.audits:
-                            cell["fairness"] = _fairness_audit(
-                                base, task, level, mechanism, config, seed)
-                        if "influence" in config.audits and mechanism == "dp-sgd":
-                            cell["influence"] = _influence_audit(
-                                base, task, level, mechanism, config, seed)
-                    except DPTailsError as exc:
-                        cell["error"] = f"{type(exc).__name__}: {exc}"
-                        failures += 1
-                    cells.append(cell)
+    for task, level, mechanism, seed in itertools.product(
+            config.tasks, config.privacy_levels, config.mechanisms,
+            config.seeds):
+        cell = {"task": task["name"], "level": level,
+                "mechanism": mechanism, "seed": seed}
+        audits = [a for a in config.audits
+                  if a in ("utility", "fairness")
+                  or (mechanism == "dp-sgd" and a == "influence")
+                  or (mechanism == "dp-sgd" and a == "robustness"
+                      and level == config.privacy_levels[0])]
+        try:
+            if audits:
+                cell.update(_audit_cell(audits, base, task, level, mechanism,
+                                        seed, config))
+        except DPTailsError as exc:
+            cell["error"] = f"{type(exc).__name__}: {exc}"
+            failures += 1
+        cells.append(cell)
 
     aggregates = _table_blocks(config, cells)
     report = {"config_hash": _config_hash(config), "cells": cells,
@@ -271,45 +296,43 @@ def run_experiment(config: ExperimentConfig):
 
 
 def _table_blocks(config, cells):
-    """Mean +/- std blocks over seeds per (task, level, mechanism)."""
+    """Mean +/- std blocks over seeds per (task, level, mechanism). The
+    epsilon shown is the largest over pivot years and seeds: each pivot
+    has its own sampling rate q = L/n, and the largest is the guarantee
+    that binds."""
     blocks = []
-    for task in config.tasks:
-        for level in config.privacy_levels:
-            for mechanism in config.mechanisms:
-                vals = [c["utility"]["auroc_mean"] for c in cells
-                        if c.get("utility") is not None
-                        and c["task"] == task["name"] and c["level"] == level
-                        and c["mechanism"] == mechanism and "utility" in c]
-                if not vals:
-                    continue
-                spends = [c["utility"]["per_year"][0]["spend"] for c in cells
-                          if c["task"] == task["name"] and c["level"] == level
-                          and c["mechanism"] == mechanism and "utility" in c]
-                eps = spends[0]["epsilon"]
-                spend = accountant.PrivacySpend(
-                    epsilon=math.inf if eps == "inf" else float(eps),
-                    delta=float(spends[0]["delta"]))
-                blocks.append({
-                    "task": task["name"], "level": level,
-                    "mechanism": mechanism,
-                    "auroc_mean": float(np.mean(vals)),
-                    "auroc_std": float(np.std(vals)),
-                    "cell_text": format_cell(float(np.mean(vals)),
-                                             float(np.std(vals)), spend),
-                })
+    for task, level, mechanism in itertools.product(
+            config.tasks, config.privacy_levels, config.mechanisms):
+        utilities = [c["utility"] for c in cells
+                     if "utility" in c and c["task"] == task["name"]
+                     and c["level"] == level and c["mechanism"] == mechanism]
+        if not utilities:
+            continue
+        vals = [u["auroc_mean"] for u in utilities]
+        spends = [row["spend"] for u in utilities for row in u["per_year"]]
+        eps = [math.inf if sp["epsilon"] == "inf" else float(sp["epsilon"])
+               for sp in spends]
+        worst = int(np.argmax(eps))
+        spend = accountant.PrivacySpend(
+            epsilon=eps[worst], delta=float(spends[worst]["delta"]))
+        blocks.append({
+            "task": task["name"], "level": level, "mechanism": mechanism,
+            "auroc_mean": float(np.mean(vals)),
+            "auroc_std": float(np.std(vals)),
+            "cell_text": format_cell(float(np.mean(vals)),
+                                     float(np.std(vals)), spend),
+        })
     return blocks
 
 
 def _config_hash(config):
-    payload = json.dumps({
-        "cohort": json.loads(config.cohort.to_json()),
-        "tasks": config.tasks, "privacy_levels": config.privacy_levels,
-        "mechanisms": config.mechanisms, "seeds": config.seeds,
-        "audits": config.audits, "learning_rate": config.learning_rate,
-        "epochs": config.epochs, "batch_size": config.batch_size,
-        "microbatch_count": config.microbatch_count,
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """Hash of every config field except out_dir, which names where the
+    reports go and not what they hold."""
+    payload = {f.name: getattr(config, f.name) for f in fields(config)
+               if f.name != "out_dir"}
+    payload["cohort"] = json.loads(config.cohort.to_json())
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _write_json(path, payload):

@@ -84,32 +84,19 @@ class InfluenceEngine:
             self.params, features, labels, include_ridge=False)
         return G
 
-    def solve(self, rhs, method="dense"):
-        """H^{-1} rhs; dense Cholesky or conjugate gradient."""
-        rhs = np.asarray(rhs, dtype=float)
-        if method == "dense":
-            return cho_solve(self._cho, rhs)
-        if method == "cg":
-            if rhs.ndim == 1:
-                return _conjugate_gradient(self.hessian, rhs)
-            return np.column_stack(
-                [_conjugate_gradient(self.hessian, rhs[:, j])
-                 for j in range(rhs.shape[1])])
-        raise DomainError(f"unknown solve method {method!r}")
-
-    def pair(self, z_train, z_test, method="dense"):
+    def pair(self, z_train, z_test):
         """-g_test^T H^{-1} g_train for single records (x, y)."""
         x_tr, y_tr = z_train
         x_te, y_te = z_test
         g_tr = self._grads(np.atleast_2d(x_tr), [y_tr])[0]
         g_te = self._grads(np.atleast_2d(x_te), [y_te])[0]
-        return float(-g_te @ self.solve(g_tr, method=method))
+        return float(-g_te @ cho_solve(self._cho, g_tr))
 
-    def matrix(self, train_subset, test_subset, method="dense") -> InfluenceMatrix:
+    def matrix(self, train_subset, test_subset) -> InfluenceMatrix:
         G_tr = self._grads(train_subset.features, train_subset.labels)
         G_te = self._grads(test_subset.features, test_subset.labels)
         # One solve block shared across all pairs.
-        solved = self.solve(G_te.T, method=method)       # p x n_test
+        solved = cho_solve(self._cho, G_te.T)       # p x n_test
         values = -(G_tr @ solved)
         return InfluenceMatrix(values=values,
                                train_ids=train_subset.ids.copy(),
@@ -124,33 +111,6 @@ def _fingerprint(params):
     h.update(params.family.encode())
     h.update(np.ascontiguousarray(params.theta).tobytes())
     return h.hexdigest()[:16]
-
-
-def _conjugate_gradient(A, b, rel_tol=1e-10, max_iter=None):
-    n = len(b)
-    max_iter = max_iter or 10 * n
-    x = np.zeros(n)
-    r = b - A @ x
-    p = r.copy()
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0:
-        return x
-    rs = float(r @ r)
-    for _ in range(max_iter):
-        if np.sqrt(rs) / b_norm <= rel_tol:
-            break
-        Ap = A @ p
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
-
-
-def influence_pair(params, train_cohort, z_train, z_test, damping=None):
-    return InfluenceEngine(params, train_cohort, damping).pair(z_train, z_test)
 
 
 def group_influence(matrix: InfluenceMatrix, assignment) -> GroupInfluenceSummary:

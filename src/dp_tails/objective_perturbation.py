@@ -8,7 +8,7 @@ The perturbation vector b has a uniform direction and Gamma(dim, rate=beta)
 norm with beta = eps'/2, which realizes the density proportional to
 exp(-beta ||b||). The perturbed objective
   J(f) + (1/n) b^T f + (Delta/2) ||f||^2
-is minimized by damped Newton iterations with backtracking line search to
+is ridge LR plus a linear term, minimized by `models.fit_lr_newton` to
 gradient norm <= 1e-8; c defaults to 1/4, the smoothness constant of the
 logistic loss.
 """
@@ -23,8 +23,7 @@ import numpy as np
 from . import accountant, models
 from .cohort import CohortSplit
 from .dp_optim import TrainedModel
-from .errors import (ConfigurationError, DomainError, OptimizationError,
-                     UnsupportedFamilyError)
+from .errors import ConfigurationError, DomainError, UnsupportedFamilyError
 
 
 @dataclass
@@ -69,53 +68,6 @@ def budget_split(n, config: ObjPertConfig):
     return eps_p / 2.0, max(delta_reg, 0.0), "extra-regularization"
 
 
-def _perturbed_objective(theta, Z, y_pm, lam, b_over_n, delta_reg):
-    margins = y_pm * (Z @ theta)
-    # log(1 + exp(-m)) computed stably
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
-    return (loss + 0.5 * lam * float(theta @ theta)
-            + float(b_over_n @ theta) + 0.5 * delta_reg * float(theta @ theta))
-
-
-def _solve_perturbed(Z, y_pm, lam, b_over_n, delta_reg,
-                     tol=1e-8, max_iter=200):
-    n, p = Z.shape
-    theta = np.zeros(p)
-    for _ in range(max_iter):
-        margins = y_pm * (Z @ theta)
-        s = models._sigmoid(-margins)          # d/dm log(1+e^{-m}) = -s(-m)... sign below
-        grad = (-(Z * (y_pm * s)[:, None]).mean(axis=0)
-                + (lam + delta_reg) * theta + b_over_n)
-        if np.linalg.norm(grad) <= tol:
-            return theta
-        w = s * (1.0 - s)
-        H = (Z * w[:, None]).T @ Z / n + (lam + delta_reg) * np.eye(p)
-        step = np.linalg.solve(H, grad)
-        t = 1.0
-        base = _perturbed_objective(theta, Z, y_pm, lam, b_over_n, delta_reg)
-        gdots = float(grad @ step)
-        for _ in range(60):
-            # Accept when the Armijo decrease holds or the predicted
-            # decrease is below float resolution of the objective.
-            if 1e-4 * t * gdots <= 1e-14 * max(1.0, abs(base)):
-                break
-            cand = theta - t * step
-            if _perturbed_objective(cand, Z, y_pm, lam, b_over_n,
-                                    delta_reg) <= base - 1e-4 * t * gdots:
-                break
-            t *= 0.5
-        theta = theta - t * step
-    margins = y_pm * (Z @ theta)
-    s = models._sigmoid(-margins)
-    grad = (-(Z * (y_pm * s)[:, None]).mean(axis=0)
-            + (lam + delta_reg) * theta + b_over_n)
-    if np.linalg.norm(grad) > tol:
-        raise OptimizationError(
-            f"perturbed objective not solved to tolerance "
-            f"(grad norm {np.linalg.norm(grad):.3e})")
-    return theta
-
-
 def train_objective_perturbation(split: CohortSplit, config: ObjPertConfig,
                                  force_zero_noise=False) -> TrainedModel:
     """Private minimizer of the perturbed regularized logistic objective.
@@ -135,8 +87,6 @@ def train_objective_perturbation(split: CohortSplit, config: ObjPertConfig,
     norms = np.linalg.norm(cohort.features, axis=1)
     factors = np.maximum(1.0, norms / config.record_norm_bound)
     X = cohort.features / factors[:, None]
-    Z = np.column_stack([X, np.ones(n)])
-    y_pm = 2.0 * y.astype(float) - 1.0
 
     eps_prime, delta_reg, branch = budget_split(n, config)
     beta = eps_prime / 2.0
@@ -147,8 +97,9 @@ def train_objective_perturbation(split: CohortSplit, config: ObjPertConfig,
     else:
         b = sample_noise_vector(d + 1, beta, rng)
 
-    theta = _solve_perturbed(Z, y_pm, config.lam, b / n, delta_reg)
-    params = models.ModelParams("lr-binary", theta, d,
+    solved = models.fit_lr_newton(X, y, l2_lambda=config.lam + delta_reg,
+                                  tol=1e-8, max_iter=200, linear=b / n)
+    params = models.ModelParams("lr-binary", solved.theta, d,
                                 l2_lambda=config.lam)
     spend = accountant.PrivacySpend(epsilon=config.eps_p, delta=0.0)
     log = {

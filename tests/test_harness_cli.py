@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from dp_tails import accountant, cli, cohort, harness, models
+from dp_tails import (accountant, cli, cohort, dp_optim, harness, models,
+                      objective_perturbation)
 from dp_tails.errors import ConfigurationError
 
 from conftest import make_cohort
@@ -49,6 +51,24 @@ def test_experiment_config_validation(tmp_path):
         _small_config(tmp_path, mechanisms=["magic"])
     with pytest.raises(ConfigurationError, match="audits"):
         _small_config(tmp_path, audits=["vibes"])
+
+
+def test_config_from_dict_rejects_unknown_key(tmp_path):
+    raw = {"cohort": json.loads(_small_config(tmp_path).cohort.to_json()),
+           "bogus": 1}
+    with pytest.raises(ConfigurationError, match="bogus"):
+        harness.ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("objpert_lambda", 0.02), ("influence_train_cap", 999),
+    ("influence_test_cap", 299), ("influence_panel", 99)])
+def test_config_hash_covers_field(tmp_path, name, value):
+    base = _small_config(tmp_path)
+    assert harness._config_hash(base) != harness._config_hash(
+        dataclasses.replace(base, **{name: value}))
+    assert harness._config_hash(base) == harness._config_hash(
+        dataclasses.replace(base, out_dir=str(tmp_path / "elsewhere")))
 
 
 # ---------------------------------------------------------- yearly protocol
@@ -194,6 +214,52 @@ def test_aggregate_blocks_match_per_seed_rows(tmp_path):
     assert block["auroc_std"] == float(np.std(per_seed))
 
 
+def test_aggregate_epsilon_is_largest_over_pivots(tmp_path):
+    # Each pivot trains on a different number of records, so its q = L/n
+    # and its epsilon differ; the block shows the binding (largest) one,
+    # which at the "low" level is not the first pivot's.
+    cc = cohort.CohortConfig(n=1500, d=4, positive_prevalence=0.3,
+                             years=(2001, 2003), class_separation=2.0, seed=0)
+    config = harness.ExperimentConfig(cohort=cc, privacy_levels=["low"],
+                                      seeds=[0], epochs=1,
+                                      out_dir=str(tmp_path))
+    report, failures = harness.run_experiment(config)
+    assert failures == 0
+    eps = [row["spend"]["epsilon"]
+           for row in report["cells"][0]["utility"]["per_year"]]
+    assert eps[0] < eps[1]
+    assert report["aggregates"][0]["cell_text"].endswith(
+        f"({max(eps):.2f}, 1e-05)")
+
+
+def test_each_slot_trains_once_and_audits_read_it(tmp_path, monkeypatch):
+    calls = []
+    for module, name in ((dp_optim, "train"),
+                         (objective_perturbation,
+                          "train_objective_perturbation")):
+        def counted(*args, _fn=getattr(module, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    cc = cohort.CohortConfig(n=900, d=4, positive_prevalence=0.3,
+                             years=(2001, 2003), class_separation=2.0, seed=0)
+    config = harness.ExperimentConfig(
+        cohort=cc, privacy_levels=["none", "high"],
+        mechanisms=["dp-sgd", "objective-perturbation"], seeds=[0, 1],
+        audits=["utility", "robustness", "fairness", "influence"], epochs=1,
+        influence_train_cap=200, influence_test_cap=50, influence_panel=10,
+        out_dir=str(tmp_path))
+    report, failures = harness.run_experiment(config)
+    assert failures == 0
+    pivots = 2
+    assert len(calls) == 1 * 2 * 2 * 2 * pivots
+    influenced = [c for c in report["cells"] if "influence" in c]
+    assert len(influenced) == 4
+    for cell in influenced:
+        assert cell["influence"]["spend"] == \
+            cell["utility"]["per_year"][-1]["spend"]
+
+
 def test_utility_csv_matches_report(tmp_path):
     config = _small_config(tmp_path)
     report, _ = harness.run_experiment(config)
@@ -293,6 +359,24 @@ def test_cli_configuration_error_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"cohort": {"n": 100, "d": 2}, "seeds": []}))
+    assert cli.main(["run", "--config", str(bad)]) == 2
+
+
+def test_cli_run_unknown_key_exit_code(tmp_path, capsys):
+    cc, _ = _write_cohort_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"cohort": json.loads(cc.to_json()),
+                               "bogus": 1}))
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_cli_run_malformed_json_exit_code(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"cohort": {"n": 100,')
+    args = cli.build_parser().parse_args(["run", "--config", str(bad)])
+    with pytest.raises(ConfigurationError, match="malformed JSON"):
+        cli.cmd_run(args)
     assert cli.main(["run", "--config", str(bad)]) == 2
 
 

@@ -106,16 +106,6 @@ def test_matrix_duplicate_train_rows_identical():
     assert np.array_equal(matrix.values[0], matrix.values[1])
 
 
-def test_solver_agreement_dense_vs_cg(rng):
-    engine, c = _fitted_engine(n=120, d=6)
-    test_sub = c.subset(np.arange(30))
-    train_sub = c.subset(np.arange(30, 120))
-    dense = engine.matrix(train_sub, test_sub, method="dense")
-    iterative = engine.matrix(train_sub, test_sub, method="cg")
-    scale = np.abs(dense.values).max()
-    assert np.max(np.abs(dense.values - iterative.values)) <= 1e-8 * scale
-
-
 def test_bilinearity_via_gradient_scaling():
     # The test-side gradient of binary LR is (p - y) [x; 1]; flipping the
     # label of a test point with p = 0.5 negates the gradient exactly, and

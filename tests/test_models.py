@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dp_tails import models
-from dp_tails.errors import (DomainError, ShapeError, UnsupportedFamilyError)
+from dp_tails.errors import (DomainError, OptimizationError, ShapeError,
+                             UnsupportedFamilyError)
 
 
 def _random_params(family, d, rng, k=3, h=4, l2_lambda=0.0):
@@ -213,3 +214,16 @@ def test_fit_lr_newton_recovers_signal(rng):
     grad = G.mean(axis=0)
     grad[-1] += params.l2_lambda * params.theta[-1]
     assert np.linalg.norm(grad) <= 1e-8
+
+
+def test_fit_lr_newton_linear_term_and_tolerance_error(rng):
+    X = rng.normal(size=(200, 3))
+    y = (X[:, 0] > 0).astype(int)
+    c = rng.normal(scale=0.1, size=4)
+    params = models.fit_lr_newton(X, y, l2_lambda=0.1, linear=c)
+    _, G = models.loss_and_per_example_grads(params, X, y)
+    grad = G.mean(axis=0) + c
+    grad[-1] += params.l2_lambda * params.theta[-1]
+    assert np.linalg.norm(grad) <= 1e-10
+    with pytest.raises(OptimizationError):
+        models.fit_lr_newton(X, y, l2_lambda=0.1, max_iter=1)

@@ -115,9 +115,7 @@ def test_zero_noise_limit_equals_non_private_minimizer():
     train = split.train
     norms = np.linalg.norm(train.features, axis=1)
     X = train.features / np.maximum(1.0, norms)[:, None]
-    Z = np.column_stack([X, np.ones(train.n)])
-    y_pm = 2.0 * train.labels - 1.0
-    theta = op._solve_perturbed(Z, y_pm, 0.1, np.zeros(train.d + 1), 0.0)
+    theta = models.fit_lr_newton(X, train.labels, l2_lambda=0.1).theta
     assert np.max(np.abs(trained.params.theta - theta)) < 1e-6
 
 
