@@ -46,9 +46,6 @@ class PrivacySpend:
         if self.epsilon < 0:
             raise ConfigurationError("epsilon: must be >= 0")
 
-    def is_private(self):
-        return math.isfinite(self.epsilon)
-
     def to_dict(self):
         return {"epsilon": self.epsilon if math.isfinite(self.epsilon) else "inf",
                 "delta": self.delta,

@@ -8,6 +8,7 @@ audit-influence, run. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                harness, influence, models, objective_perturbation,
                shift_audit)
-from .errors import ConfigurationError, DPTailsError
+from .errors import ConfigurationError, DPTailsError, config_from_dict
 
 
 def _load_json(path):
@@ -40,10 +41,9 @@ def _dump(payload, path=None):
 
 
 def cmd_generate_data(args):
-    config = cohort_mod.CohortConfig.from_json(json.dumps(_load_json(args.config)))
+    config = cohort_mod.CohortConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
-        config = cohort_mod.CohortConfig.from_json(json.dumps(
-            {**json.loads(config.to_json()), "seed": args.seed}))
+        config = dataclasses.replace(config, seed=args.seed)
     if not args.out:
         raise ConfigurationError("generate-data requires --out")
     cohort = cohort_mod.generate_cohort(config)
@@ -59,18 +59,21 @@ def cmd_train(args):
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     mechanism = raw.get("mechanism", "dp-sgd")
     if mechanism == "dp-sgd":
-        train_raw = dict(raw.get("training", {}))
-        level = train_raw.pop("privacy_level", None)
-        train_raw["seed"] = seed
-        if level is not None:
-            config = dp_optim.DPTrainingConfig.from_level(level, **train_raw)
+        training = raw.get("training", {})
+        if isinstance(training, dict) and "privacy_level" in training:
+            training = dict(training)
+            config = dp_optim.DPTrainingConfig.from_level(
+                training.pop("privacy_level"), **training)
         else:
-            config = dp_optim.DPTrainingConfig(**train_raw)
-        trained = dp_optim.train(raw.get("family_spec", {}), split, config)
+            config = config_from_dict(dp_optim.DPTrainingConfig, training,
+                                      "training")
+        trained = dp_optim.train(raw.get("family_spec", {}), split,
+                                 dataclasses.replace(config, seed=seed))
     elif mechanism == "objective-perturbation":
-        op = objective_perturbation.ObjPertConfig(seed=seed,
-                                                  **raw.get("objpert", {}))
-        trained = objective_perturbation.train_objective_perturbation(split, op)
+        op = config_from_dict(objective_perturbation.ObjPertConfig,
+                              raw.get("objpert", {}), "objpert")
+        trained = objective_perturbation.train_objective_perturbation(
+            split, dataclasses.replace(op, seed=seed))
     else:
         raise ConfigurationError(f"unknown mechanism {mechanism!r}")
     _dump(trained.to_dict(), args.out)
@@ -139,11 +142,7 @@ def cmd_audit_influence(args):
         matrix, {int(i): int(l) for i, l in
                  zip(train_cohort.ids, train_cohort.labels)})
     _dump({"sign_convention": influence.SIGN_CONVENTION,
-           "by_label": {"means": summary.group_means,
-                        "stds": summary.group_stds,
-                        "most_helpful_group": summary.most_helpful_group,
-                        "most_harmful_group": summary.most_harmful_group}},
-          args.out)
+           "by_label": summary.to_dict()}, args.out)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("train_id," + ",".join(str(int(t))

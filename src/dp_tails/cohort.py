@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, SplitError
+from .errors import (ConfigurationError, ParseError, SplitError,
+                     config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -79,34 +80,15 @@ class CohortConfig:
             raise ConfigurationError("d: need at least one feature")
 
     def to_json(self):
-        return json.dumps(
-            {
-                "n": self.n, "d": self.d, "num_classes": self.num_classes,
-                "positive_prevalence": self.positive_prevalence
-                if np.isscalar(self.positive_prevalence)
-                else list(self.positive_prevalence),
-                "group_prevalences": list(self.group_prevalences),
-                "group_label_association": self.group_label_association,
-                "years": list(self.years),
-                "yearly_drift": self.yearly_drift,
-                "transition_year": self.transition_year,
-                "transition_shift": self.transition_shift,
-                "class_separation": self.class_separation,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(f"cohort: unknown key(s): {unknown}")
-        for key in ("positive_prevalence", "group_prevalences", "years"):
-            if key in raw and isinstance(raw[key], list):
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+    def from_dict(cls, raw):
+        """Config from a JSON object; JSON lists become tuples."""
+        if isinstance(raw, dict):
+            raw = {k: tuple(v) if isinstance(v, list) else v
+                   for k, v in raw.items()}
+        return config_from_dict(cls, raw, "cohort")
 
 
 @dataclass
@@ -310,8 +292,14 @@ def read_cohort(path, num_classes=None) -> Cohort:
     n = len(ids)
     if len(set(ids)) != n:
         raise ParseError("duplicate record ids")
+    features = np.asarray(feats, dtype=float).reshape(n, d)
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        r, j = bad[0]
+        raise ParseError("non-finite feature cell", row=int(r) + 1,
+                         column=4 + int(j))
     return Cohort(
-        features=np.asarray(feats, dtype=float).reshape(n, d),
+        features=features,
         labels=np.asarray(labels, dtype=np.int64),
         groups=np.asarray(groups, dtype=np.int64),
         years=np.asarray(years, dtype=np.int64),

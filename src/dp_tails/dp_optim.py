@@ -18,13 +18,16 @@ import numpy as np
 from . import accountant, models
 from .cohort import CohortSplit
 from .errors import (ConfigurationError, DomainError, NumericError,
-                     TrainingError)
+                     TrainingError, check_keys, config_from_dict)
 
 PRIVACY_LEVELS = {
     "none": (None, 0.0),
     "low": (5.0, 0.1),
     "high": (1.0, 1.0),
 }
+
+# `train`'s family spec keys; models.init_params owns k, h, l2_lambda defaults.
+FAMILY_SPEC_KEYS = ("family", "k", "h", "l2_lambda")
 
 
 @dataclass
@@ -37,19 +40,9 @@ class DPTrainingConfig:
     epochs: int = 10
     optimizer: str = "sgd"
     seed: int = 0
-    privacy_level_name: str = "custom"
     delta: float = accountant.DEFAULT_DELTA
 
     def __post_init__(self):
-        if self.privacy_level_name in PRIVACY_LEVELS:
-            expect = PRIVACY_LEVELS[self.privacy_level_name]
-            if (self.clip_norm, self.noise_multiplier) != expect:
-                raise ConfigurationError(
-                    f"privacy_level_name={self.privacy_level_name!r} binds to "
-                    f"(clip_norm, noise_multiplier)={expect}")
-        elif self.privacy_level_name != "custom":
-            raise ConfigurationError(
-                f"privacy_level_name: unknown level {self.privacy_level_name!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigurationError("clip_norm: must be > 0 or absent")
         if self.noise_multiplier < 0:
@@ -66,11 +59,18 @@ class DPTrainingConfig:
 
     @classmethod
     def from_level(cls, name, **kwargs):
+        """Config of a named privacy level, which alone sets clip_norm and
+        noise_multiplier; kwargs set the other fields."""
         if name not in PRIVACY_LEVELS:
             raise ConfigurationError(f"unknown privacy level {name!r}")
+        bound = sorted({"clip_norm", "noise_multiplier"} & set(kwargs))
+        if bound:
+            raise ConfigurationError(
+                f"training: {bound} set by privacy_level {name!r}")
         clip, sigma = PRIVACY_LEVELS[name]
-        return cls(clip_norm=clip, noise_multiplier=sigma,
-                   privacy_level_name=name, **kwargs)
+        return config_from_dict(
+            cls, {**kwargs, "clip_norm": clip, "noise_multiplier": sigma},
+            "training")
 
     @property
     def private(self):
@@ -99,13 +99,15 @@ class TrainedModel:
 
 
 def clip_gradient(g, clip_norm):
-    """Rescale g to norm <= clip_norm, preserving direction."""
+    """Rescale g, or each row of a matrix g, to norm <= clip_norm,
+    preserving direction."""
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient")
     if clip_norm <= 0:
         raise DomainError("clip norm must be > 0")
-    return g / max(1.0, float(np.linalg.norm(g)) / clip_norm)
+    norms = np.linalg.norm(g, axis=-1, keepdims=True)
+    return g / np.maximum(1.0, norms / clip_norm)
 
 
 def _noised_batch_gradient(G, config, rng):
@@ -118,9 +120,7 @@ def _noised_batch_gradient(G, config, rng):
     if n % m != 0:
         raise ConfigurationError("microbatch_count must divide batch size")
     micro_means = G.reshape(m, n // m, -1).mean(axis=1)
-    norms = np.linalg.norm(micro_means, axis=1)
-    factors = np.maximum(1.0, norms / config.clip_norm)
-    total = (micro_means / factors[:, None]).sum(axis=0)
+    total = clip_gradient(micro_means, config.clip_norm).sum(axis=0)
     if config.noise_multiplier > 0:
         total = total + rng.normal(
             scale=config.noise_multiplier * config.clip_norm,
@@ -164,9 +164,12 @@ class _AdamState:
 def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedModel:
     """Train on the split's train side with shuffled fixed-size batches.
 
-    family_spec: dict with keys family, k (classes), h, l2_lambda; the
-    input dimension is taken from the data.
+    family_spec: dict with any of the keys FAMILY_SPEC_KEYS: family
+    (default lr-binary), k (classes), h and l2_lambda; the input dimension
+    is taken from the data.
     """
+    check_keys(family_spec, FAMILY_SPEC_KEYS, (), "family_spec")
+    spec = {"family": "lr-binary", **family_spec}
     train_cohort = split.train
     n = train_cohort.n
     if n == 0:
@@ -174,11 +177,7 @@ def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedM
     X = train_cohort.features
     y = train_cohort.labels
 
-    params = models.init_params(
-        family_spec.get("family", "lr-binary"), X.shape[1],
-        k=family_spec.get("k", 2), h=family_spec.get("h", 16),
-        l2_lambda=family_spec.get("l2_lambda", 0.0),
-        seed=config.seed)
+    params = models.init_params(d=X.shape[1], seed=config.seed, **spec)
 
     L = min(config.batch_size, n)
     if L < config.batch_size and L % config.microbatch_count != 0:

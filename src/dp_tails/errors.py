@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the toolkit."""
+"""Exception taxonomy shared across the toolkit, and the one loader that
+turns a JSON object into a config."""
+
+from dataclasses import MISSING, fields
 
 
 class DPTailsError(Exception):
@@ -7,6 +10,29 @@ class DPTailsError(Exception):
 
 class ConfigurationError(DPTailsError):
     """Invalid configuration value; message names the offending field."""
+
+
+def check_keys(raw, allowed, required, where):
+    """Raise ConfigurationError naming `where` and the keys if `raw` is not
+    a JSON object, has a key outside `allowed` or lacks one of `required`."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where}: must be a JSON object")
+    for problem, keys in (("unknown", set(raw) - set(allowed)),
+                          ("missing", set(required) - set(raw))):
+        if keys:
+            raise ConfigurationError(f"{where}: {problem} key(s): "
+                                     f"{sorted(keys)}")
+
+
+def config_from_dict(cls, raw, where):
+    """The config dataclass `cls` built from the JSON object `raw`, the one
+    place a JSON object becomes a config; value checks stay in
+    cls.__post_init__."""
+    check_keys(raw, [f.name for f in fields(cls)],
+               [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING],
+               where)
+    return cls(**raw)
 
 
 class SplitError(DPTailsError):

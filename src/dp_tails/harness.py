@@ -17,17 +17,19 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                influence, metrics, models, objective_perturbation,
                shift_audit)
-from .errors import ConfigurationError, DPTailsError
+from .errors import (ConfigurationError, DPTailsError, check_keys,
+                     config_from_dict)
 
-# Objective-perturbation budgets matched to the named privacy levels.
-OBJPERT_LEVEL_EPS = {"low": 3.5e5, "high": 3.54}
+# Objective-perturbation budgets matched to the named privacy levels; "none"
+# trains the noiseless minimizer, reported as a non-private run.
+OBJPERT_LEVEL_EPS = {"none": math.inf, "low": 3.5e5, "high": 3.54}
 
 
 @dataclass
@@ -53,6 +55,13 @@ class ExperimentConfig:
         if not self.seeds or not self.tasks or not self.privacy_levels:
             raise ConfigurationError(
                 "seeds/tasks/privacy_levels: must be nonempty")
+        if self.cohort.num_classes != 2:
+            raise ConfigurationError(
+                "cohort.num_classes: grid audits score binary labels; "
+                "must be 2")
+        for i, task in enumerate(self.tasks):
+            check_keys(task, ("name", *dp_optim.FAMILY_SPEC_KEYS), ("name",),
+                       f"tasks[{i}]")
         for mech in self.mechanisms:
             if mech not in ("dp-sgd", "objective-perturbation"):
                 raise ConfigurationError(f"mechanisms: unknown {mech!r}")
@@ -62,17 +71,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        if not isinstance(raw, dict):
-            raise ConfigurationError("run config: must be a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(f"unknown config key(s): {unknown}")
-        if "cohort" not in raw:
-            raise ConfigurationError("cohort: required")
-        raw = dict(raw)
-        raw["cohort"] = cohort_mod.CohortConfig.from_json(
-            json.dumps(raw["cohort"]))
-        return cls(**raw)
+        if isinstance(raw, dict) and "cohort" in raw:
+            raw = {**raw,
+                   "cohort": cohort_mod.CohortConfig.from_dict(raw["cohort"])}
+        return config_from_dict(cls, raw, "run config")
 
 
 def stable_seed(*parts):
@@ -94,13 +96,12 @@ def _train_cell(split, task, level, mechanism, config, seed):
             learning_rate=config.learning_rate,
             epochs=config.epochs,
             seed=seed)
-        family_spec = {"family": task.get("family", "lr-binary"),
-                       "l2_lambda": task.get("l2_lambda", 0.0),
-                       "k": task.get("k", 2), "h": task.get("h", 16)}
+        family_spec = {k: v for k, v in task.items() if k != "name"}
         return dp_optim.train(family_spec, split, train_config)
+    if level not in OBJPERT_LEVEL_EPS:
+        raise ConfigurationError(f"unknown privacy level {level!r}")
     op_config = objective_perturbation.ObjPertConfig(
-        eps_p=OBJPERT_LEVEL_EPS.get(level, 1.0),
-        lam=config.objpert_lambda, seed=seed)
+        eps_p=OBJPERT_LEVEL_EPS[level], lam=config.objpert_lambda, seed=seed)
     return objective_perturbation.train_objective_perturbation(
         split, op_config, force_zero_noise=(level == "none"))
 
@@ -218,14 +219,8 @@ def _influence_audit(split, trained, config):
         "sign_convention": influence.SIGN_CONVENTION,
         "panel_size": panel_k,
         "max_abs_influence": float(np.abs(panel.values).max()),
-        "by_label": {"means": by_label.group_means,
-                     "stds": by_label.group_stds,
-                     "most_helpful_group": by_label.most_helpful_group,
-                     "most_harmful_group": by_label.most_harmful_group},
-        "by_group": {"means": by_group.group_means,
-                     "stds": by_group.group_stds,
-                     "most_helpful_group": by_group.most_helpful_group,
-                     "most_harmful_group": by_group.most_harmful_group},
+        "by_label": by_label.to_dict(),
+        "by_group": by_group.to_dict(),
         "helpful_frequency": {"concentration": freq.concentration,
                               "counts": {str(k): v
                                          for k, v in sorted(freq.counts.items())}},
@@ -328,9 +323,8 @@ def _table_blocks(config, cells):
 def _config_hash(config):
     """Hash of every config field except out_dir, which names where the
     reports go and not what they hold."""
-    payload = {f.name: getattr(config, f.name) for f in fields(config)
-               if f.name != "out_dir"}
-    payload["cohort"] = json.loads(config.cohort.to_json())
+    payload = asdict(config)
+    del payload["out_dir"]
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

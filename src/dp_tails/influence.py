@@ -46,6 +46,11 @@ class GroupInfluenceSummary:
     most_harmful_group: int
     sign_convention: str = SIGN_CONVENTION
 
+    def to_dict(self):
+        return {"means": self.group_means, "stds": self.group_stds,
+                "most_helpful_group": self.most_helpful_group,
+                "most_harmful_group": self.most_harmful_group}
+
 
 @dataclass
 class InfluencerFrequencyTable:

@@ -122,13 +122,3 @@ def pearson(x, y) -> TestResult:
         t = r * np.sqrt((n - 2) / (1.0 - r * r))
         p = float(2.0 * stats.t.sf(abs(t), df=n - 2))
     return TestResult(statistic=r, p_value=p, method="pearson-t")
-
-
-def micro_average_scores(prob_matrix, labels):
-    """One-vs-rest binarization for multiclass AUROC/AUPRC (micro)."""
-    P = np.asarray(prob_matrix, dtype=float)
-    y = np.asarray(labels).ravel().astype(np.int64)
-    k = P.shape[1]
-    onehot = np.zeros_like(P)
-    onehot[np.arange(len(y)), y] = 1.0
-    return P.ravel(), onehot.ravel().astype(np.int64), k

@@ -73,7 +73,8 @@ def train_objective_perturbation(split: CohortSplit, config: ObjPertConfig,
     """Private minimizer of the perturbed regularized logistic objective.
 
     force_zero_noise sets b = 0 and Delta = 0 (the beta -> infinity limit),
-    giving the non-private regularized minimizer; intended for tests and
+    giving the non-private regularized minimizer, reported as a non-private
+    run with epsilon = inf and eps_p unused; intended for tests and
     baselines only.
     """
     cohort = split.train
@@ -88,29 +89,29 @@ def train_objective_perturbation(split: CohortSplit, config: ObjPertConfig,
     factors = np.maximum(1.0, norms / config.record_norm_bound)
     X = cohort.features / factors[:, None]
 
-    eps_prime, delta_reg, branch = budget_split(n, config)
-    beta = eps_prime / 2.0
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
+    log = {"mechanism": "objective-perturbation", "lambda": config.lam,
+           "record_norm_bound": config.record_norm_bound,
+           "smoothness_constant": config.smoothness_constant}
     if force_zero_noise:
-        b = np.zeros(d + 1)
-        delta_reg = 0.0
+        b, delta_reg = np.zeros(d + 1), 0.0
+        spend = accountant.PrivacySpend(epsilon=math.inf, delta=0.0)
+        caveat = "non-private run"
     else:
+        eps_prime, delta_reg, branch = budget_split(n, config)
+        beta = eps_prime / 2.0
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
         b = sample_noise_vector(d + 1, beta, rng)
+        spend = accountant.PrivacySpend(epsilon=config.eps_p, delta=0.0)
+        log.update(eps_p=config.eps_p, eps_prime=eps_prime, beta=beta,
+                   branch=branch, extra_regularization=delta_reg)
+        caveat = "solver is deterministic; DP holds conditionally on b"
+    log["caveats"] = [caveat,
+                      "record features rescaled to norm <= C before solving"]
 
     solved = models.fit_lr_newton(X, y, l2_lambda=config.lam + delta_reg,
                                   tol=1e-8, max_iter=200, linear=b / n)
     params = models.ModelParams("lr-binary", solved.theta, d,
                                 l2_lambda=config.lam)
-    spend = accountant.PrivacySpend(epsilon=config.eps_p, delta=0.0)
-    log = {
-        "mechanism": "objective-perturbation",
-        "eps_p": config.eps_p, "eps_prime": eps_prime, "beta": beta,
-        "branch": branch, "extra_regularization": delta_reg,
-        "lambda": config.lam, "record_norm_bound": config.record_norm_bound,
-        "smoothness_constant": config.smoothness_constant,
-        "caveats": ["solver is deterministic; DP holds conditionally on b",
-                    "record features rescaled to norm <= C before solving"],
-    }
     return TrainedModel(params=params, spend=spend, training_trace=[],
                         steps_taken=0, mechanism="objective-perturbation",
                         accounting_log=log)

@@ -1,10 +1,16 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dp_tails import cohort
 from dp_tails.errors import ConfigurationError, ParseError, SplitError
 
-from conftest import make_cohort
+from conftest import make_cohort, raw_cohort
 
 
 def test_determinism_byte_identical():
@@ -122,6 +128,48 @@ def test_io_non_numeric_cell(tmp_path):
     assert err.value.column == 5
 
 
+def test_io_non_finite_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("id,year,group,label,f0,f1\n0,2001,0,1,nan,1.0\n")
+    with pytest.raises(ParseError) as err:
+        cohort.read_cohort(path)
+    assert (err.value.row, err.value.column) == (1, 4)
+
+
+_finite_features = arrays(
+    np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+    elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _write_and_read(c):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cohort.csv")
+        cohort.write_cohort(c, path)
+        return cohort.read_cohort(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(features=_finite_features, data=st.data())
+def test_io_round_trip_property(features, data):
+    n = features.shape[0]
+    ints = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    c = raw_cohort(features, data.draw(ints), groups=data.draw(ints),
+                   years=[2000 + y for y in data.draw(ints)])
+    assert _write_and_read(c) == c
+
+
+@settings(max_examples=50, deadline=None)
+@given(features=_finite_features, data=st.data())
+def test_io_non_finite_cell_located_property(features, data):
+    n, d = features.shape
+    r = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, d - 1))
+    features[r, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ParseError) as err:
+        _write_and_read(raw_cohort(features, np.zeros(n)))
+    assert (err.value.row, err.value.column) == (r + 1, 4 + j)
+
+
 def test_io_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("id,year,group,label,f0\n")
@@ -147,4 +195,4 @@ def test_config_json_round_trip():
                                  years=(2001, 2005), yearly_drift=0.3,
                                  transition_year=2003, transition_shift=1.0,
                                  seed=42)
-    assert cohort.CohortConfig.from_json(config.to_json()) == config
+    assert cohort.CohortConfig.from_dict(json.loads(config.to_json())) == config

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dp_tails import cohort, dp_optim, metrics, models
 from dp_tails.errors import (ConfigurationError, NumericError, TrainingError)
@@ -28,6 +30,25 @@ def test_clip_bound_and_direction(rng):
         assert abs(cos - 1.0) < 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(G=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                elements=st.floats(-1e6, 1e6)),
+       clip_norm=st.floats(1e-3, 1e3))
+def test_clip_rows_bound_and_direction_property(G, clip_norm):
+    clipped = dp_optim.clip_gradient(G, clip_norm)
+    assert clipped.shape == G.shape
+    for g, c in zip(G, clipped):
+        # Each row is clipped exactly as the vector on its own would be.
+        assert np.array_equal(c, dp_optim.clip_gradient(g, clip_norm))
+        norm = np.linalg.norm(g)
+        assert np.linalg.norm(c) <= clip_norm * (1.0 + 1e-12)
+        if norm <= clip_norm:
+            assert np.array_equal(c, g)
+        else:
+            np.testing.assert_allclose(c * (norm / clip_norm), g,
+                                       rtol=1e-12, atol=1e-12 * norm)
+
+
 def test_clip_non_finite_error():
     with pytest.raises(NumericError):
         dp_optim.clip_gradient([np.nan, 1.0], 1.0)
@@ -39,8 +60,7 @@ def test_config_level_binding():
     cfg = dp_optim.DPTrainingConfig.from_level("low")
     assert (cfg.clip_norm, cfg.noise_multiplier) == (5.0, 0.1)
     with pytest.raises(ConfigurationError):
-        dp_optim.DPTrainingConfig(clip_norm=2.0, noise_multiplier=1.0,
-                                  privacy_level_name="high")
+        dp_optim.DPTrainingConfig.from_level("high", clip_norm=2.0)
     with pytest.raises(ConfigurationError):
         dp_optim.DPTrainingConfig.from_level("medium")
 

@@ -5,10 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dp_tails import (accountant, cli, cohort, dp_optim, harness, models,
                       objective_perturbation)
-from dp_tails.errors import ConfigurationError
+from dp_tails.errors import ConfigurationError, config_from_dict
 
 from conftest import make_cohort
 
@@ -58,6 +59,42 @@ def test_config_from_dict_rejects_unknown_key(tmp_path):
            "bogus": 1}
     with pytest.raises(ConfigurationError, match="bogus"):
         harness.ExperimentConfig.from_dict(raw)
+
+
+def test_config_rejects_multiclass_cohort(tmp_path):
+    cc = cohort.CohortConfig(n=600, d=4, num_classes=3,
+                             positive_prevalence=(0.3, 0.3, 0.4),
+                             years=(2001, 2002))
+    with pytest.raises(ConfigurationError, match="cohort.num_classes"):
+        _small_config(tmp_path, cohort=cc, tasks=[
+            {"name": "outcome", "family": "lr-multinomial", "k": 3}])
+
+
+# Each loader with a minimal valid JSON object for it.
+_LOADERS = [
+    ("cohort", cohort.CohortConfig.from_dict, {"n": 100, "d": 3}),
+    ("run config", harness.ExperimentConfig.from_dict,
+     {"cohort": {"n": 100, "d": 3}}),
+    ("training", lambda raw: config_from_dict(dp_optim.DPTrainingConfig,
+                                              raw, "training"), {}),
+    ("training", lambda raw: dp_optim.DPTrainingConfig.from_level(
+        "high", **raw), {}),
+    ("objpert", lambda raw: config_from_dict(
+        objective_perturbation.ObjPertConfig, raw, "objpert"),
+     {"eps_p": 1.0, "lam": 0.1}),
+]
+
+
+@pytest.mark.parametrize("where, load, base", _LOADERS, ids=[
+    "cohort", "run-config", "training", "training-from-level", "objpert"])
+@settings(max_examples=50, deadline=None)
+@given(key=st.from_regex(r"[a-z_]{1,12}", fullmatch=True))
+def test_loader_rejects_extra_key_by_name(where, load, base, key):
+    assume(key not in {f.name for f in dataclasses.fields(load(dict(base)))})
+    with pytest.raises(ConfigurationError) as err:
+        load({**base, key: 1})
+    assert str(err.value).startswith(f"{where}: ")
+    assert repr(key) in str(err.value)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -138,8 +175,9 @@ def test_transition_shock_year_is_auroc_minimum(tmp_path):
 # ------------------------------------------------------------ experiments
 
 
-def test_run_experiment_minimal_grid(tmp_path):
-    config = _small_config(tmp_path)
+@pytest.mark.parametrize("mechanism", ["dp-sgd", "objective-perturbation"])
+def test_run_experiment_minimal_grid(tmp_path, mechanism):
+    config = _small_config(tmp_path, mechanisms=[mechanism])
     report, failures = harness.run_experiment(config)
     assert failures == 0
     assert len(report["cells"]) == 1
@@ -170,6 +208,15 @@ def test_run_experiment_partial_failure_recorded(tmp_path):
     # Healthy cells are unaffected.
     assert len(report["cells"]) == 2
     assert len(report["aggregates"]) == 1
+
+
+def test_objective_perturbation_unknown_level_fails_its_cell(tmp_path):
+    config = _small_config(tmp_path, privacy_levels=["none", "nonsense"],
+                           mechanisms=["objective-perturbation"])
+    report, failures = harness.run_experiment(config)
+    assert failures == 1
+    assert [c["level"] for c in report["cells"] if "error" in c] == \
+        ["nonsense"]
 
 
 def test_run_experiment_byte_identical_rerun(tmp_path):
@@ -378,6 +425,52 @@ def test_cli_run_malformed_json_exit_code(tmp_path):
     with pytest.raises(ConfigurationError, match="malformed JSON"):
         cli.cmd_run(args)
     assert cli.main(["run", "--config", str(bad)]) == 2
+
+
+_SMALL_COHORT = {"n": 600, "d": 4, "positive_prevalence": 0.3,
+                 "years": [2001, 2002]}
+_TYPO_TASK = {"name": "o", "family": "lr-binary", "l2_lamda": 0.5}
+
+
+# (command, config, key the error must name). Train configs also get the
+# cohort CSV and a pivot year; "api" builds the run config in-process.
+@pytest.mark.parametrize("command, raw, key", [
+    ("train", {"training": {"privacy_level": "high", "bogus": 1}}, "bogus"),
+    ("train", {"training": {"privacy_level": "high", "clip_norm": 2.0}},
+     "clip_norm"),
+    ("train", {"mechanism": "objective-perturbation",
+               "objpert": {"eps_p": 1.0, "lam": 0.1, "bogus": 1}}, "bogus"),
+    ("train", {"mechanism": "objective-perturbation"}, "eps_p"),
+    ("generate-data", {"d": 3}, "'n'"),
+    ("run", {"cohort": {"d": 3}}, "'n'"),
+    ("train", {"family_spec": {"l2_lamda": 0.5}}, "l2_lamda"),
+    ("run", {"cohort": _SMALL_COHORT, "tasks": [_TYPO_TASK], "epochs": 1,
+             "privacy_levels": ["none"], "seeds": [0]}, "l2_lamda"),
+    ("api", {"cohort": _SMALL_COHORT, "tasks": [{"family": "lr-binary"}]},
+     "name"),
+], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
+        "objpert-missing", "generate-data-missing-n", "run-cohort-missing-n",
+        "family-spec-typo", "run-task-typo", "task-without-name"])
+def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
+                                           key):
+    if command == "api":
+        with pytest.raises(ConfigurationError, match=key):
+            harness.ExperimentConfig.from_dict(raw)
+        return
+    if command == "train":
+        _, cohort_config = _write_cohort_config(tmp_path)
+        csv_path = tmp_path / "cohort.csv"
+        cli.main(["generate-data", "--config", str(cohort_config),
+                  "--out", str(csv_path)])
+        raw = {"cohort_csv": str(csv_path), "pivot_year": 2002, **raw}
+    config = tmp_path / "probe.json"
+    config.write_text(json.dumps(raw))
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and key in err
 
 
 def test_cli_audit_fairness(tmp_path):

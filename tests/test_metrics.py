@@ -178,12 +178,3 @@ def test_pearson_zero_variance_error():
         metrics.pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(UndefinedCorrelationError):
         metrics.pearson([1, 2], [1, 2])
-
-
-def test_micro_average_scores():
-    P = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
-    flat_scores, flat_labels, k = metrics.micro_average_scores(P, [0, 1])
-    assert k == 3
-    assert len(flat_scores) == 6
-    assert flat_labels.tolist() == [1, 0, 0, 0, 1, 0]
-    assert metrics.auroc(flat_scores, flat_labels) == 1.0
