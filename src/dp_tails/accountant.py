@@ -3,8 +3,10 @@
 Per-step RDP at order alpha:
   q = 0  -> 0
   q = 1  -> alpha / (2 sigma^2)                      (plain Gaussian)
-  else   -> binomial-expansion bound, exact sum for integer alpha and the
-            erfc-based series for fractional alpha, all in log space.
+  else   -> log A_alpha / (alpha - 1) (Mironov, Talwar & Zhang 2019): for
+            integer alpha the exact binomial sum, one orders x k matrix of
+            log-terms reduced by logsumexp; for fractional alpha the erfc
+            series, its signed terms summed by one logsumexp.
 Composition over T steps is linear; conversion to (eps, delta) takes the
 minimum of eps(alpha) + log(1/delta)/(alpha-1) over the curve's orders.
 
@@ -17,7 +19,7 @@ record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -61,76 +63,45 @@ class RdpCurve:
     steps: int
 
 
-def _log_add(a, b):
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = max(a, b), min(a, b)
-    return hi + math.log1p(math.exp(lo - hi))
+def _log_a_int(q, sigma, alphas):
+    """log A_alpha for integer orders: the exact binomial sum, one
+    orders x k matrix of log-terms (k > alpha masked out) reduced by one
+    log-sum-exp per order."""
+    alphas = np.asarray(alphas)[:, None]
+    k = np.arange(alphas.max() + 1)
+    terms = (special.gammaln(alphas + 1) - special.gammaln(k + 1)
+             - special.gammaln(np.maximum(alphas - k, 0) + 1)
+             + k * math.log(q) + (alphas - k) * math.log1p(-q)
+             + (k * k - k) / (2.0 * sigma ** 2))
+    return special.logsumexp(np.where(k <= alphas, terms, -np.inf), axis=1)
 
 
-def _log_sub(a, b):
-    # requires a >= b
-    if b == -math.inf:
-        return a
-    if a == b:
-        return -math.inf
-    return a + math.log1p(-math.exp(b - a))
-
-
-def _log_erfc(x):
-    return math.log(2.0) + special.log_ndtr(-x * 2 ** 0.5)
-
-
-def _log_a_int(q, sigma, alpha):
-    log_a = -math.inf
-    log_q, log_1mq = math.log(q), math.log1p(-q)
-    for k in range(alpha + 1):
-        term = (math.lgamma(alpha + 1) - math.lgamma(k + 1)
-                - math.lgamma(alpha - k + 1)
-                + k * log_q + (alpha - k) * log_1mq
-                + (k * k - k) / (2.0 * sigma ** 2))
-        log_a = _log_add(log_a, term)
-    return log_a
-
-
-def _log_a_frac(q, sigma, alpha):
-    log_a0, log_a1 = -math.inf, -math.inf
+def _log_a_frac(q, sigma, alphas):
+    """log A_alpha for fractional orders: the erfc series of each order up to
+    its first term below e^-30 past i = alpha, as one orders x i matrix of
+    log-terms (longer series masked out) reduced by one signed log-sum-exp;
+    the index range grows until every order's series has stopped."""
+    alphas = np.asarray(alphas)[:, None]
     z0 = sigma ** 2 * math.log(1.0 / q - 1.0) + 0.5
-    i = 0
+    n = 64
     while True:
-        coef = special.binom(alpha, i)
-        log_coef = math.log(abs(coef))
-        j = alpha - i
-        log_t0 = log_coef + i * math.log(q) + j * math.log1p(-q)
-        log_t1 = log_coef + j * math.log(q) + i * math.log1p(-q)
-        log_e0 = math.log(0.5) + _log_erfc((i - z0) / (math.sqrt(2) * sigma))
-        log_e1 = math.log(0.5) + _log_erfc((z0 - j) / (math.sqrt(2) * sigma))
-        log_s0 = log_t0 + (i * i - i) / (2.0 * sigma ** 2) + log_e0
-        log_s1 = log_t1 + (j * j - j) / (2.0 * sigma ** 2) + log_e1
-        if coef > 0:
-            log_a0 = _log_add(log_a0, log_s0)
-            log_a1 = _log_add(log_a1, log_s1)
-        else:
-            log_a0 = _log_sub(log_a0, log_s0)
-            log_a1 = _log_sub(log_a1, log_s1)
-        i += 1
-        if max(log_s0, log_s1) < -30 and i > alpha:
+        i = np.arange(n)
+        j = alphas - i
+        coef = special.binom(alphas, i)
+        log_coef = np.log(np.abs(coef))
+        log_s0 = (log_coef + i * math.log(q) + j * math.log1p(-q)
+                  + (i * i - i) / (2.0 * sigma ** 2)
+                  + special.log_ndtr((z0 - i) / sigma))
+        log_s1 = (log_coef + j * math.log(q) + i * math.log1p(-q)
+                  + (j * j - j) / (2.0 * sigma ** 2)
+                  + special.log_ndtr((j - z0) / sigma))
+        stop = (np.maximum(log_s0, log_s1) < -30) & (i + 1 > alphas)
+        if stop.any(axis=1).all():
             break
-    return _log_add(log_a0, log_a1)
-
-
-def rdp_per_step(q, sigma, alpha):
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return alpha / (2.0 * sigma ** 2)
-    if float(alpha).is_integer():
-        log_a = _log_a_int(q, sigma, int(alpha))
-    else:
-        log_a = _log_a_frac(q, sigma, alpha)
-    return max(log_a / (alpha - 1.0), 0.0)
+        n *= 4
+    kept = i <= stop.argmax(axis=1)[:, None]
+    return special.logsumexp(np.where(kept, [log_s0, log_s1], -np.inf),
+                             axis=(0, 2), b=np.sign(coef))
 
 
 def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
@@ -148,8 +119,20 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
             raise InfinitePrivacyLossError(
                 "sigma = 0 with positive sampling rate has no finite RDP")
         return RdpCurve(orders, np.zeros(len(orders)), q, sigma, steps)
-    eps = np.array([steps * rdp_per_step(q, sigma, a) for a in orders])
-    return RdpCurve(orders, eps, q, sigma, steps)
+    alphas = np.asarray(orders)
+    if q == 0.0:
+        per_step = np.zeros(len(orders))
+    elif q == 1.0:
+        per_step = alphas / (2.0 * sigma ** 2)
+    else:
+        is_int = alphas == np.floor(alphas)
+        log_a = np.empty(len(orders))
+        if is_int.any():
+            log_a[is_int] = _log_a_int(q, sigma, alphas[is_int].astype(int))
+        if not is_int.all():
+            log_a[~is_int] = _log_a_frac(q, sigma, alphas[~is_int])
+        per_step = np.maximum(log_a / (alphas - 1.0), 0.0)
+    return RdpCurve(orders, steps * per_step, q, sigma, steps)
 
 
 def rdp_to_dp(curve: RdpCurve, delta=DEFAULT_DELTA) -> PrivacySpend:
@@ -164,32 +147,27 @@ def rdp_to_dp(curve: RdpCurve, delta=DEFAULT_DELTA) -> PrivacySpend:
                         argmin_order=float(orders[idx]))
 
 
-@dataclass
-class GroupPrivacyQuery:
-    base: PrivacySpend
-    k: int
-
-    def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise DomainError("group size k must be an integer >= 1")
-
-
-def group_epsilon(query: GroupPrivacyQuery) -> PrivacySpend:
-    """Group privacy degrades the epsilon bound linearly with group size;
+def group_epsilon(base: PrivacySpend, k) -> PrivacySpend:
+    """Group privacy degrades the epsilon bound linearly with group size k;
     delta is passed through unchanged."""
-    base = query.base
+    if int(k) != k or k < 1:
+        raise DomainError("group size k must be an integer >= 1")
     if not math.isfinite(base.epsilon):
         raise DomainError("group privacy undefined for non-private spend")
-    return PrivacySpend(epsilon=query.k * base.epsilon, delta=base.delta,
+    return PrivacySpend(epsilon=k * base.epsilon, delta=base.delta,
                         argmin_order=base.argmin_order)
 
 
 def spend_for_training(q, sigma, steps, delta=DEFAULT_DELTA,
                        orders=DEFAULT_ORDERS):
     """Accountant entry point used by the trainers; returns the spend plus
-    the (q, sigma, T, delta) log line that makes it recomputable."""
+    the (q, sigma, T, delta) log line that makes it recomputable. Zero
+    steps release nothing, so they spend epsilon = 0 (after the same input
+    checks) rather than the conversion term alone."""
     curve = rdp_subsampled_gaussian(q, sigma, steps, orders)
     spend = rdp_to_dp(curve, delta)
+    if steps == 0:
+        spend = PrivacySpend(epsilon=0.0, delta=delta)
     log = {"q": q, "sigma": sigma, "steps": steps, "delta": delta,
            "caveats": list(STANDARD_CAVEATS)}
     return spend, log

@@ -120,7 +120,7 @@ def cmd_audit_shift(args):
 def cmd_audit_fairness(args):
     raw = _load_json(args.config)
     cohort = cohort_mod.read_cohort(raw["cohort_csv"])
-    params = models.ModelParams.from_json(json.dumps(raw["params"]))
+    params = models.ModelParams.from_dict(raw["params"])
     scores = models.predict(params, cohort.features)[:, 1]
     report = fairness_audit.fairness_gaps(
         scores, cohort.labels, cohort.groups,
@@ -134,7 +134,7 @@ def cmd_audit_influence(args):
     raw = _load_json(args.config)
     train_cohort = cohort_mod.read_cohort(raw["train_csv"])
     test_cohort = cohort_mod.read_cohort(raw["test_csv"])
-    params = models.ModelParams.from_json(json.dumps(raw["params"]))
+    params = models.ModelParams.from_dict(raw["params"])
     engine = influence.InfluenceEngine(params, train_cohort,
                                        damping=raw.get("damping"))
     matrix = engine.matrix(train_cohort, test_cohort)

@@ -61,7 +61,7 @@ class DPTrainingConfig:
     def from_level(cls, name, **kwargs):
         """Config of a named privacy level, which alone sets clip_norm and
         noise_multiplier; kwargs set the other fields."""
-        if name not in PRIVACY_LEVELS:
+        if not isinstance(name, str) or name not in PRIVACY_LEVELS:
             raise ConfigurationError(f"unknown privacy level {name!r}")
         bound = sorted({"clip_norm", "noise_multiplier"} & set(kwargs))
         if bound:
@@ -87,9 +87,8 @@ class TrainedModel:
     accounting_log: dict = field(default_factory=dict)
 
     def to_dict(self):
-        import json
         return {
-            "params": json.loads(self.params.to_json()),
+            "params": self.params.to_dict(),
             "spend": self.spend.to_dict(),
             "training_trace": self.training_trace,
             "steps_taken": self.steps_taken,
@@ -209,10 +208,6 @@ def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedM
         spend = accountant.PrivacySpend(epsilon=math.inf, delta=0.0)
         log = {"q": L / n, "sigma": 0.0, "steps": steps, "delta": 0.0,
                "caveats": ["clipping without noise carries no finite guarantee"]}
-    elif steps == 0:
-        spend = accountant.PrivacySpend(epsilon=0.0, delta=config.delta)
-        log = {"q": L / n, "sigma": config.noise_multiplier, "steps": 0,
-               "delta": config.delta, "caveats": ["no mechanism invocations"]}
     else:
         spend, log = accountant.spend_for_training(
             q=L / n, sigma=config.noise_multiplier, steps=steps,

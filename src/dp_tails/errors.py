@@ -1,6 +1,8 @@
 """Exception taxonomy shared across the toolkit, and the one loader that
 turns a JSON object into a config."""
 
+import types
+import typing
 from dataclasses import MISSING, fields
 
 
@@ -24,14 +26,31 @@ def check_keys(raw, allowed, required, where):
                                      f"{sorted(keys)}")
 
 
+def _fits(value, hint):
+    """Whether `value` fits the annotation `hint`: an int is a float, a bool
+    is neither, and `X | None` admits None."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def config_from_dict(cls, raw, where):
     """The config dataclass `cls` built from the JSON object `raw`, the one
-    place a JSON object becomes a config; value checks stay in
-    cls.__post_init__."""
+    place a JSON object becomes a config. Each value must fit its field's
+    annotation; range checks stay in cls.__post_init__."""
     check_keys(raw, [f.name for f in fields(cls)],
                [f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING],
                where)
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        if not _fits(value, hints[key]):
+            raise ConfigurationError(
+                f"{where}: {key!r} must be "
+                f"{getattr(hints[key], '__name__', hints[key])}, "
+                f"got {type(value).__name__}")
     return cls(**raw)
 
 

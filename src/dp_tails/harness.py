@@ -55,6 +55,10 @@ class ExperimentConfig:
         if not self.seeds or not self.tasks or not self.privacy_levels:
             raise ConfigurationError(
                 "seeds/tasks/privacy_levels: must be nonempty")
+        for level in self.privacy_levels:
+            if not isinstance(level, str):
+                raise ConfigurationError(
+                    f"privacy_levels: {level!r} is not a level name")
         if self.cohort.num_classes != 2:
             raise ConfigurationError(
                 "cohort.num_classes: grid audits score binary labels; "

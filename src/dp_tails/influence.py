@@ -14,6 +14,7 @@ that orientation throughout and every report states it.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,6 @@ class InfluenceEngine:
 
 
 def _fingerprint(params):
-    import hashlib
     h = hashlib.sha256()
     h.update(params.family.encode())
     h.update(np.ascontiguousarray(params.theta).tobytes())

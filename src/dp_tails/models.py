@@ -11,13 +11,12 @@ Bias terms are never regularized.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, OptimizationError,
-                     ShapeError, UnsupportedFamilyError)
+                     ShapeError, UnsupportedFamilyError, check_keys)
 
 FAMILIES = ("lr-binary", "lr-multinomial", "mlp-1")
 _CLAMP = 1e-12
@@ -85,18 +84,19 @@ class ModelParams:
             mask[h * d + h: h * d + h + k * h] = True
         return mask
 
-    def to_json(self):
-        return json.dumps(
-            {"family": self.family,
-             "dims": {"d": self.d, "k": self.k, "h": self.h},
-             "l2_lambda": self.l2_lambda,
-             "theta": [float(v) for v in self.theta]},
-            sort_keys=True)
+    def to_dict(self):
+        return {"family": self.family,
+                "dims": {"d": self.d, "k": self.k, "h": self.h},
+                "l2_lambda": self.l2_lambda,
+                "theta": [float(v) for v in self.theta]}
 
     @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
+    def from_dict(cls, raw):
+        """Inverse of to_dict; every key is required."""
+        keys = ("family", "dims", "l2_lambda", "theta")
+        check_keys(raw, keys, keys, "params")
         dims = raw["dims"]
+        check_keys(dims, ("d", "k", "h"), ("d", "k", "h"), "params.dims")
         return cls(raw["family"], np.asarray(raw["theta"], dtype=float),
                    dims["d"], dims["k"], dims["h"], raw["l2_lambda"])
 

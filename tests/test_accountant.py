@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dp_tails import accountant
 from dp_tails.errors import (ConfigurationError, DomainError,
@@ -103,6 +104,24 @@ def test_epsilon_monotone_in_grid():
                 assert eps[(lo, s, t)] <= eps[(hi, s, t)] + 1e-12
 
 
+
+@settings(max_examples=50, deadline=None)
+@given(q=st.floats(1e-4, 0.5), sigma=st.floats(0.5, 4.0),
+       steps=st.integers(1, 20000), q_up=st.floats(1.0, 2.0),
+       sigma_up=st.floats(1.0, 2.0), more_steps=st.integers(0, 20000))
+def test_epsilon_monotone_property(q, sigma, steps, q_up, sigma_up,
+                                   more_steps):
+    def eps(q, sigma, steps):
+        return accountant.spend_for_training(q, sigma, steps)[0].epsilon
+
+    base = eps(q, sigma, steps)
+    # Relative slack of 1e-9 absorbs rounding in the log-sum-exp, which
+    # agrees with the mpmath oracle to about 1e-9 per order.
+    slack = 1e-9 * base
+    assert eps(min(q * q_up, 1.0), sigma, steps) >= base - slack
+    assert eps(q, sigma * sigma_up, steps) <= base + slack
+    assert eps(q, sigma, steps + more_steps) >= base - slack
+
 def test_sigma_zero_raises():
     with pytest.raises(InfinitePrivacyLossError):
         accountant.rdp_subsampled_gaussian(0.01, 0.0, 10)
@@ -126,23 +145,21 @@ def test_invalid_inputs():
 
 def test_group_epsilon_examples():
     base = accountant.PrivacySpend(epsilon=3.54, delta=1e-5)
-    assert accountant.group_epsilon(
-        accountant.GroupPrivacyQuery(base, 1)).epsilon == 3.54
-    two = accountant.group_epsilon(accountant.GroupPrivacyQuery(base, 2))
+    assert accountant.group_epsilon(base, 1).epsilon == 3.54
+    two = accountant.group_epsilon(base, 2)
     assert abs(two.epsilon - 7.08) < 1e-12
     assert two.delta == 1e-5
     zero = accountant.PrivacySpend(epsilon=0.0, delta=1e-5)
-    assert accountant.group_epsilon(
-        accountant.GroupPrivacyQuery(zero, 7)).epsilon == 0.0
+    assert accountant.group_epsilon(zero, 7).epsilon == 0.0
 
 
 def test_group_epsilon_errors():
     base = accountant.PrivacySpend(epsilon=1.0, delta=1e-5)
     with pytest.raises(DomainError):
-        accountant.GroupPrivacyQuery(base, 0)
+        accountant.group_epsilon(base, 0)
     inf = accountant.PrivacySpend(epsilon=math.inf, delta=0.0)
     with pytest.raises(DomainError):
-        accountant.group_epsilon(accountant.GroupPrivacyQuery(inf, 2))
+        accountant.group_epsilon(inf, 2)
 
 
 def test_spend_log_recomputable():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dp_tails import cohort, dp_optim, metrics, models
+from dp_tails import accountant, cohort, dp_optim, metrics, models
 from dp_tails.errors import (ConfigurationError, NumericError, TrainingError)
 
 from conftest import make_cohort, raw_cohort
@@ -217,6 +217,10 @@ def test_train_zero_epochs():
     assert np.array_equal(trained.params.theta, np.zeros(4))
     assert trained.spend.epsilon == 0.0
     assert trained.steps_taken == 0
+    log = trained.accounting_log
+    again, _ = accountant.spend_for_training(
+        log["q"], log["sigma"], log["steps"], log["delta"])
+    assert again.epsilon == trained.spend.epsilon
 
 
 def test_train_steps_arithmetic():

@@ -432,8 +432,8 @@ _SMALL_COHORT = {"n": 600, "d": 4, "positive_prevalence": 0.3,
 _TYPO_TASK = {"name": "o", "family": "lr-binary", "l2_lamda": 0.5}
 
 
-# (command, config, key the error must name). Train configs also get the
-# cohort CSV and a pivot year; "api" builds the run config in-process.
+# (command, config, key the error must name). Train and audit configs also
+# get the cohort CSV and a pivot year; "api" builds the run config in-process.
 @pytest.mark.parametrize("command, raw, key", [
     ("train", {"training": {"privacy_level": "high", "bogus": 1}}, "bogus"),
     ("train", {"training": {"privacy_level": "high", "clip_norm": 2.0}},
@@ -448,16 +448,26 @@ _TYPO_TASK = {"name": "o", "family": "lr-binary", "l2_lamda": 0.5}
              "privacy_levels": ["none"], "seeds": [0]}, "l2_lamda"),
     ("api", {"cohort": _SMALL_COHORT, "tasks": [{"family": "lr-binary"}]},
      "name"),
+    ("train", {"training": {"epochs": "5"}}, "'epochs'"),
+    ("run", {"cohort": {**_SMALL_COHORT, "n": "600"}}, "'n'"),
+    ("run", {"cohort": _SMALL_COHORT, "epochs": "2"}, "'epochs'"),
+    ("run", {"cohort": _SMALL_COHORT, "privacy_levels": [["high"]]},
+     "privacy_levels"),
+    ("audit-fairness", {"params": []}, "params"),
+    ("train", {"training": {"privacy_level": ["high"]}}, "privacy level"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-missing", "generate-data-missing-n", "run-cohort-missing-n",
-        "family-spec-typo", "run-task-typo", "task-without-name"])
+        "family-spec-typo", "run-task-typo", "task-without-name",
+        "training-epochs-string", "run-cohort-n-string", "run-epochs-string",
+        "run-level-not-string", "audit-params-not-object",
+        "train-level-not-string"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":
         with pytest.raises(ConfigurationError, match=key):
             harness.ExperimentConfig.from_dict(raw)
         return
-    if command == "train":
+    if command in ("train", "audit-fairness"):
         _, cohort_config = _write_cohort_config(tmp_path)
         csv_path = tmp_path / "cohort.csv"
         cli.main(["generate-data", "--config", str(cohort_config),
@@ -483,7 +493,7 @@ def test_cli_audit_fairness(tmp_path):
     audit_config = tmp_path / "fairness.json"
     audit_config.write_text(json.dumps({
         "cohort_csv": str(csv_path),
-        "params": json.loads(params.to_json()),
+        "params": params.to_dict(),
     }))
     out = tmp_path / "fairness_report.json"
     code = cli.main(["audit-fairness", "--config", str(audit_config),
@@ -522,7 +532,7 @@ def test_cli_audit_influence(tmp_path):
     audit_config = tmp_path / "influence.json"
     audit_config.write_text(json.dumps({
         "train_csv": str(train_csv), "test_csv": str(test_csv),
-        "params": json.loads(params.to_json()),
+        "params": params.to_dict(),
     }))
     out = tmp_path / "influence_report.json"
     csv_out = tmp_path / "influence.csv"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -193,7 +195,8 @@ def test_midpoint_convexity(rng):
 
 def test_params_json_round_trip(rng):
     params = _random_params("lr-multinomial", 4, rng, k=3, l2_lambda=0.05)
-    back = models.ModelParams.from_json(params.to_json())
+    back = models.ModelParams.from_dict(
+        json.loads(json.dumps(params.to_dict())))
     assert back.family == params.family
     assert back.d == params.d and back.k == params.k
     assert np.array_equal(back.theta, params.theta)
