@@ -28,6 +28,9 @@ from .errors import ConfigurationError, DomainError, InfinitePrivacyLossError
 
 DEFAULT_DELTA = 1e-5
 DEFAULT_ORDERS = (1.25, 1.5, 1.75) + tuple(range(2, 257))
+# The integer log-term matrix is (integer orders) x (largest order + 1):
+# at most about 8 MB at this cap, hundreds of MB for orders in the thousands.
+MAX_INT_ORDER = 1024
 
 STANDARD_CAVEATS = (
     "Poisson-subsampling RDP bound applied to shuffled fixed-size batches",
@@ -112,6 +115,9 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
     orders = tuple(sorted(float(a) for a in orders))
     if any(a <= 1.0 for a in orders):
         raise DomainError("all orders must exceed 1")
+    if any(a == math.floor(a) and a > MAX_INT_ORDER for a in orders):
+        raise DomainError(f"integer orders above {MAX_INT_ORDER} are not "
+                          f"supported")
     if steps == 0:
         return RdpCurve(orders, np.zeros(len(orders)), q, sigma, 0)
     if sigma <= 0.0:

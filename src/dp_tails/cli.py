@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +30,50 @@ def _load_json(path):
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{path}: must hold a JSON object")
     return payload
+
+
+@dataclass
+class TrainFile:
+    """The `train` config file."""
+    cohort_csv: str
+    pivot_year: int
+    protocol: str = "cumulative"
+    seed: int = 0
+    mechanism: str = "dp-sgd"
+    training: dict = field(default_factory=dict)
+    family_spec: dict = field(default_factory=dict)
+    objpert: dict = field(default_factory=dict)
+
+
+@dataclass
+class ShiftAuditFile:
+    """The `audit-shift` config file."""
+    cohort_csv: str
+    seed: int = 0
+    l2_lambda: float = 0.01
+
+
+@dataclass
+class FairnessAuditFile:
+    """The `audit-fairness` config file."""
+    cohort_csv: str
+    params: dict
+    group_1: int = 0
+    group_2: int = 1
+    threshold: float = 0.5
+
+
+@dataclass
+class InfluenceAuditFile:
+    """The `audit-influence` config file."""
+    train_csv: str
+    test_csv: str
+    params: dict
+    damping: float | None = None
+
+
+def _load_config(cls, path):
+    return config_from_dict(cls, _load_json(path), path)
 
 
 def _dump(payload, path=None):
@@ -52,30 +97,28 @@ def cmd_generate_data(args):
 
 
 def cmd_train(args):
-    raw = _load_json(args.config)
-    cohort = cohort_mod.read_cohort(raw["cohort_csv"])
-    split = cohort_mod.split_yearly(cohort, raw["pivot_year"],
-                                    raw.get("protocol", "cumulative"))
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    mechanism = raw.get("mechanism", "dp-sgd")
-    if mechanism == "dp-sgd":
-        training = raw.get("training", {})
-        if isinstance(training, dict) and "privacy_level" in training:
+    cfg = _load_config(TrainFile, args.config)
+    cohort = cohort_mod.read_cohort(cfg.cohort_csv)
+    split = cohort_mod.split_yearly(cohort, cfg.pivot_year, cfg.protocol)
+    seed = args.seed if args.seed is not None else cfg.seed
+    if cfg.mechanism == "dp-sgd":
+        training = cfg.training
+        if "privacy_level" in training:
             training = dict(training)
             config = dp_optim.DPTrainingConfig.from_level(
                 training.pop("privacy_level"), **training)
         else:
             config = config_from_dict(dp_optim.DPTrainingConfig, training,
                                       "training")
-        trained = dp_optim.train(raw.get("family_spec", {}), split,
+        trained = dp_optim.train(cfg.family_spec, split,
                                  dataclasses.replace(config, seed=seed))
-    elif mechanism == "objective-perturbation":
+    elif cfg.mechanism == "objective-perturbation":
         op = config_from_dict(objective_perturbation.ObjPertConfig,
-                              raw.get("objpert", {}), "objpert")
+                              cfg.objpert, "objpert")
         trained = objective_perturbation.train_objective_perturbation(
             split, dataclasses.replace(op, seed=seed))
     else:
-        raise ConfigurationError(f"unknown mechanism {mechanism!r}")
+        raise ConfigurationError(f"unknown mechanism {cfg.mechanism!r}")
     _dump(trained.to_dict(), args.out)
     return 0
 
@@ -90,9 +133,9 @@ def cmd_account(args):
 
 
 def cmd_audit_shift(args):
-    raw = _load_json(args.config)
-    cohort = cohort_mod.read_cohort(raw["cohort_csv"])
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    cfg = _load_config(ShiftAuditFile, args.config)
+    cohort = cohort_mod.read_cohort(cfg.cohort_csv)
+    seed = args.seed if args.seed is not None else cfg.seed
     years = sorted(set(cohort.years.tolist()))
     reports = []
     for pivot in years[1:]:
@@ -103,7 +146,7 @@ def cmd_audit_shift(args):
         if report.significant:
             task_params = models.fit_lr_newton(
                 split.train.features, split.train.labels,
-                l2_lambda=raw.get("l2_lambda", 0.01))
+                l2_lambda=cfg.l2_lambda)
             shift_audit.shift_malignancy(report, split.test, scorer, task_params)
         reports.append(report.to_dict())
     _dump(reports, args.out)
@@ -118,25 +161,24 @@ def cmd_audit_shift(args):
 
 
 def cmd_audit_fairness(args):
-    raw = _load_json(args.config)
-    cohort = cohort_mod.read_cohort(raw["cohort_csv"])
-    params = models.ModelParams.from_dict(raw["params"])
+    cfg = _load_config(FairnessAuditFile, args.config)
+    cohort = cohort_mod.read_cohort(cfg.cohort_csv)
+    params = models.ModelParams.from_dict(cfg.params)
     scores = models.predict(params, cohort.features)[:, 1]
     report = fairness_audit.fairness_gaps(
-        scores, cohort.labels, cohort.groups,
-        g1=raw.get("group_1", 0), g2=raw.get("group_2", 1),
-        threshold=raw.get("threshold", 0.5))
+        scores, cohort.labels, cohort.groups, g1=cfg.group_1, g2=cfg.group_2,
+        threshold=cfg.threshold)
     _dump(report.to_dict(), args.out)
     return 0
 
 
 def cmd_audit_influence(args):
-    raw = _load_json(args.config)
-    train_cohort = cohort_mod.read_cohort(raw["train_csv"])
-    test_cohort = cohort_mod.read_cohort(raw["test_csv"])
-    params = models.ModelParams.from_dict(raw["params"])
+    cfg = _load_config(InfluenceAuditFile, args.config)
+    train_cohort = cohort_mod.read_cohort(cfg.train_csv)
+    test_cohort = cohort_mod.read_cohort(cfg.test_csv)
+    params = models.ModelParams.from_dict(cfg.params)
     engine = influence.InfluenceEngine(params, train_cohort,
-                                       damping=raw.get("damping"))
+                                       damping=cfg.damping)
     matrix = engine.matrix(train_cohort, test_cohort)
     summary = influence.group_influence(
         matrix, {int(i): int(l) for i, l in
@@ -197,7 +239,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, FileNotFoundError, KeyError) as exc:
+    except (ConfigurationError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DPTailsError as exc:

@@ -1,10 +1,12 @@
 """Non-private SGD/Adam and differentially private training with
 per-microbatch clipping and Gaussian noise.
 
-A step averages the minibatch into `microbatch_count` equal microbatches,
+A step splits the minibatch into `microbatch_count` equal microbatches,
 clips each microbatch-mean gradient to norm C, sums, adds N(0, sigma^2 C^2 I),
 and divides by the microbatch count. microbatch_count = batch_size gives
-true per-example clipping. The last partial batch of every epoch is
+true per-example clipping. `models.clipped_grad_sum` returns the clipped
+sum straight from per-layer matmuls, so no step forms the batch's
+per-example gradient matrix. The last partial batch of every epoch is
 dropped so the accountant's sampling rate q = L/n is exact.
 """
 
@@ -18,16 +20,13 @@ import numpy as np
 from . import accountant, models
 from .cohort import CohortSplit
 from .errors import (ConfigurationError, DomainError, NumericError,
-                     TrainingError, check_keys, config_from_dict)
+                     TrainingError, config_from_dict)
 
 PRIVACY_LEVELS = {
     "none": (None, 0.0),
     "low": (5.0, 0.1),
     "high": (1.0, 1.0),
 }
-
-# `train`'s family spec keys; models.init_params owns k, h, l2_lambda defaults.
-FAMILY_SPEC_KEYS = ("family", "k", "h", "l2_lambda")
 
 
 @dataclass
@@ -49,9 +48,10 @@ class DPTrainingConfig:
             raise ConfigurationError("noise_multiplier: must be >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigurationError("batch_size/epochs: must be positive")
-        if self.batch_size % self.microbatch_count != 0:
+        if (self.microbatch_count < 1
+                or self.batch_size % self.microbatch_count != 0):
             raise ConfigurationError(
-                "microbatch_count: must divide batch_size")
+                "microbatch_count: must be >= 1 and divide batch_size")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate: must be > 0")
         if self.optimizer not in ("sgd", "adam"):
@@ -99,7 +99,8 @@ class TrainedModel:
 
 def clip_gradient(g, clip_norm):
     """Rescale g, or each row of a matrix g, to norm <= clip_norm,
-    preserving direction."""
+    preserving direction: the per-unit clipping that
+    models.clipped_grad_sum applies, kept as the tests' reference."""
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite gradient")
@@ -109,31 +110,22 @@ def clip_gradient(g, clip_norm):
     return g / np.maximum(1.0, norms / clip_norm)
 
 
-def _noised_batch_gradient(G, config, rng):
-    """Mean of clipped microbatch gradients plus scaled Gaussian noise, from
-    the batch's per-example gradient matrix G."""
-    if not config.private:
-        return G.mean(axis=0)
-    m = config.microbatch_count
-    n = G.shape[0]
-    if n % m != 0:
-        raise ConfigurationError("microbatch_count must divide batch size")
-    micro_means = G.reshape(m, n // m, -1).mean(axis=1)
-    total = clip_gradient(micro_means, config.clip_norm).sum(axis=0)
-    if config.noise_multiplier > 0:
+def _step(params, features, labels, config, rng, adam=None, epoch=None):
+    """One gradient pass, a finite-loss check, a finite-gradient check, then
+    noise and update. Returns (updated params, batch loss)."""
+    m = config.microbatch_count if config.private else 1
+    loss, total, norms = models.clipped_grad_sum(
+        params, features, labels, config.clip_norm, m)
+    if not math.isfinite(loss):
+        raise TrainingError("training diverged (non-finite loss)", epoch=epoch)
+    if not (np.isfinite(total).all()
+            and (norms is None or np.isfinite(norms).all())):
+        raise NumericError("non-finite gradient")
+    if config.private and config.noise_multiplier > 0:
         total = total + rng.normal(
             scale=config.noise_multiplier * config.clip_norm,
             size=total.shape)
-    return total / m
-
-
-def _step(params, features, labels, config, rng, adam=None, epoch=None):
-    """One gradient pass, a finite-loss check, then clip, noise and update.
-    Returns (updated params, batch loss)."""
-    loss, G = models.loss_and_per_example_grads(params, features, labels)
-    if not math.isfinite(loss):
-        raise TrainingError("training diverged (non-finite loss)", epoch=epoch)
-    g = _noised_batch_gradient(G, config, rng)
+    g = total / m
     if adam is not None:
         g = adam.direction(g)
     return params.copy_with(params.theta - config.learning_rate * g), loss
@@ -163,12 +155,13 @@ class _AdamState:
 def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedModel:
     """Train on the split's train side with shuffled fixed-size batches.
 
-    family_spec: dict with any of the keys FAMILY_SPEC_KEYS: family
-    (default lr-binary), k (classes), h and l2_lambda; the input dimension
-    is taken from the data.
+    family_spec: a models.FamilySpec, or a JSON object of its fields
+    (family, k, h, l2_lambda), loaded and checked by config_from_dict; the
+    input dimension is taken from the data.
     """
-    check_keys(family_spec, FAMILY_SPEC_KEYS, (), "family_spec")
-    spec = {"family": "lr-binary", **family_spec}
+    if not isinstance(family_spec, models.FamilySpec):
+        family_spec = config_from_dict(models.FamilySpec, family_spec,
+                                       "family_spec")
     train_cohort = split.train
     n = train_cohort.n
     if n == 0:
@@ -176,7 +169,9 @@ def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedM
     X = train_cohort.features
     y = train_cohort.labels
 
-    params = models.init_params(d=X.shape[1], seed=config.seed, **spec)
+    params = models.init_params(family_spec.family, X.shape[1],
+                                family_spec.k, family_spec.h,
+                                family_spec.l2_lambda, seed=config.seed)
 
     L = min(config.batch_size, n)
     if L < config.batch_size and L % config.microbatch_count != 0:

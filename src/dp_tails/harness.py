@@ -24,8 +24,7 @@ import numpy as np
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                influence, metrics, models, objective_perturbation,
                shift_audit)
-from .errors import (ConfigurationError, DPTailsError, check_keys,
-                     config_from_dict)
+from .errors import ConfigurationError, DPTailsError, config_from_dict
 
 # Objective-perturbation budgets matched to the named privacy levels; "none"
 # trains the noiseless minimizer, reported as a non-private run.
@@ -64,8 +63,7 @@ class ExperimentConfig:
                 "cohort.num_classes: grid audits score binary labels; "
                 "must be 2")
         for i, task in enumerate(self.tasks):
-            check_keys(task, ("name", *dp_optim.FAMILY_SPEC_KEYS), ("name",),
-                       f"tasks[{i}]")
+            _family_spec(task, f"tasks[{i}]")
         for mech in self.mechanisms:
             if mech not in ("dp-sgd", "objective-perturbation"):
                 raise ConfigurationError(f"mechanisms: unknown {mech!r}")
@@ -79,6 +77,16 @@ class ExperimentConfig:
             raw = {**raw,
                    "cohort": cohort_mod.CohortConfig.from_dict(raw["cohort"])}
         return config_from_dict(cls, raw, "run config")
+
+
+def _family_spec(task, where):
+    """The models.FamilySpec of a grid task: a string `name` plus any
+    FamilySpec field."""
+    if not isinstance(task, dict) or not isinstance(task.get("name"), str):
+        raise ConfigurationError(f"{where}: needs a string 'name'")
+    return config_from_dict(models.FamilySpec,
+                            {k: v for k, v in task.items() if k != "name"},
+                            where)
 
 
 def stable_seed(*parts):
@@ -100,8 +108,8 @@ def _train_cell(split, task, level, mechanism, config, seed):
             learning_rate=config.learning_rate,
             epochs=config.epochs,
             seed=seed)
-        family_spec = {k: v for k, v in task.items() if k != "name"}
-        return dp_optim.train(family_spec, split, train_config)
+        return dp_optim.train(_family_spec(task, "task"), split,
+                              train_config)
     if level not in OBJPERT_LEVEL_EPS:
         raise ConfigurationError(f"unknown privacy level {level!r}")
     op_config = objective_perturbation.ObjPertConfig(

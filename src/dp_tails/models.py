@@ -1,6 +1,9 @@
 """Model families: binary/multinomial logistic regression and a one
-hidden layer network, with per-example gradients and (for binary LR) the
-exact Hessian of the regularized mean loss.
+hidden layer network, with DP-SGD's clipped gradient sums, per-example
+gradients and (for binary LR) the exact Hessian of the regularized mean
+loss. Every family runs one forward/backward pass that yields, per layer,
+the pre-activation gradient delta and the input a, so each record's
+gradient is a per-layer outer product.
 
 Parameter layouts (flat theta):
   lr-binary:      [w(d), b]
@@ -23,12 +26,9 @@ _CLAMP = 1e-12
 
 
 def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, else e / (1 + e).
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(logits):
@@ -48,13 +48,27 @@ def param_count(family, d, k=2, h=16):
 
 
 @dataclass
+class FamilySpec:
+    """A model family and its sizes, as a training config names them; the
+    input dimension d comes from the data."""
+    family: str = "lr-binary"
+    k: int = 2
+    h: int = 16
+    l2_lambda: float = 0.0
+
+    def __post_init__(self):
+        if self.k < 2 or self.h < 1:
+            raise ConfigurationError("k/h: need k >= 2 classes, h >= 1 units")
+
+
+@dataclass
 class ModelParams:
     family: str
     theta: np.ndarray
     d: int
-    k: int = 2
-    h: int = 16
-    l2_lambda: float = 0.0
+    k: int = FamilySpec.k
+    h: int = FamilySpec.h
+    l2_lambda: float = FamilySpec.l2_lambda
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -70,19 +84,6 @@ class ModelParams:
     def copy_with(self, theta):
         return ModelParams(self.family, np.asarray(theta, dtype=float),
                            self.d, self.k, self.h, self.l2_lambda)
-
-    def weight_mask(self):
-        """Boolean mask of regularized (non-bias) entries of theta."""
-        mask = np.zeros(self.theta.shape[0], dtype=bool)
-        if self.family == "lr-binary":
-            mask[: self.d] = True
-        elif self.family == "lr-multinomial":
-            mask[: self.k * self.d] = True
-        else:
-            h, d, k = self.h, self.d, self.k
-            mask[: h * d] = True
-            mask[h * d + h: h * d + h + k * h] = True
-        return mask
 
     def to_dict(self):
         return {"family": self.family,
@@ -101,7 +102,8 @@ class ModelParams:
                    dims["d"], dims["k"], dims["h"], raw["l2_lambda"])
 
 
-def init_params(family, d, k=2, h=16, l2_lambda=0.0, seed=0):
+def init_params(family, d, k=FamilySpec.k, h=FamilySpec.h,
+                l2_lambda=FamilySpec.l2_lambda, seed=0):
     """Zeros for the convex families, scaled uniform (1/sqrt(fan-in)) for MLP."""
     p = param_count(family, d, k, h)
     if family == "mlp-1":
@@ -127,31 +129,40 @@ def _unpack_mlp(params):
     return W1, b1, W2, b2
 
 
+def _forward(params, X):
+    """Class probabilities (for lr-binary, P(y = 1) alone) and, for each
+    layer in theta order, its (input a, weights W, a·Wᵀ); a layer's
+    pre-activation is a·Wᵀ + bias."""
+    t = params.theta
+    if params.family == "lr-binary":
+        aw = X @ t[:-1]
+        return _sigmoid(aw + t[-1]), [(X, t[None, :-1], aw[:, None])]
+    if params.family == "lr-multinomial":
+        W = t[: params.k * params.d].reshape(params.k, params.d)
+        aw = X @ W.T
+        return _softmax(aw + t[params.k * params.d:]), [(X, W, aw)]
+    W1, b1, W2, b2 = _unpack_mlp(params)
+    aw1 = X @ W1.T
+    A1 = _sigmoid(aw1 + b1)
+    aw2 = A1 @ W2.T
+    return _softmax(aw2 + b2), [(X, W1, aw1), (A1, W2, aw2)]
+
+
 def predict(params: ModelParams, features) -> np.ndarray:
     """Class probability matrix, one row per record, K columns."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     if X.shape[1] != params.d:
         raise ShapeError(f"feature width {X.shape[1]} != d={params.d}")
-    if params.family == "lr-binary":
-        p = _sigmoid(X @ params.theta[:-1] + params.theta[-1])
-        return np.column_stack([1.0 - p, p])
-    if params.family == "lr-multinomial":
-        W = params.theta[: params.k * params.d].reshape(params.k, params.d)
-        b = params.theta[params.k * params.d:]
-        return _softmax(X @ W.T + b)
-    W1, b1, W2, b2 = _unpack_mlp(params)
-    a1 = _sigmoid(X @ W1.T + b1)
-    return _softmax(a1 @ W2.T + b2)
+    S = _forward(params, X)[0]
+    return np.column_stack([1.0 - S, S]) if S.ndim == 1 else S
 
 
-def loss_and_per_example_grads(params: ModelParams, features, labels,
-                               include_ridge=True):
-    """Mean cross-entropy (+ ridge on weights) and the n x |theta| matrix
-    of per-record loss gradients.
-
-    With include_ridge, the full ridge gradient is added to every row so
-    the row mean equals the gradient of the regularized mean loss.
-    """
+def _backprop(params, features, labels):
+    """Mean cross-entropy and, for each layer in theta order,
+    (delta, a, W, a·Wᵀ), where delta is the cross-entropy gradient with
+    respect to the layer's pre-activation. Record i's loss gradient for the
+    layer is the outer product delta_i ⊗ [a_i; 1], flattened as
+    [W row-major, bias]; the ridge adds l2_lambda * W to the W part."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=np.int64).ravel()
     n = X.shape[0]
@@ -163,42 +174,105 @@ def loss_and_per_example_grads(params: ModelParams, features, labels,
     if y.min() < 0 or y.max() >= k_eff:
         raise DomainError(f"labels must lie in [0,{k_eff}) for {params.family}")
 
+    S, layers = _forward(params, X)
     if params.family == "lr-binary":
-        p = _sigmoid(X @ params.theta[:-1] + params.theta[-1])
-        pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
+        pc = np.clip(S, _CLAMP, 1.0 - _CLAMP)
         ce = -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
-        resid = p - y
-        G = np.column_stack([resid[:, None] * X, resid])
-    elif params.family == "lr-multinomial":
-        S = predict(params, X)
-        Sc = np.clip(S, _CLAMP, 1.0 - _CLAMP)
-        ce = -np.log(Sc[np.arange(n), y])
-        D = S.copy()
-        D[np.arange(n), y] -= 1.0
-        Gw = np.einsum("nk,nd->nkd", D, X).reshape(n, params.k * params.d)
-        G = np.column_stack([Gw, D])
+        deltas = [(S - y)[:, None]]
     else:
-        W1, b1, W2, b2 = _unpack_mlp(params)
-        Z1 = X @ W1.T + b1
-        A1 = _sigmoid(Z1)
-        S = _softmax(A1 @ W2.T + b2)
         Sc = np.clip(S, _CLAMP, 1.0 - _CLAMP)
         ce = -np.log(Sc[np.arange(n), y])
         D = S.copy()
         D[np.arange(n), y] -= 1.0
-        dW2 = np.einsum("nk,nh->nkh", D, A1).reshape(n, params.k * params.h)
-        dA1 = D @ W2
-        dZ1 = dA1 * A1 * (1.0 - A1)
-        dW1 = np.einsum("nh,nd->nhd", dZ1, X).reshape(n, params.h * params.d)
-        G = np.column_stack([dW1, dZ1, dW2, D])
+        deltas = [D]
+        if params.family == "mlp-1":
+            A1, W2, _ = layers[1]
+            deltas.insert(0, (D @ W2) * A1 * (1.0 - A1))
+    return (float(ce.sum() / n),
+            [(D, A, W, aw) for D, (A, W, aw) in zip(deltas, layers)])
 
-    loss = float(ce.mean())
-    if include_ridge and params.l2_lambda > 0:
-        mask = params.weight_mask()
-        ridge_grad = np.where(mask, params.l2_lambda * params.theta, 0.0)
-        loss += 0.5 * params.l2_lambda * float(params.theta[mask] @ params.theta[mask])
-        G = G + ridge_grad
-    return loss, G
+
+def _sq_weights(layers):
+    """||theta_w||^2 over the regularized (non-bias) entries of theta, as
+    one dot product in theta order."""
+    w = np.concatenate([W.ravel() for _, _, W, _ in layers])
+    return float(w @ w)
+
+
+def loss_and_per_example_grads(params: ModelParams, features, labels,
+                               include_ridge=True):
+    """Mean cross-entropy (+ ridge on weights) and the n x |theta| matrix
+    of per-record loss gradients.
+
+    With include_ridge, the full ridge gradient is added to every row so
+    the row mean equals the gradient of the regularized mean loss.
+    """
+    loss, layers = _backprop(params, features, labels)
+    lam = params.l2_lambda if include_ridge else 0.0
+    if lam > 0:
+        loss += 0.5 * lam * _sq_weights(layers)
+    n = layers[0][0].shape[0]
+    return loss, np.column_stack([
+        block for D, A, W, _ in layers
+        for block in (np.einsum("no,ni->noi", D, A).reshape(n, -1)
+                      + lam * W.ravel(), D)])
+
+
+def clipped_grad_sum(params: ModelParams, features, labels, clip_norm,
+                     microbatch_count):
+    """DP-SGD's pre-noise gradient of one batch, without the n x |theta|
+    matrix of per-record gradients.
+
+    The batch splits into `microbatch_count` equal consecutive units, each
+    with gradient the mean over its records of the regularized loss
+    gradient. Returns (mean regularized loss, the sum of the unit gradients
+    each rescaled to norm <= clip_norm, the units' pre-clip norms). With
+    clip_norm None nothing is clipped and the norms are None.
+
+    A record's gradient for a layer is delta_i ⊗ [a_i; 1], so per record
+    ||g_i||^2 sums ||delta_i||^2 (||a_i||^2 + 1) over layers, plus the ridge
+    cross term 2 lambda delta_iᵀ W a_i + lambda^2 ||theta_w||^2 (Goodfellow
+    2015, arXiv:1510.01799); fewer units form their m x |theta| means. The
+    sum is then one matmul per layer with per-record weights.
+    """
+    loss, layers = _backprop(params, features, labels)
+    n = layers[0][0].shape[0]
+    m = microbatch_count
+    if m < 1 or n % m != 0:
+        raise ConfigurationError("microbatch_count must divide batch size")
+    if clip_norm is not None and clip_norm <= 0:
+        raise DomainError("clip norm must be > 0")
+    lam = params.l2_lambda
+    sq_weights = _sq_weights(layers) if lam > 0 else 0.0
+    loss += 0.5 * lam * sq_weights
+
+    norms = None
+    if clip_norm is not None and m == n:
+        sq = lam * lam * sq_weights
+        for D, A, _, aw in layers:
+            sq = sq + (np.einsum("no,no->n", D, D)
+                       * (np.einsum("ni,ni->n", A, A) + 1.0)
+                       + 2.0 * lam * np.einsum("no,no->n", D, aw))
+        norms = np.sqrt(np.maximum(sq, 0.0))
+    elif clip_norm is not None:
+        b = n // m
+        blocks = []
+        for D, A, W, _ in layers:
+            Dm = D.reshape(m, b, -1)
+            blocks += [np.einsum("mbo,mbi->moi", Dm, A.reshape(m, b, -1))
+                       .reshape(m, -1) / b + lam * W.ravel(),
+                       Dm.sum(axis=1) / b]
+        means = np.concatenate(blocks, axis=1)
+        norms = np.sqrt((means * means).sum(axis=1))
+    unit_weights = (np.ones(m) if norms is None
+                    else 1.0 / np.maximum(1.0, norms / clip_norm))
+    weights = np.repeat(unit_weights * (m / n), n // m)
+    blocks = []
+    for D, A, W, _ in layers:
+        Dw = D * weights[:, None]
+        blocks += [(Dw.T @ A + weights.sum() * lam * W).ravel(),
+                   Dw.sum(axis=0)]
+    return loss, np.concatenate(blocks), norms
 
 
 def lr_hessian(params: ModelParams, features, damping=0.0) -> np.ndarray:

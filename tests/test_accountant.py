@@ -122,6 +122,22 @@ def test_epsilon_monotone_property(q, sigma, steps, q_up, sigma_up,
     assert eps(q, sigma * sigma_up, steps) <= base + slack
     assert eps(q, sigma, steps + more_steps) >= base - slack
 
+
+def test_integer_order_cap():
+    # The integer log-term matrix grows with the largest order, so orders
+    # above the cap are refused before anything is allocated; the cap
+    # itself (one order, a 1 x (cap + 1) matrix) is computed.
+    assert max(accountant.DEFAULT_ORDERS) <= accountant.MAX_INT_ORDER
+    cap = accountant.MAX_INT_ORDER
+    for orders in ((2.0, cap + 1), (float(cap + 1),)):
+        with pytest.raises(DomainError, match=str(cap)):
+            accountant.rdp_subsampled_gaussian(0.01, 1.0, 10, orders=orders)
+        with pytest.raises(DomainError):
+            accountant.spend_for_training(0.01, 1.0, 10, orders=orders)
+    curve = accountant.rdp_subsampled_gaussian(0.01, 1.0, 10, orders=(cap,))
+    assert np.all(np.isfinite(curve.eps_rdp))
+
+
 def test_sigma_zero_raises():
     with pytest.raises(InfinitePrivacyLossError):
         accountant.rdp_subsampled_gaussian(0.01, 0.0, 10)

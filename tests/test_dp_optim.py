@@ -112,28 +112,47 @@ def test_step_determinism(rng):
 
 
 def test_sensitivity_invariant(rng):
-    # Two minibatches differing in exactly one microbatch: the pre-noise
-    # clipped sums differ by at most 2C in norm.
+    # Two minibatches differing in exactly one adjacency unit (microbatch 2
+    # of 16, or record 7 with per-example clipping): the pre-noise clipped
+    # sums differ by at most 2C in norm, ridge term included.
     C = 1.0
-    config = dp_optim.DPTrainingConfig(
-        clip_norm=C, noise_multiplier=0.0, batch_size=32,
-        microbatch_count=16, learning_rate=0.1)
-    params = models.init_params("lr-binary", 5)
-    params = params.copy_with(rng.normal(size=6))
-    for _ in range(20):
-        X1 = rng.normal(size=(32, 5))
-        y1 = rng.integers(2, size=32)
-        X2 = X1.copy()
-        y2 = y1.copy()
-        X2[4:6] = rng.normal(scale=100.0, size=(2, 5))  # replace microbatch 2
-        y2[4:6] = rng.integers(2, size=2)
-        _, G1 = models.loss_and_per_example_grads(params, X1, y1)
-        _, G2 = models.loss_and_per_example_grads(params, X2, y2)
-        s1 = dp_optim._noised_batch_gradient(
-            G1, config, np.random.default_rng(0)) * 16
-        s2 = dp_optim._noised_batch_gradient(
-            G2, config, np.random.default_rng(0)) * 16
-        assert np.linalg.norm(s1 - s2) <= 2 * C + 1e-9
+    for family in ("lr-binary", "mlp-1"):
+        params = models.init_params(family, 5, h=4, l2_lambda=0.1)
+        params = params.copy_with(rng.normal(size=params.theta.size))
+        for m, unit in ((16, slice(4, 6)), (32, slice(7, 8))):
+            for _ in range(20):
+                X1 = rng.normal(size=(32, 5))
+                y1 = rng.integers(2, size=32)
+                X2 = X1.copy()
+                y2 = y1.copy()
+                size = unit.stop - unit.start
+                X2[unit] = rng.normal(scale=100.0, size=(size, 5))
+                y2[unit] = rng.integers(2, size=size)
+                _, s1, _ = models.clipped_grad_sum(params, X1, y1, C, m)
+                _, s2, _ = models.clipped_grad_sum(params, X2, y2, C, m)
+                assert np.linalg.norm(s1 - s2) <= 2 * C + 1e-9
+
+
+def test_step_rejects_non_finite_gradient(rng, monkeypatch):
+    # Finite loss, but gradients too large to square: every unit's pre-clip
+    # norm overflows, and the step raises rather than apply the update.
+    X = np.full((16, 3), 1e200)
+    y = np.ones(16, dtype=int)
+    params = models.init_params("lr-binary", 3)
+    for m in (4, 16):
+        config = dp_optim.DPTrainingConfig.from_level(
+            "high", batch_size=16, microbatch_count=m)
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            dp_optim.dp_sgd_step(params, X, y, config,
+                                 np.random.default_rng(0))
+    # A non-finite clipped sum is refused on the step path too.
+    monkeypatch.setattr(models, "clipped_grad_sum",
+                        lambda *args: (0.5, np.full(4, np.nan), np.ones(4)))
+    config = dp_optim.DPTrainingConfig.from_level(
+        "high", batch_size=16, microbatch_count=4)
+    with pytest.raises(NumericError):
+        dp_optim.dp_sgd_step(params, rng.normal(size=(16, 3)), y, config,
+                             np.random.default_rng(0))
 
 
 def test_noise_calibration():

@@ -432,8 +432,18 @@ _SMALL_COHORT = {"n": 600, "d": 4, "positive_prevalence": 0.3,
 _TYPO_TASK = {"name": "o", "family": "lr-binary", "l2_lamda": 0.5}
 
 
-# (command, config, key the error must name). Train and audit configs also
-# get the cohort CSV and a pivot year; "api" builds the run config in-process.
+# Keys every probe of a command starts from, "csv" standing for the cohort
+# CSV; a probe value of None deletes the key.
+_PROBE_BASE = {
+    "train": {"cohort_csv": "csv", "pivot_year": 2002},
+    "audit-fairness": {"cohort_csv": "csv", "params": {}},
+    "audit-shift": {"cohort_csv": "csv"},
+    "audit-influence": {"train_csv": "csv", "test_csv": "csv", "params": {}},
+}
+
+
+# (command, config, key the error must name). "api" builds the run config
+# in-process.
 @pytest.mark.parametrize("command, raw, key", [
     ("train", {"training": {"privacy_level": "high", "bogus": 1}}, "bogus"),
     ("train", {"training": {"privacy_level": "high", "clip_norm": 2.0}},
@@ -455,24 +465,43 @@ _TYPO_TASK = {"name": "o", "family": "lr-binary", "l2_lamda": 0.5}
      "privacy_levels"),
     ("audit-fairness", {"params": []}, "params"),
     ("train", {"training": {"privacy_level": ["high"]}}, "privacy level"),
+    ("train", {"family_spec": {"family": "mlp-1", "h": "16"}}, "'h'"),
+    ("train", {"family_spec": {"l2_lambda": "0.1"}}, "'l2_lambda'"),
+    ("run", {"cohort": _SMALL_COHORT, "epochs": 1, "privacy_levels": ["none"],
+             "seeds": [0], "tasks": [{"name": "o", "l2_lambda": "0.1"}]},
+     "'l2_lambda'"),
+    ("train", {"seed": "x"}, "'seed'"),
+    ("train", {"pivot_year": "2002"}, "'pivot_year'"),
+    ("train", {"pivot_year": None}, "missing key(s): ['pivot_year']"),
+    ("audit-shift", {"seed": "x"}, "'seed'"),
+    ("audit-fairness", {"threshold": "0.5"}, "'threshold'"),
+    ("audit-influence", {"damping": "0.1"}, "'damping'"),
+    ("train", {"training": {"microbatch_count": 0}}, "microbatch_count"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-missing", "generate-data-missing-n", "run-cohort-missing-n",
         "family-spec-typo", "run-task-typo", "task-without-name",
         "training-epochs-string", "run-cohort-n-string", "run-epochs-string",
         "run-level-not-string", "audit-params-not-object",
-        "train-level-not-string"])
+        "train-level-not-string", "family-spec-h-string",
+        "family-spec-l2-lambda-string", "run-task-l2-lambda-string",
+        "train-seed-string", "train-pivot-year-string",
+        "train-pivot-year-missing", "audit-shift-seed-string",
+        "audit-fairness-threshold-string", "audit-influence-damping-string",
+        "training-zero-microbatches"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":
         with pytest.raises(ConfigurationError, match=key):
             harness.ExperimentConfig.from_dict(raw)
         return
-    if command in ("train", "audit-fairness"):
+    if command in _PROBE_BASE:
         _, cohort_config = _write_cohort_config(tmp_path)
         csv_path = tmp_path / "cohort.csv"
         cli.main(["generate-data", "--config", str(cohort_config),
                   "--out", str(csv_path)])
-        raw = {"cohort_csv": str(csv_path), "pivot_year": 2002, **raw}
+        base = {k: str(csv_path) if v == "csv" else v
+                for k, v in _PROBE_BASE[command].items()}
+        raw = {k: v for k, v in {**base, **raw}.items() if v is not None}
     config = tmp_path / "probe.json"
     config.write_text(json.dumps(raw))
     capsys.readouterr()

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dp_tails import models
-from dp_tails.errors import (DomainError, OptimizationError, ShapeError,
+from dp_tails import dp_optim, models
+from dp_tails.errors import (ConfigurationError, DomainError,
+                             OptimizationError, ShapeError,
                              UnsupportedFamilyError)
 
 
@@ -106,6 +108,52 @@ def test_empty_subset_error():
     params = models.init_params("lr-binary", 3)
     with pytest.raises(DomainError):
         models.loss_and_per_example_grads(params, np.empty((0, 3)), [])
+
+
+@st.composite
+def _clipping_cases(draw):
+    family = draw(st.sampled_from(models.FAMILIES))
+    n = draw(st.integers(1, 12))
+    m = draw(st.sampled_from([m for m in range(1, n + 1) if n % m == 0]))
+    lam = draw(st.sampled_from([0.0, 0.3]))
+    clip_norm = draw(st.one_of(st.none(), st.floats(1e-3, 1e3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = int(rng.integers(1, 5))
+    params = _random_params(family, d, rng, k=3, h=4, l2_lambda=lam)
+    X = rng.normal(size=(n, d)) * rng.lognormal(0.0, 2.0, size=(n, 1))
+    y = rng.integers(2 if family == "lr-binary" else 3, size=n)
+    return params, X, y, clip_norm, m
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_clipping_cases())
+def test_clipped_grad_sum_matches_per_example_oracle(case):
+    # Oracle: the n x |theta| per-record matrix, averaged into microbatches
+    # and clipped row by row with clip_gradient.
+    params, X, y, clip_norm, m = case
+    loss, total, norms = models.clipped_grad_sum(params, X, y, clip_norm, m)
+    ref_loss, G = models.loss_and_per_example_grads(params, X, y)
+    means = G.reshape(m, X.shape[0] // m, -1).mean(axis=1)
+    assert loss == ref_loss
+    if clip_norm is None:
+        assert norms is None
+        rows = means
+    else:
+        np.testing.assert_allclose(norms, np.linalg.norm(means, axis=1),
+                                   rtol=1e-12, atol=0)
+        rows = dp_optim.clip_gradient(means, clip_norm)
+    np.testing.assert_allclose(total, rows.sum(axis=0), rtol=1e-12,
+                               atol=1e-12 * np.abs(rows).sum())
+
+
+def test_clipped_grad_sum_errors(rng):
+    params = models.init_params("lr-binary", 3)
+    X, y = rng.normal(size=(6, 3)), rng.integers(2, size=6)
+    for m in (0, 4):
+        with pytest.raises(ConfigurationError):
+            models.clipped_grad_sum(params, X, y, 1.0, m)
+    with pytest.raises(DomainError):
+        models.clipped_grad_sum(params, X, y, 0.0, 3)
 
 
 def test_hessian_closed_form_single_record():
