@@ -187,11 +187,11 @@ def cmd_audit_influence(args):
            "by_label": summary.to_dict()}, args.out)
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write("train_id," + ",".join(str(int(t))
-                                            for t in matrix.test_ids) + "\n")
-            for i, tid in enumerate(matrix.train_ids):
-                fh.write(str(int(tid)) + ","
-                         + ",".join(repr(v) for v in matrix.values[i]) + "\n")
+            fh.write(",".join(map(str, ["train_id",
+                                        *matrix.test_ids.tolist()])) + "\n")
+            fh.writelines(",".join(map(repr, [tid, *row])) + "\n"
+                          for tid, row in zip(matrix.train_ids.tolist(),
+                                              matrix.values.tolist()))
     return 0
 
 

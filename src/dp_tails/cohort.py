@@ -235,59 +235,100 @@ def split_yearly(cohort: Cohort, pivot_year: int, protocol="cumulative") -> Coho
     raise SplitError(f"unknown protocol {protocol!r}")
 
 
+_META = ["id", "year", "group", "label"]
+
+
 def write_cohort(cohort: Cohort, path):
-    header = ["id", "year", "group", "label"] + [f"f{j}" for j in range(cohort.d)]
+    """One line per record: the metadata as ints, then the features in
+    Python's shortest round-trip notation, which reads back bit-identical."""
+    meta = np.column_stack((cohort.ids, cohort.years, cohort.groups,
+                            cohort.labels)).astype(np.int64, copy=False)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(cohort.n):
-            row = [int(cohort.ids[i]), int(cohort.years[i]),
-                   int(cohort.groups[i]), int(cohort.labels[i])]
-            row += [np.format_float_scientific(v, unique=True)
-                    for v in cohort.features[i]]
-            writer.writerow(row)
+        fh.write(",".join(_META + [f"f{j}" for j in range(cohort.d)]) + "\n")
+        fh.writelines(",".join(map(repr, m + f)) + "\n" for m, f in
+                      zip(meta.tolist(), cohort.features.tolist()))
 
 
 def read_cohort(path, num_classes=None) -> Cohort:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, header required")
-        if header[:4] != ["id", "year", "group", "label"]:
-            raise ParseError("header must start with id,year,group,label")
-        d = len(header) - 4
-        for j, name in enumerate(header[4:]):
-            if name != f"f{j}":
-                raise ParseError(f"feature column {j} must be named f{j}",
-                                 row=0, column=4 + j)
+            text = fh.read()
+        except UnicodeDecodeError:
+            text = ""   # the row parser raises it, after any earlier row error
+        cohort = _bulk_parse(text, num_classes)
+        if cohort is None:
+            fh.seek(0)
+            cohort = _parse_rows(csv.reader(fh), num_classes)
+    return cohort
 
-        ids, years, groups, labels, feats = [], [], [], [], []
-        for r, row in enumerate(reader, start=1):
-            if len(row) != 4 + d:
-                raise ParseError(f"expected {4 + d} cells, got {len(row)}", row=r)
-            try:
-                ids.append(int(row[0]))
-                years.append(int(row[1]))
-                groups.append(int(row[2]))
-                labels.append(int(row[3]))
-            except ValueError as exc:
-                raise ParseError(f"non-integer metadata cell: {exc}", row=r)
-            try:
-                feats.append([float(c) for c in row[4:]])
-            except ValueError:
-                bad = next(j for j, c in enumerate(row[4:])
-                           if not _is_float(c))
-                raise ParseError("non-numeric feature cell", row=r, column=4 + bad)
-            if labels[-1] < 0:
-                raise ParseError("label out of range", row=r, column=3)
-            if num_classes is not None and labels[-1] >= num_classes:
-                raise ParseError(
-                    f"label {labels[-1]} out of range [0,{num_classes})",
-                    row=r, column=3)
-            if groups[-1] < 0:
-                raise ParseError("group out of range", row=r, column=2)
+
+def _bulk_parse(text, num_classes):
+    """The cohort in `text` from one np.loadtxt call, or None wherever the
+    row parser might decide otherwise, so both accept the same files and
+    _parse_rows raises every error. Left to it: quotes, CR, NUL, blank or
+    over-long lines, the separators 0x1c-0x1f (whitespace to numpy, not to
+    int() and float()), cells loadtxt rejects and failed checks."""
+    lines = text.removesuffix("\n").split("\n")
+    names = lines[0].split(",")
+    d = len(names) - 4
+    if (len(lines) < 2 or names != _META + [f"f{j}" for j in range(d)]
+            or any(c in text for c in '"\r\0\x1c\x1d\x1e\x1f')
+            or "" in lines or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
+                           dtype=[("meta", np.int64, 4),
+                                  ("features", np.float64, d)])
+    except ValueError:
+        return None
+    ids, years, groups, labels = np.ascontiguousarray(table["meta"].T)
+    features = np.ascontiguousarray(table["features"])
+    if (labels.min() < 0 or groups.min() < 0 or not np.isfinite(features).all()
+            or (num_classes is not None and labels.max() >= num_classes)
+            or len(np.unique(ids)) != len(ids)):
+        return None
+    return Cohort(features, labels, groups, years, ids)
+
+
+def _parse_rows(reader, num_classes):
+    """The cohort from csv.reader rows; errors name the row and column."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file, header required")
+    if header[:4] != _META:
+        raise ParseError("header must start with id,year,group,label")
+    d = len(header) - 4
+    for j, name in enumerate(header[4:]):
+        if name != f"f{j}":
+            raise ParseError(f"feature column {j} must be named f{j}",
+                             row=0, column=4 + j)
+
+    ids, years, groups, labels, feats = [], [], [], [], []
+    for r, row in enumerate(reader, start=1):
+        if len(row) != 4 + d:
+            raise ParseError(f"expected {4 + d} cells, got {len(row)}", row=r)
+        try:
+            ids.append(int(row[0]))
+            years.append(int(row[1]))
+            groups.append(int(row[2]))
+            labels.append(int(row[3]))
+        except ValueError as exc:
+            raise ParseError(f"non-integer metadata cell: {exc}", row=r)
+        try:
+            feats.append([float(c) for c in row[4:]])
+        except ValueError:
+            bad = next(j for j, c in enumerate(row[4:])
+                       if not _is_float(c))
+            raise ParseError("non-numeric feature cell", row=r, column=4 + bad)
+        if labels[-1] < 0:
+            raise ParseError("label out of range", row=r, column=3)
+        if num_classes is not None and labels[-1] >= num_classes:
+            raise ParseError(
+                f"label {labels[-1]} out of range [0,{num_classes})",
+                row=r, column=3)
+        if groups[-1] < 0:
+            raise ParseError("group out of range", row=r, column=2)
 
     n = len(ids)
     if len(set(ids)) != n:

@@ -28,9 +28,12 @@ def check_keys(raw, allowed, required, where):
 
 def _fits(value, hint):
     """Whether `value` fits the annotation `hint`: an int is a float, a bool
-    is neither, and `X | None` admits None."""
+    is neither, `X | None` admits None and `list[X]` a list of X."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(
+            _fits(v, typing.get_args(hint)[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -46,10 +49,11 @@ def config_from_dict(cls, raw, where):
                where)
     hints = typing.get_type_hints(cls)
     for key, value in raw.items():
-        if not _fits(value, hints[key]):
+        hint = hints[key]
+        if not _fits(value, hint):
             raise ConfigurationError(
                 f"{where}: {key!r} must be "
-                f"{getattr(hints[key], '__name__', hints[key])}, "
+                f"{hint.__name__ if isinstance(hint, type) else hint}, "
                 f"got {type(value).__name__}")
     return cls(**raw)
 

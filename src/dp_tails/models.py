@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, OptimizationError,
-                     ShapeError, UnsupportedFamilyError, check_keys)
+                     ShapeError, UnsupportedFamilyError, config_from_dict)
 
 FAMILIES = ("lr-binary", "lr-multinomial", "mlp-1")
 _CLAMP = 1e-12
@@ -93,13 +93,27 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, raw):
-        """Inverse of to_dict; every key is required."""
-        keys = ("family", "dims", "l2_lambda", "theta")
-        check_keys(raw, keys, keys, "params")
-        dims = raw["dims"]
-        check_keys(dims, ("d", "k", "h"), ("d", "k", "h"), "params.dims")
-        return cls(raw["family"], np.asarray(raw["theta"], dtype=float),
-                   dims["d"], dims["k"], dims["h"], raw["l2_lambda"])
+        """Inverse of to_dict; every key is required and type-checked."""
+        p = config_from_dict(_ParamsFile, raw, "params")
+        dims = config_from_dict(_Dims, p.dims, "params.dims")
+        return cls(p.family, np.asarray(p.theta, dtype=float),
+                   dims.d, dims.k, dims.h, p.l2_lambda)
+
+
+@dataclass
+class _ParamsFile:
+    """The JSON form of ModelParams, as to_dict writes it."""
+    family: str
+    dims: dict
+    l2_lambda: float
+    theta: list[float]
+
+
+@dataclass
+class _Dims:
+    d: int
+    k: int
+    h: int
 
 
 def init_params(family, d, k=FamilySpec.k, h=FamilySpec.h,

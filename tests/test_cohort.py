@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import tempfile
@@ -11,6 +12,7 @@ from dp_tails import cohort
 from dp_tails.errors import ConfigurationError, ParseError, SplitError
 
 from conftest import make_cohort, raw_cohort
+from oracles.cohort_reader_oracle import read_cohort as oracle_read_cohort
 
 
 def test_determinism_byte_identical():
@@ -168,6 +170,149 @@ def test_io_non_finite_cell_located_property(features, data):
     with pytest.raises(ParseError) as err:
         _write_and_read(raw_cohort(features, np.zeros(n)))
     assert (err.value.row, err.value.column) == (r + 1, 4 + j)
+
+
+# Cell texts that int() or float() may read differently from numpy.
+_ODD_CELLS = ["1_0", "+1", "-0", "007", " 2 ", "\t1", "1\xa0", "\u0661",
+              "0x10", "1e3", "", "1e400", "-1e-400", "5e-324", "-0.0",
+              "Infinity", "-nan", "99999999999999999999", "1.5.", "\0",
+              "1\x1c", "\x1f2"]
+
+
+def _mutate(lines, kind, data):
+    """Apply one mutation to the header + body `lines` (no line endings)."""
+    body = range(1, len(lines))
+    r = data.draw(st.sampled_from(body)) if len(lines) > 1 else None
+    cells = lines[r].split(",") if r else None
+
+    def put(j, text):
+        cells[j] = text
+        lines[r] = ",".join(cells)
+
+    if kind == "blank-line":
+        lines.insert(data.draw(st.integers(1, len(lines))), "")
+    elif kind == "hash-line":
+        lines.insert(data.draw(st.integers(1, len(lines))),
+                     "#" + data.draw(st.sampled_from(lines)))
+    elif kind == "quoted-cell":
+        at = data.draw(st.integers(0, len(lines) - 1))
+        quoted = lines[at].split(",")
+        j = data.draw(st.integers(0, len(quoted) - 1))
+        quoted[j] = f'"{quoted[j]}"'
+        lines[at] = ",".join(quoted)
+    elif r is None or len(cells) < 4:
+        return
+    elif kind == "extra-cell":
+        lines[r] += "," + data.draw(st.sampled_from(["0", "", "1.5"]))
+    elif kind == "missing-cell":
+        lines[r] = ",".join(cells[:-1])
+    elif kind == "int-cell":
+        j = data.draw(st.integers(0, 3))
+        put(j, data.draw(st.sampled_from(["1.0", " " + cells[j]])))
+    elif kind == "non-finite" and len(cells) > 4:
+        put(data.draw(st.integers(4, len(cells) - 1)),
+            data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN"])))
+    elif kind == "negative":
+        put(data.draw(st.sampled_from([2, 3])), "-1")
+    elif kind == "duplicate-id":
+        put(0, lines[data.draw(st.sampled_from(body))].split(",")[0])
+    elif kind == "odd-cell":
+        put(data.draw(st.integers(0, len(cells) - 1)),
+            data.draw(st.sampled_from(_ODD_CELLS)))
+
+
+def _outcome(read, path, num_classes):
+    """What a reader makes of a file: the cohort's exact bytes, or the
+    error with its message and location."""
+    try:
+        c = read(path, num_classes=num_classes)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.row, exc.column)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in
+                 (c.features, c.labels, c.groups, c.years, c.ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(features=arrays(np.float64, st.tuples(st.integers(0, 5),
+                                             st.integers(0, 3)),
+                       elements=st.floats(allow_nan=False,
+                                          allow_infinity=False)),
+       kinds=st.lists(st.sampled_from([
+           "blank-line", "crlf", "quoted-cell", "hash-line", "extra-cell",
+           "missing-cell", "int-cell", "non-finite", "negative",
+           "duplicate-id", "no-trailing-newline", "odd-cell"]), max_size=3),
+       num_classes=st.sampled_from([None, 2, 4]), data=st.data())
+def test_reader_matches_row_parser_oracle(features, kinds, num_classes, data):
+    n = features.shape[0]
+    ints = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    c = raw_cohort(features, data.draw(ints), groups=data.draw(ints),
+                   years=[2000 + y for y in data.draw(ints)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cohort.csv")
+        cohort.write_cohort(c, path)
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\n")[:-1]
+        for kind in kinds:
+            _mutate(lines, kind, data)
+        ending = "\r\n" if "crlf" in kinds else "\n"
+        text = ending.join(lines)
+        if "no-trailing-newline" not in kinds:
+            text += ending
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        expected = _outcome(oracle_read_cohort, path, num_classes)
+        assert _outcome(cohort.read_cohort, path, num_classes) == expected
+
+
+def test_reader_matches_row_parser_oracle_on_odd_cells(tmp_path):
+    path = tmp_path / "cohort.csv"
+    for cell in _ODD_CELLS:
+        for column in (0, 3, 4):
+            row = ["0", "2001", "0", "1", "0.5"]
+            row[column] = cell
+            path.write_text("id,year,group,label,f0\n" + ",".join(row)
+                            + "\n1,2001,1,0,-2.0\n", newline="")
+            assert (_outcome(cohort.read_cohort, path, 2)
+                    == _outcome(oracle_read_cohort, path, 2)), (cell, column)
+
+
+def _write_scientific(c, path):
+    """A cohort CSV in the earlier notation: csv.writer rows with features
+    from np.format_float_scientific(unique=True)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "year", "group", "label"]
+                        + [f"f{j}" for j in range(c.d)])
+        for i in range(c.n):
+            writer.writerow([int(c.ids[i]), int(c.years[i]), int(c.groups[i]),
+                             int(c.labels[i])]
+                            + [np.format_float_scientific(v, unique=True)
+                               for v in c.features[i]])
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, 1e16,
+                1e-5, 0.1, 1 / 3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(features=arrays(np.float64, st.tuples(st.integers(1, 6),
+                                             st.integers(1, 4)),
+                       elements=st.one_of(
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(_EDGE_FLOATS))))
+def test_scientific_and_shortest_notation_read_back_bit_identical(features):
+    c = raw_cohort(features, np.zeros(len(features)))
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = os.path.join(tmp, "old.csv"), os.path.join(tmp, "new.csv")
+        _write_scientific(c, old)
+        cohort.write_cohort(c, new)
+        for path in (old, new):
+            back = cohort.read_cohort(path)
+            assert back == c
+            assert back.features.tobytes() == c.features.tobytes()
 
 
 def test_io_header_only(tmp_path):

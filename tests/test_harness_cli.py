@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dp_tails import (accountant, cli, cohort, dp_optim, harness, models,
-                      objective_perturbation)
+from dp_tails import (accountant, cli, cohort, dp_optim, harness, influence,
+                      models, objective_perturbation)
 from dp_tails.errors import ConfigurationError, config_from_dict
 
 from conftest import make_cohort
@@ -430,6 +430,8 @@ def test_cli_run_malformed_json_exit_code(tmp_path):
 _SMALL_COHORT = {"n": 600, "d": 4, "positive_prevalence": 0.3,
                  "years": [2001, 2002]}
 _TYPO_TASK = {"name": "o", "family": "lr-binary", "l2_lamda": 0.5}
+_PARAMS = {"family": "lr-binary", "dims": {"d": 3, "k": 2, "h": 16},
+           "l2_lambda": 0.0, "theta": [0.0] * 4}
 
 
 # Keys every probe of a command starts from, "csv" standing for the cohort
@@ -477,6 +479,16 @@ _PROBE_BASE = {
     ("audit-fairness", {"threshold": "0.5"}, "'threshold'"),
     ("audit-influence", {"damping": "0.1"}, "'damping'"),
     ("train", {"training": {"microbatch_count": 0}}, "microbatch_count"),
+    ("audit-fairness", {"params": {**_PARAMS, "dims": {"d": "3", "k": 2,
+                                                       "h": 16}}},
+     "params.dims: 'd'"),
+    ("audit-fairness", {"params": {**_PARAMS, "l2_lambda": "x"}},
+     "params: 'l2_lambda'"),
+    ("audit-fairness", {"params": {**_PARAMS, "theta": "abcd"}},
+     "params: 'theta'"),
+    ("audit-influence", {"params": {**_PARAMS, "dims": {"d": 3, "k": 2,
+                                                        "h": True}}},
+     "params.dims: 'h'"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-missing", "generate-data-missing-n", "run-cohort-missing-n",
         "family-spec-typo", "run-task-typo", "task-without-name",
@@ -487,7 +499,8 @@ _PROBE_BASE = {
         "train-seed-string", "train-pivot-year-string",
         "train-pivot-year-missing", "audit-shift-seed-string",
         "audit-fairness-threshold-string", "audit-influence-damping-string",
-        "training-zero-microbatches"])
+        "training-zero-microbatches", "params-d-string",
+        "params-l2-lambda-string", "params-theta-string", "params-h-bool"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":
@@ -573,3 +586,11 @@ def test_cli_audit_influence(tmp_path):
     lines = csv_out.read_text().splitlines()
     assert len(lines) == 151  # header + one row per training record
     assert len(lines[0].split(",")) == 51
+    # Every cell is a plain number equal to the engine's matrix entry.
+    train, test = cohort.read_cohort(train_csv), cohort.read_cohort(test_csv)
+    matrix = influence.InfluenceEngine(params, train).matrix(train, test)
+    rows = [line.split(",") for line in lines]
+    assert rows[0] == ["train_id"] + [str(t) for t in matrix.test_ids]
+    assert [int(r[0]) for r in rows[1:]] == matrix.train_ids.tolist()
+    assert ([[float(c) for c in r[1:]] for r in rows[1:]]
+            == matrix.values.tolist())
