@@ -110,6 +110,9 @@ def _log_a_frac(q, sigma, alphas):
 def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
     if not 0.0 <= q <= 1.0:
         raise DomainError("sampling rate q must lie in [0,1]")
+    if not math.isfinite(sigma):
+        # _log_a_frac's series would never meet its stop test.
+        raise DomainError("noise multiplier sigma must be finite")
     if steps < 0:
         raise DomainError("step count must be >= 0")
     orders = tuple(sorted(float(a) for a in orders))

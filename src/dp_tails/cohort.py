@@ -339,13 +339,16 @@ def _parse_rows(reader, num_classes):
         r, j = bad[0]
         raise ParseError("non-finite feature cell", row=int(r) + 1,
                          column=4 + int(j))
-    return Cohort(
-        features=features,
-        labels=np.asarray(labels, dtype=np.int64),
-        groups=np.asarray(groups, dtype=np.int64),
-        years=np.asarray(years, dtype=np.int64),
-        ids=np.asarray(ids, dtype=np.int64),
-    )
+    try:
+        ids, years, groups, labels = np.array([ids, years, groups, labels],
+                                              dtype=np.int64)
+    except OverflowError:
+        r, j = next((r, j) for r, meta in enumerate(
+            zip(ids, years, groups, labels), start=1)
+            for j, v in enumerate(meta) if not -2**63 <= v < 2**63)
+        raise ParseError("integer cell outside int64", row=r, column=j)
+    return Cohort(features=features, labels=labels, groups=groups,
+                  years=years, ids=ids)
 
 
 def _is_float(cell):

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the toolkit, and the one loader that
 turns a JSON object into a config."""
 
+import math
 import types
 import typing
 from dataclasses import MISSING, fields
@@ -39,10 +40,19 @@ def _fits(value, hint):
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _non_finite(value):
+    """Whether `value` is, or is a list or tuple that holds, a NaN or
+    infinite float (JSON's NaN and Infinity, or a number such as 1e400)."""
+    return any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, (list, tuple))
+                         else [value]))
+
+
 def config_from_dict(cls, raw, where):
     """The config dataclass `cls` built from the JSON object `raw`, the one
     place a JSON object becomes a config. Each value must fit its field's
-    annotation; range checks stay in cls.__post_init__."""
+    annotation and be free of NaN and infinities; range checks stay in
+    cls.__post_init__."""
     check_keys(raw, [f.name for f in fields(cls)],
                [f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING],
@@ -55,6 +65,9 @@ def config_from_dict(cls, raw, where):
                 f"{where}: {key!r} must be "
                 f"{hint.__name__ if isinstance(hint, type) else hint}, "
                 f"got {type(value).__name__}")
+        if _non_finite(value):
+            raise ConfigurationError(
+                f"{where}: {key!r} must be finite, got NaN or an infinity")
     return cls(**raw)
 
 

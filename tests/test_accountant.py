@@ -143,6 +143,17 @@ def test_sigma_zero_raises():
         accountant.rdp_subsampled_gaussian(0.01, 0.0, 10)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("q", [0.01, 1.0])
+def test_non_finite_sigma_raises(q, sigma):
+    # (z0 - i) / sigma would be NaN, and the fractional-order series would
+    # grow without ever meeting its stop test.
+    with pytest.raises(DomainError, match="sigma must be finite"):
+        accountant.rdp_subsampled_gaussian(q, sigma, 10)
+    with pytest.raises(DomainError, match="sigma must be finite"):
+        accountant.spend_for_training(q, sigma, 0)
+
+
 def test_invalid_inputs():
     with pytest.raises(DomainError):
         accountant.rdp_subsampled_gaussian(1.5, 1.0, 10)

@@ -221,6 +221,21 @@ def _mutate(lines, kind, data):
             data.draw(st.sampled_from(_ODD_CELLS)))
 
 
+def _oracle_outcome(path, num_classes):
+    """The frozen oracle's outcome, except where the oracle overflows int64
+    (its OverflowError): there the reader must raise ParseError at the
+    first id, year, group or label cell outside int64, in row order."""
+    expected = _outcome(oracle_read_cohort, path, num_classes)
+    if expected[0] != "OverflowError":
+        return expected
+    with open(path, newline="") as fh:
+        r, j = next((r, j) for r, row in enumerate(csv.reader(fh)) if r
+                    for j, cell in enumerate(row[:4])
+                    if not -2**63 <= int(cell) < 2**63)
+    return ("ParseError", f"integer cell outside int64 (row {r}, column {j})",
+            r, j)
+
+
 def _outcome(read, path, num_classes):
     """What a reader makes of a file: the cohort's exact bytes, or the
     error with its message and location."""
@@ -262,7 +277,7 @@ def test_reader_matches_row_parser_oracle(features, kinds, num_classes, data):
             text += ending
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        expected = _outcome(oracle_read_cohort, path, num_classes)
+        expected = _oracle_outcome(path, num_classes)
         assert _outcome(cohort.read_cohort, path, num_classes) == expected
 
 
@@ -275,7 +290,27 @@ def test_reader_matches_row_parser_oracle_on_odd_cells(tmp_path):
             path.write_text("id,year,group,label,f0\n" + ",".join(row)
                             + "\n1,2001,1,0,-2.0\n", newline="")
             assert (_outcome(cohort.read_cohort, path, 2)
-                    == _outcome(oracle_read_cohort, path, 2)), (cell, column)
+                    == _oracle_outcome(path, 2)), (cell, column)
+
+
+@pytest.mark.parametrize("column", range(4))
+def test_metadata_cell_int64_edges(tmp_path, column):
+    path = tmp_path / "cohort.csv"
+
+    def read_with(cell):
+        row = ["0", "2001", "0", "1", "0.5"]
+        row[column] = cell
+        path.write_text("id,year,group,label,f0\n1,2001,1,0,-2.0\n"
+                        + ",".join(row) + "\n", newline="")
+        return cohort.read_cohort(path)
+
+    c = read_with(str(2**63 - 1))
+    assert (c.ids, c.years, c.groups, c.labels)[column][1] == 2**63 - 1
+    # A negative group or label is refused at the same cell as out of range.
+    for cell in (str(2**63), "99999999999999999999", str(-2**63 - 1)):
+        with pytest.raises(ParseError) as err:
+            read_with(cell)
+        assert (err.value.row, err.value.column) == (2, column)
 
 
 def _write_scientific(c, path):

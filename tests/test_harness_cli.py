@@ -334,6 +334,15 @@ def test_cli_account(tmp_path):
     assert payload["caveats"]
 
 
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_cli_account_non_finite_sigma_exit_code(tmp_path, capsys, sigma):
+    code = cli.main(["account", "--q", "0.01", "--sigma", sigma,
+                     "--steps", "1000", "--out", str(tmp_path / "eps.json")])
+    assert code == 2
+    assert "sigma must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "eps.json").exists()
+
+
 def _write_cohort_config(tmp_path, **kw):
     cc = cohort.CohortConfig(n=800, d=4, positive_prevalence=0.3,
                              years=(2001, 2002), class_separation=2.0,
@@ -427,6 +436,7 @@ def test_cli_run_malformed_json_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(bad)]) == 2
 
 
+NAN, INF = math.nan, math.inf
 _SMALL_COHORT = {"n": 600, "d": 4, "positive_prevalence": 0.3,
                  "years": [2001, 2002]}
 _TYPO_TASK = {"name": "o", "family": "lr-binary", "l2_lamda": 0.5}
@@ -489,6 +499,21 @@ _PROBE_BASE = {
     ("audit-influence", {"params": {**_PARAMS, "dims": {"d": 3, "k": 2,
                                                         "h": True}}},
      "params.dims: 'h'"),
+    ("audit-fairness", {"params": {**_PARAMS, "theta": [0.0, NAN, 0.0, 0.0]}},
+     "params: 'theta'"),
+    ("audit-fairness", {"params": {**_PARAMS, "l2_lambda": INF}},
+     "params: 'l2_lambda'"),
+    ("audit-fairness", {"threshold": NAN}, "'threshold'"),
+    ("audit-influence", {"damping": -INF}, "'damping'"),
+    ("train", {"training": {"noise_multiplier": INF, "clip_norm": 1.0}},
+     "'noise_multiplier'"),
+    ("train", {"mechanism": "objective-perturbation",
+               "objpert": {"eps_p": NAN, "lam": 0.1}}, "'eps_p'"),
+    ("generate-data", {**_SMALL_COHORT, "yearly_drift": NAN},
+     "'yearly_drift'"),
+    ("run", {"cohort": {**_SMALL_COHORT, "years": [2001, INF]}}, "'years'"),
+    ("generate-data", {**_SMALL_COHORT, "positive_prevalence": [NAN, 0.7]},
+     "'positive_prevalence'"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-missing", "generate-data-missing-n", "run-cohort-missing-n",
         "family-spec-typo", "run-task-typo", "task-without-name",
@@ -500,7 +525,11 @@ _PROBE_BASE = {
         "train-pivot-year-missing", "audit-shift-seed-string",
         "audit-fairness-threshold-string", "audit-influence-damping-string",
         "training-zero-microbatches", "params-d-string",
-        "params-l2-lambda-string", "params-theta-string", "params-h-bool"])
+        "params-l2-lambda-string", "params-theta-string", "params-h-bool",
+        "params-theta-nan", "params-l2-lambda-inf", "threshold-nan",
+        "damping-minus-inf", "noise-multiplier-inf", "objpert-eps-nan",
+        "cohort-drift-nan", "cohort-years-inf",
+        "cohort-prevalence-tuple-nan"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":
@@ -561,6 +590,23 @@ def test_cli_audit_shift(tmp_path):
     payload = json.loads(out.read_text())
     assert payload[0]["year"] == 2002
     assert csv_out.read_text().startswith("year,malignancy_accuracy,p_value")
+
+
+def test_cli_audit_shift_int64_overflow_cell_exit_code(tmp_path, capsys):
+    _, config_path = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    cli.main(["generate-data", "--config", str(config_path),
+              "--out", str(csv_path)])
+    lines = csv_path.read_text().split("\n")
+    lines[3] = "99999999999999999999," + lines[3].split(",", 1)[1]
+    csv_path.write_text("\n".join(lines))
+    audit_config = tmp_path / "shift.json"
+    audit_config.write_text(json.dumps({"cohort_csv": str(csv_path)}))
+    capsys.readouterr()
+    code = cli.main(["audit-shift", "--config", str(audit_config),
+                     "--out", str(tmp_path / "shift_report.json")])
+    assert code == 2
+    assert "outside int64 (row 3, column 0)" in capsys.readouterr().err
 
 
 def test_cli_audit_influence(tmp_path):

@@ -1,9 +1,17 @@
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
+import dp_tails
 from dp_tails import metrics
 from dp_tails.errors import UndefinedCorrelationError, UndefinedMetricError
 
@@ -65,6 +73,43 @@ def test_auroc_complement_identity(rng):
     labels = rng.integers(2, size=40)
     labels[0], labels[1] = 0, 1
     assert metrics.auroc(scores, labels) + metrics.auroc(scores, 1 - labels) == 1.0
+
+
+# Few distinct values, so most draws hold ties; signed zeros and infinities
+# included. A NaN is inserted separately.
+_TIE_HEAVY = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, math.inf,
+                                        -math.inf]),
+                       st.floats(allow_nan=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(scores=st.lists(_TIE_HEAVY, min_size=1, max_size=60),
+       nan_at=st.none() | st.integers(0, 59), data=st.data())
+def test_midranks_match_rankdata_bit_for_bit(scores, nan_at, data):
+    s = np.asarray(scores)
+    if nan_at is not None:
+        s[nan_at % len(s)] = np.nan
+    ranks = metrics._midranks(s)
+    expected = stats.rankdata(s)
+    assert ranks.dtype == expected.dtype and ranks.shape == expected.shape
+    assert ranks.tobytes() == expected.tobytes()
+    labels = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=len(s),
+                                           max_size=len(s))))
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos and n_neg:
+        # The rank-sum formula as it read with scipy.stats.rankdata.
+        auc = float((expected[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
+                    / (n_pos * n_neg))
+        assert np.array_equal(metrics.auroc(s, labels), auc, equal_nan=True)
+
+
+def test_midranks_single_score_and_runs():
+    assert metrics._midranks(np.array([3.0])).tolist() == [1.0]
+    assert metrics._midranks(np.array([2.0, 1.0, 2.0, 2.0, 0.0])).tolist() \
+        == [4.0, 2.0, 4.0, 4.0, 1.0]
+    assert np.isnan(metrics._midranks(np.array([1.0, np.nan]))).all()
+    assert math.isnan(metrics.auroc([0.2, np.nan, 0.4], [0, 1, 1]))
 
 
 def test_auroc_single_class_error():
@@ -178,3 +223,33 @@ def test_pearson_zero_variance_error():
         metrics.pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(UndefinedCorrelationError):
         metrics.pearson([1, 2], [1, 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(xy=st.integers(3, 40).flatmap(lambda n: st.tuples(
+    *(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),) * 2)))
+def test_pearson_p_matches_scipy_t_sf_exactly(xy):
+    x, y = xy
+    try:
+        result = metrics.pearson(x, y)
+    except UndefinedCorrelationError:
+        return
+    r = result.statistic
+    if abs(r) == 1.0:
+        assert result.p_value == 0.0
+        return
+    n = len(x)
+    t = r * np.sqrt((n - 2) / (1.0 - r * r))
+    assert result.p_value == float(2.0 * stats.t.sf(abs(t), df=n - 2))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # A fresh interpreter: this one already holds scipy.stats (the tests
+    # above import it).
+    src = str(Path(dp_tails.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, dp_tails.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
