@@ -5,8 +5,12 @@ Per-step RDP at order alpha:
   q = 1  -> alpha / (2 sigma^2)                      (plain Gaussian)
   else   -> log A_alpha / (alpha - 1) (Mironov, Talwar & Zhang 2019): for
             integer alpha the exact binomial sum, one orders x k matrix of
-            log-terms reduced by logsumexp; for fractional alpha the erfc
-            series, its signed terms summed by one logsumexp.
+            log-terms built from a table of log k! and reduced by a
+            log-sum-exp per order; for fractional alpha the erfc series,
+            its signed terms summed by one signed log-sum-exp.
+The log-sum-exp is scipy.special.logsumexp's arithmetic (scipy 1.17.1)
+without its array-API dispatch, so curves keep scipy's bits. Nothing is
+kept between calls: every query builds its own matrices.
 Composition over T steps is linear; conversion to (eps, delta) takes the
 minimum of eps(alpha) + log(1/delta)/(alpha-1) over the curve's orders.
 
@@ -31,6 +35,9 @@ DEFAULT_ORDERS = (1.25, 1.5, 1.75) + tuple(range(2, 257))
 # The integer log-term matrix is (integer orders) x (largest order + 1):
 # at most about 8 MB at this cap, hundreds of MB for orders in the thousands.
 MAX_INT_ORDER = 1024
+# Longest fractional-order series computed (64 * 4**6 terms): q = 0.5 with
+# sigma = 1e5 needs all of it at order 1.25; a NaN term never stops one.
+MAX_SERIES_TERMS = 262144
 
 STANDARD_CAVEATS = (
     "Poisson-subsampling RDP bound applied to shuffled fixed-size batches",
@@ -66,29 +73,84 @@ class RdpCurve:
     steps: int
 
 
+def _logsumexp(a, axis, b=None):
+    """scipy.special.logsumexp(a, axis, b) for real float64 `a` (and real
+    `b` broadcastable to it), bit for bit: scipy 1.17.1's `_logsumexp`
+    arithmetic without its array-API dispatch. The largest entries of each
+    reduction are taken out of the sum and counted, m, and the result is
+    log1p(s / m) + log(m) + max; where that is not finite (a max of +-inf
+    or NaN, a negative sum), the direct log(sum(b * exp(a))) stands."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        live = a if b is None else np.where(b == 0, -np.inf, a)
+        a_max = live.max(axis=axis, keepdims=True)
+        top = live == a_max
+        m = np.sum(top if b is None else b * top, axis=axis, keepdims=True,
+                   dtype=float)
+        shifted = live - a_max
+        shifted[top] = -np.inf
+        # exp is exactly 0 below -745.14, and numpy's exp is about 15x
+        # slower on such arguments (4x on -inf) than on the rest; most
+        # log-terms lie there, so only the others are exponentiated.
+        e = np.exp(shifted, out=np.zeros_like(shifted),
+                   where=shifted > -746.0)
+        s = (e if b is None else b * e).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+        out[sign < 0] = np.nan
+        bad = ~np.isfinite(out)
+        if bad.any():
+            e = np.exp(a) if b is None else b * np.exp(a)
+            out = np.where(bad, np.log(e.sum(axis=axis, keepdims=True)),
+                           out)
+    return out.squeeze(axis)
+
+
 def _log_a_int(q, sigma, alphas):
-    """log A_alpha for integer orders: the exact binomial sum, one
+    """log A_alpha for integer orders: the exact binomial sum, an
     orders x k matrix of log-terms (k > alpha masked out) reduced by one
-    log-sum-exp per order."""
+    log-sum-exp per order. The log-binomials are gathered from one table
+    of log k! for k = 0..max order, and each log-term is summed in the
+    direct formula's left-to-right order, so it keeps that formula's bits."""
     alphas = np.asarray(alphas)[:, None]
     k = np.arange(alphas.max() + 1)
-    terms = (special.gammaln(alphas + 1) - special.gammaln(k + 1)
-             - special.gammaln(np.maximum(alphas - k, 0) + 1)
-             + k * math.log(q) + (alphas - k) * math.log1p(-q)
-             + (k * k - k) / (2.0 * sigma ** 2))
-    return special.logsumexp(np.where(k <= alphas, terms, -np.inf), axis=1)
+    log_fact = special.gammaln(np.arange(1, len(k) + 1))
+    log_qk = k * math.log(q)
+    quad = (k * k - k) / (2.0 * sigma ** 2)
+    log_a = np.empty(len(alphas))
+    # Every step works row by row, so blocks of rows give the same bits. At
+    # 2**14 cells (128 KiB) the allocator reuses a block's temporaries for
+    # the next block and call; whole-matrix temporaries (512 KiB at the
+    # default orders) took about 500 fresh page faults per call.
+    rows = max(1, 2 ** 14 // len(k))
+    for lo in range(0, len(alphas), rows):
+        alpha = alphas[lo:lo + rows]
+        rest = alpha - k
+        terms = log_fact[alpha] - log_fact[k]
+        terms -= log_fact[np.maximum(rest, 0)]
+        terms += log_qk
+        terms += rest * math.log1p(-q)
+        terms += quad
+        np.copyto(terms, -np.inf, where=rest < 0)
+        log_a[lo:lo + rows] = _logsumexp(terms, axis=1)
+    return log_a
 
 
 def _log_a_frac(q, sigma, alphas):
     """log A_alpha for fractional orders: the erfc series of each order up to
     its first term below e^-30 past i = alpha, as one orders x i matrix of
-    log-terms (longer series masked out) reduced by one signed log-sum-exp;
-    the index range grows until every order's series has stopped."""
+    log-terms (longer series masked out) reduced by one signed log-sum-exp.
+    The index range grows fourfold, each new term computed once, until every
+    order's series has stopped; past MAX_SERIES_TERMS it raises DomainError,
+    as the terms then no longer fall (a NaN or infinite term never does)."""
     alphas = np.asarray(alphas)[:, None]
     z0 = sigma ** 2 * math.log(1.0 / q - 1.0) + 0.5
-    n = 64
+    chunks = []
+    stopped = np.zeros(len(alphas), dtype=bool)
+    lo, n = 0, 64
     while True:
-        i = np.arange(n)
+        i = np.arange(lo, n)
         j = alphas - i
         coef = special.binom(alphas, i)
         log_coef = np.log(np.abs(coef))
@@ -99,12 +161,20 @@ def _log_a_frac(q, sigma, alphas):
                   + (j * j - j) / (2.0 * sigma ** 2)
                   + special.log_ndtr((j - z0) / sigma))
         stop = (np.maximum(log_s0, log_s1) < -30) & (i + 1 > alphas)
-        if stop.any(axis=1).all():
+        chunks.append((coef, log_s0, log_s1, stop))
+        stopped |= stop.any(axis=1)
+        if stopped.all():
             break
-        n *= 4
-    kept = i <= stop.argmax(axis=1)[:, None]
-    return special.logsumexp(np.where(kept, [log_s0, log_s1], -np.inf),
-                             axis=(0, 2), b=np.sign(coef))
+        if n >= MAX_SERIES_TERMS:
+            raise DomainError(
+                f"the fractional-order RDP series at q = {q!r}, sigma = "
+                f"{sigma!r} does not converge within {MAX_SERIES_TERMS} terms")
+        lo, n = n, 4 * n
+    coef, log_s0, log_s1, stop = (np.concatenate(c, axis=1)
+                                  for c in zip(*chunks))
+    kept = np.arange(n) <= stop.argmax(axis=1)[:, None]
+    return _logsumexp(np.where(kept, [log_s0, log_s1], -np.inf),
+                      axis=(0, 2), b=np.sign(coef))
 
 
 def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
@@ -113,6 +183,14 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
     if not math.isfinite(sigma):
         # _log_a_frac's series would never meet its stop test.
         raise DomainError("noise multiplier sigma must be finite")
+    if sigma < 0.0:
+        raise DomainError("noise multiplier sigma must be >= 0")
+    if sigma > 0.0 and not 0.0 < sigma * sigma < math.inf:
+        # sigma ** 2 divides the log-terms: rounded to 0 it makes them NaN,
+        # so the fractional-order series never stops, and past the float
+        # range python's sigma ** 2 raises OverflowError.
+        raise DomainError("noise multiplier sigma: sigma ** 2 under- or "
+                          "overflows a float")
     if steps < 0:
         raise DomainError("step count must be >= 0")
     orders = tuple(sorted(float(a) for a in orders))

@@ -27,10 +27,10 @@ class CohortConfig:
     n: int
     d: int
     num_classes: int = 2
-    positive_prevalence: float | tuple = 0.5
-    group_prevalences: tuple = (0.8, 0.2)
+    positive_prevalence: float | tuple[float, ...] = 0.5
+    group_prevalences: tuple[float, ...] = (0.8, 0.2)
     group_label_association: float = 0.0
-    years: tuple = (2001, 2001)          # inclusive (first, last)
+    years: tuple[int, int] = (2001, 2001)    # inclusive (first, last)
     yearly_drift: float = 0.0
     transition_year: int | None = None
     transition_shift: float = 0.0

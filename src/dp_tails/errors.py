@@ -29,12 +29,21 @@ def check_keys(raw, allowed, required, where):
 
 def _fits(value, hint):
     """Whether `value` fits the annotation `hint`: an int is a float, a bool
-    is neither, `X | None` admits None and `list[X]` a list of X."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(
-            _fits(v, typing.get_args(hint)[0]) for v in value)
+    is neither, `X | None` admits None, `list[X]` a list of X,
+    `tuple[X, ...]` a tuple of X and `tuple[X, Y]` a pair (X, Y)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0])
+                                               for v in value)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(
+            _fits(v, h) for v, h in zip(value, args))
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)

@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from dp_tails import accountant
 from dp_tails.errors import (ConfigurationError, DomainError,
                              InfinitePrivacyLossError)
+from oracles import accountant_parent
 
 GOLDENS_PATH = os.path.join(os.path.dirname(__file__), "data",
                             "rdp_goldens.json")
@@ -152,6 +154,105 @@ def test_non_finite_sigma_raises(q, sigma):
         accountant.rdp_subsampled_gaussian(q, sigma, 10)
     with pytest.raises(DomainError, match="sigma must be finite"):
         accountant.spend_for_training(q, sigma, 0)
+
+
+@pytest.mark.parametrize("steps", [0, 10])
+@pytest.mark.parametrize("q", [0.0, 0.01, 1.0])
+def test_negative_sigma_raises(q, steps):
+    # At q = 0 a negative sigma used to give a zero curve, and at q > 0 it
+    # was reported as sigma = 0.
+    for sigma in (-1.0, -1e-300):
+        with pytest.raises(DomainError, match="sigma must be >= 0"):
+            accountant.rdp_subsampled_gaussian(q, sigma, steps)
+        with pytest.raises(DomainError, match="sigma must be >= 0"):
+            accountant.spend_for_training(q, sigma, steps)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e155, 1e300])
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+def test_sigma_square_outside_float_range_raises(q, sigma):
+    # sigma ** 2 rounds to 0 or inf: every log-term is then NaN or infinite,
+    # and the fractional-order series never met its stop test.
+    with pytest.raises(DomainError, match="under- or overflows"):
+        accountant.spend_for_training(q, sigma, 100)
+
+
+def test_fractional_series_length_cap(monkeypatch):
+    # q = 0.5, sigma = 1e5 at order 1.25 needs all MAX_SERIES_TERMS; one
+    # fourfold step less raises rather than grows.
+    curve = accountant.rdp_subsampled_gaussian(0.5, 1e5, 1, orders=(1.25,))
+    assert np.isfinite(curve.eps_rdp).all()
+    monkeypatch.setattr(accountant, "MAX_SERIES_TERMS",
+                        accountant.MAX_SERIES_TERMS // 4)
+    with pytest.raises(DomainError, match="does not converge within 65536"):
+        accountant.rdp_subsampled_gaussian(0.5, 1e5, 1, orders=(1.25,))
+
+
+def _same_bits(got, want):
+    """Equal arrays, bit for bit (signed zeros included); NaN where NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+_ORDER_SETS = st.one_of(
+    st.just(accountant.DEFAULT_ORDERS),
+    st.lists(st.integers(2, accountant.MAX_INT_ORDER), min_size=1,
+             max_size=12, unique=True),
+    st.lists(st.one_of(st.integers(2, 300),
+                       st.floats(1.01, 40.0).filter(lambda a: a % 1)),
+             min_size=1, max_size=8, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.floats(1e-6, 0.999), sigma=st.floats(0.05, 100.0),
+       steps=st.integers(1, 10000), orders=_ORDER_SETS)
+def test_curve_matches_parent_bit_for_bit(q, sigma, steps, orders):
+    # The frozen scipy-based accountant is the reference: every RDP curve,
+    # and so every epsilon, keeps its exact bits.
+    want = accountant_parent.rdp_subsampled_gaussian(q, sigma, steps, orders)
+    got = accountant.rdp_subsampled_gaussian(q, sigma, steps, orders)
+    assert _same_bits(got.eps_rdp, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.floats(1e-6, 0.999), sigma=st.floats(0.05, 100.0),
+       orders=st.lists(st.integers(2, accountant.MAX_INT_ORDER), min_size=1,
+                       max_size=40, unique=True))
+def test_integer_orders_match_parent_unsorted(q, sigma, orders):
+    # _log_a_int works row by row in blocks; orders in any order, with gaps,
+    # give the reference's bits in the caller's order.
+    alphas = np.array(orders)
+    assert _same_bits(accountant._log_a_int(q, sigma, alphas),
+                      accountant_parent._log_a_int(q, sigma, alphas))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1), special_share=st.floats(0.0, 1.0))
+def test_logsumexp_matches_scipy_bit_for_bit(rows, cols, seed, special_share):
+    # Rows masked with -inf (whole rows too), ties at the maximum and terms
+    # whose exp underflows: the reduction keeps scipy's bits.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2000.0, 50.0, (rows, cols))
+    odd = rng.random((rows, cols)) < special_share
+    a[odd] = rng.choice([-np.inf, -745.2, -745.1, -1.0, 0.0], odd.sum())
+    a[np.arange(cols) >= rng.integers(0, cols + 1, (rows, 1))] = -np.inf
+    assert _same_bits(accountant._logsumexp(a, axis=1),
+                      special.logsumexp(a, axis=1))
+    sign = rng.choice([-1.0, 0.0, 1.0], cols)
+    pair = np.stack([a, a[::-1]])
+    assert _same_bits(accountant._logsumexp(pair, axis=(0, 2), b=sign),
+                      special.logsumexp(pair, axis=(0, 2), b=sign))
+
+
+def test_logsumexp_non_finite_maxima_match_scipy():
+    a = np.array([[np.inf, 0.0, -np.inf], [-np.inf, -np.inf, -np.inf],
+                  [np.nan, 1.0, 2.0], [np.inf, np.inf, 1.0],
+                  [1e308, 1e308, 1e308]])
+    assert _same_bits(accountant._logsumexp(a, axis=1),
+                      special.logsumexp(a, axis=1))
 
 
 def test_invalid_inputs():

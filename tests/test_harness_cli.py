@@ -343,6 +343,24 @@ def test_cli_account_non_finite_sigma_exit_code(tmp_path, capsys, sigma):
     assert not (tmp_path / "eps.json").exists()
 
 
+@pytest.mark.parametrize("q, sigma, message", [
+    ("0", "-1", "sigma must be >= 0"),
+    ("0.5", "-1", "sigma must be >= 0"),
+    ("0.5", "1e-300", "under- or overflows"),
+    ("0.01", "1e200", "under- or overflows"),
+])
+def test_cli_account_sigma_out_of_domain_exit_code(tmp_path, capsys, q, sigma,
+                                                   message):
+    # A negative sigma at q = 0 printed an epsilon; 1e-300 (sigma ** 2 == 0)
+    # grew the fractional-order series until memory ran out; 1e200
+    # overflowed sigma ** 2 with a traceback.
+    code = cli.main(["account", "--q", q, "--sigma", sigma, "--steps", "100",
+                     "--out", str(tmp_path / "eps.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eps.json").exists()
+
+
 def _write_cohort_config(tmp_path, **kw):
     cc = cohort.CohortConfig(n=800, d=4, positive_prevalence=0.3,
                              years=(2001, 2002), class_separation=2.0,
@@ -514,6 +532,12 @@ _PROBE_BASE = {
     ("run", {"cohort": {**_SMALL_COHORT, "years": [2001, INF]}}, "'years'"),
     ("generate-data", {**_SMALL_COHORT, "positive_prevalence": [NAN, 0.7]},
      "'positive_prevalence'"),
+    ("generate-data", {**_SMALL_COHORT, "positive_prevalence": ["a", 0.7]},
+     "'positive_prevalence'"),
+    ("generate-data", {**_SMALL_COHORT, "group_prevalences": [0.8, "x"]},
+     "'group_prevalences'"),
+    ("generate-data", {**_SMALL_COHORT, "years": ["2001", 2002]}, "'years'"),
+    ("run", {"cohort": {**_SMALL_COHORT, "years": [2001]}}, "'years'"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-missing", "generate-data-missing-n", "run-cohort-missing-n",
         "family-spec-typo", "run-task-typo", "task-without-name",
@@ -529,7 +553,9 @@ _PROBE_BASE = {
         "params-theta-nan", "params-l2-lambda-inf", "threshold-nan",
         "damping-minus-inf", "noise-multiplier-inf", "objpert-eps-nan",
         "cohort-drift-nan", "cohort-years-inf",
-        "cohort-prevalence-tuple-nan"])
+        "cohort-prevalence-tuple-nan", "cohort-prevalence-tuple-string",
+        "cohort-group-prevalences-string", "cohort-years-string",
+        "run-cohort-years-single"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":
