@@ -171,8 +171,9 @@ def test_negative_sigma_raises(q, steps):
 @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e155, 1e300])
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
 def test_sigma_square_outside_float_range_raises(q, sigma):
-    # sigma ** 2 rounds to 0 or inf: every log-term is then NaN or infinite,
-    # and the fractional-order series never met its stop test.
+    # sigma ** 2 rounds to 0, which made every fractional-order log-term NaN
+    # so its series never met its stop test, or overflows, which raised
+    # OverflowError.
     with pytest.raises(DomainError, match="under- or overflows"):
         accountant.spend_for_training(q, sigma, 100)
 
