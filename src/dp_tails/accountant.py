@@ -234,17 +234,6 @@ def rdp_to_dp(curve: RdpCurve, delta=DEFAULT_DELTA) -> PrivacySpend:
                         argmin_order=float(orders[idx]))
 
 
-def group_epsilon(base: PrivacySpend, k) -> PrivacySpend:
-    """Group privacy degrades the epsilon bound linearly with group size k;
-    delta is passed through unchanged."""
-    if int(k) != k or k < 1:
-        raise DomainError("group size k must be an integer >= 1")
-    if not math.isfinite(base.epsilon):
-        raise DomainError("group privacy undefined for non-private spend")
-    return PrivacySpend(epsilon=k * base.epsilon, delta=base.delta,
-                        argmin_order=base.argmin_order)
-
-
 def spend_for_training(q, sigma, steps, delta=DEFAULT_DELTA,
                        orders=DEFAULT_ORDERS):
     """Accountant entry point used by the trainers; returns the spend plus

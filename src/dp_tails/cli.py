@@ -13,8 +13,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                harness, influence, models, objective_perturbation,
                shift_audit)
@@ -126,34 +124,27 @@ def cmd_train(args):
 def cmd_account(args):
     spend, log = accountant.spend_for_training(
         q=args.q, sigma=args.sigma, steps=args.steps, delta=args.delta)
-    _dump({"epsilon": spend.epsilon, "delta": spend.delta,
-           "argmin_order": spend.argmin_order, "caveats": log["caveats"]},
-          args.out)
+    _dump({**spend.to_dict(), "caveats": log["caveats"]}, args.out)
     return 0
 
 
 def cmd_audit_shift(args):
+    """The grid's robustness report for a cohort, with a non-private
+    ridge-LR task model fitted per pivot year in place of a trained one."""
     cfg = _load_config(ShiftAuditFile, args.config)
     cohort = cohort_mod.read_cohort(cfg.cohort_csv)
-    seed = args.seed if args.seed is not None else cfg.seed
-    years = sorted(set(cohort.years.tolist()))
-    reports = []
-    for pivot in years[1:]:
-        split = cohort_mod.split_yearly(cohort, pivot, "cumulative")
-        report, scorer = shift_audit.domain_classifier_significance(
-            split.train, split.test, seed=harness.stable_seed(seed, pivot),
-            year=pivot)
-        if report.significant:
-            task_params = models.fit_lr_newton(
-                split.train.features, split.train.labels,
-                l2_lambda=cfg.l2_lambda)
-            shift_audit.shift_malignancy(report, split.test, scorer, task_params)
-        reports.append(report.to_dict())
-    _dump(reports, args.out)
+    audit = shift_audit.RobustnessAudit(
+        args.seed if args.seed is not None else cfg.seed)
+    for pivot, split in cohort_mod.yearly_splits(cohort):
+        audit.add(pivot, split, models.fit_lr_newton(
+            split.train.features, split.train.labels,
+            l2_lambda=cfg.l2_lambda))
+    report = audit.report()
+    _dump(report, args.out)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("year,malignancy_accuracy,p_value\n")
-            for r in reports:
+            for r in report["per_year"]:
                 mal = r["malignancy_accuracy"]
                 fh.write(f"{r['year']},{'' if mal is None else repr(mal)},"
                          f"{r['p_value']!r}\n")
@@ -180,11 +171,7 @@ def cmd_audit_influence(args):
     engine = influence.InfluenceEngine(params, train_cohort,
                                        damping=cfg.damping)
     matrix = engine.matrix(train_cohort, test_cohort)
-    summary = influence.group_influence(
-        matrix, {int(i): int(l) for i, l in
-                 zip(train_cohort.ids, train_cohort.labels)})
-    _dump({"sign_convention": influence.SIGN_CONVENTION,
-           "by_label": summary.to_dict()}, args.out)
+    _dump(influence.influence_summary(matrix, train_cohort), args.out)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(",".join(map(str, ["train_id",

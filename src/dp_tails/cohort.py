@@ -13,6 +13,7 @@ exactly.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import asdict, dataclass
 
@@ -26,8 +27,7 @@ from .errors import (ConfigurationError, ParseError, SplitError,
 class CohortConfig:
     n: int
     d: int
-    num_classes: int = 2
-    positive_prevalence: float | tuple[float, ...] = 0.5
+    positive_prevalence: float = 0.5
     group_prevalences: tuple[float, ...] = (0.8, 0.2)
     group_label_association: float = 0.0
     years: tuple[int, int] = (2001, 2001)    # inclusive (first, last)
@@ -38,17 +38,8 @@ class CohortConfig:
     seed: int = 0
 
     def class_prevalences(self):
-        p = self.positive_prevalence
-        if np.isscalar(p):
-            if self.num_classes != 2:
-                raise ConfigurationError(
-                    "positive_prevalence: scalar form requires num_classes=2")
-            return np.array([1.0 - float(p), float(p)])
-        p = np.asarray(p, dtype=float)
-        if len(p) != self.num_classes:
-            raise ConfigurationError(
-                "positive_prevalence: need one fraction per class")
-        return p
+        p = float(self.positive_prevalence)
+        return np.array([1.0 - p, p])
 
     def year_list(self):
         first, last = self.years
@@ -58,10 +49,7 @@ class CohortConfig:
         prev = self.class_prevalences()
         if np.any(prev <= 0) or np.any(prev >= 1):
             raise ConfigurationError(
-                "positive_prevalence: each class fraction must lie in (0,1)")
-        if abs(prev.sum() - 1.0) > 1e-9:
-            raise ConfigurationError(
-                "positive_prevalence: class fractions must sum to 1")
+                "positive_prevalence: p and 1 - p must lie in (0,1)")
         gp = np.asarray(self.group_prevalences, dtype=float)
         if np.any(gp <= 0) or np.any(gp >= 1) or abs(gp.sum() - 1.0) > 1e-9:
             raise ConfigurationError(
@@ -74,7 +62,7 @@ class CohortConfig:
         if self.yearly_drift < 0 or self.transition_shift < 0:
             raise ConfigurationError(
                 "yearly_drift/transition_shift: drift magnitudes must be >= 0")
-        if self.n < 10 * self.num_classes:
+        if self.n < 20:
             raise ConfigurationError("n: need at least 10 records per class")
         if self.d < 1:
             raise ConfigurationError("d: need at least one feature")
@@ -150,12 +138,11 @@ def class_year_means(config: CohortConfig):
     drift_dir = rng.normal(size=config.d)
     drift_dir /= np.linalg.norm(drift_dir)
 
-    K = config.num_classes
     years = config.year_list()
     y0 = years[0]
     means = {}
-    for k in range(K):
-        class_mean = (k - (K - 1) / 2.0) * config.class_separation * class_dir
+    for k in range(2):
+        class_mean = (k - 0.5) * config.class_separation * class_dir
         for y in years:
             shift = (y - y0) * config.yearly_drift
             if config.transition_year is not None and y >= config.transition_year:
@@ -194,7 +181,7 @@ def generate_cohort(config: CohortConfig) -> Cohort:
     prev = config.class_prevalences()
     years = np.array(config.year_list())
 
-    labels = rng.choice(config.num_classes, size=n, p=prev)
+    labels = rng.choice(2, size=n, p=prev)
     year_tags = rng.choice(years, size=n)
 
     gp = np.asarray(config.group_prevalences, dtype=float)
@@ -235,6 +222,23 @@ def split_yearly(cohort: Cohort, pivot_year: int, protocol="cumulative") -> Coho
     raise SplitError(f"unknown protocol {protocol!r}")
 
 
+def yearly_splits(cohort: Cohort):
+    """Yield (pivot, cumulative split) for every year after the cohort's
+    first: the yearly protocol of every grid cell and of `audit-shift`."""
+    years = sorted(set(cohort.years.tolist()))
+    if len(years) < 2:
+        raise ConfigurationError("yearly protocol needs >= 2 years")
+    for pivot in years[1:]:
+        yield pivot, split_yearly(cohort, pivot, "cumulative")
+
+
+def stable_seed(*parts):
+    """A 64-bit seed derived from `parts` by hashing, so every grid cell and
+    audit is reproducible on its own."""
+    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 _META = ["id", "year", "group", "label"]
 
 
@@ -249,20 +253,22 @@ def write_cohort(cohort: Cohort, path):
                       zip(meta.tolist(), cohort.features.tolist()))
 
 
-def read_cohort(path, num_classes=None) -> Cohort:
+def read_cohort(path) -> Cohort:
+    """The cohort in a cohort CSV; every label must be 0 or 1. Raises
+    ParseError, naming the row and column where it can."""
     with open(path, newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError:
             text = ""   # the row parser raises it, after any earlier row error
-        cohort = _bulk_parse(text, num_classes)
+        cohort = _bulk_parse(text)
         if cohort is None:
             fh.seek(0)
-            cohort = _parse_rows(csv.reader(fh), num_classes)
+            cohort = _parse_rows(csv.reader(fh))
     return cohort
 
 
-def _bulk_parse(text, num_classes):
+def _bulk_parse(text):
     """The cohort in `text` from one np.loadtxt call, or None wherever the
     row parser might decide otherwise, so both accept the same files and
     _parse_rows raises every error. Left to it: quotes, CR, NUL, blank or
@@ -283,14 +289,14 @@ def _bulk_parse(text, num_classes):
         return None
     ids, years, groups, labels = np.ascontiguousarray(table["meta"].T)
     features = np.ascontiguousarray(table["features"])
-    if (labels.min() < 0 or groups.min() < 0 or not np.isfinite(features).all()
-            or (num_classes is not None and labels.max() >= num_classes)
+    if (labels.min() < 0 or labels.max() > 1 or groups.min() < 0
+            or not np.isfinite(features).all()
             or len(np.unique(ids)) != len(ids)):
         return None
     return Cohort(features, labels, groups, years, ids)
 
 
-def _parse_rows(reader, num_classes):
+def _parse_rows(reader):
     """The cohort from csv.reader rows; errors name the row and column."""
     try:
         header = next(reader)
@@ -323,10 +329,9 @@ def _parse_rows(reader, num_classes):
             raise ParseError("non-numeric feature cell", row=r, column=4 + bad)
         if labels[-1] < 0:
             raise ParseError("label out of range", row=r, column=3)
-        if num_classes is not None and labels[-1] >= num_classes:
-            raise ParseError(
-                f"label {labels[-1]} out of range [0,{num_classes})",
-                row=r, column=3)
+        if labels[-1] > 1:
+            raise ParseError(f"label {labels[-1]} out of range [0,2)",
+                             row=r, column=3)
         if groups[-1] < 0:
             raise ParseError("group out of range", row=r, column=2)
 

@@ -131,11 +131,6 @@ def _step(params, features, labels, config, rng, adam=None, epoch=None):
     return params.copy_with(params.theta - config.learning_rate * g), loss
 
 
-def dp_sgd_step(params, features, labels, config, rng):
-    """One private SGD step; pure in (params, data, rng state)."""
-    return _step(params, features, labels, config, rng)[0]
-
-
 class _AdamState:
     def __init__(self, size, beta1=0.9, beta2=0.999, eps_hat=1e-8):
         self.m = np.zeros(size)
@@ -156,7 +151,7 @@ def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedM
     """Train on the split's train side with shuffled fixed-size batches.
 
     family_spec: a models.FamilySpec, or a JSON object of its fields
-    (family, k, h, l2_lambda), loaded and checked by config_from_dict; the
+    (family, h, l2_lambda), loaded and checked by config_from_dict; the
     input dimension is taken from the data.
     """
     if not isinstance(family_spec, models.FamilySpec):
@@ -170,8 +165,8 @@ def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedM
     y = train_cohort.labels
 
     params = models.init_params(family_spec.family, X.shape[1],
-                                family_spec.k, family_spec.h,
-                                family_spec.l2_lambda, seed=config.seed)
+                                family_spec.h, family_spec.l2_lambda,
+                                seed=config.seed)
 
     L = min(config.batch_size, n)
     if L < config.batch_size and L % config.microbatch_count != 0:

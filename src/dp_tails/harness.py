@@ -24,6 +24,7 @@ import numpy as np
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                influence, metrics, models, objective_perturbation,
                shift_audit)
+from .cohort import stable_seed
 from .errors import ConfigurationError, DPTailsError, config_from_dict
 
 # Objective-perturbation budgets matched to the named privacy levels; "none"
@@ -48,7 +49,7 @@ class ExperimentConfig:
     objpert_lambda: float = 0.01
     influence_train_cap: int = 1000
     influence_test_cap: int = 300
-    influence_panel: int = 100
+    influence_panel: int = influence.DEFAULT_PANEL
 
     def __post_init__(self):
         if not self.seeds or not self.tasks or not self.privacy_levels:
@@ -58,10 +59,6 @@ class ExperimentConfig:
             if not isinstance(level, str):
                 raise ConfigurationError(
                     f"privacy_levels: {level!r} is not a level name")
-        if self.cohort.num_classes != 2:
-            raise ConfigurationError(
-                "cohort.num_classes: grid audits score binary labels; "
-                "must be 2")
         for i, task in enumerate(self.tasks):
             _family_spec(task, f"tasks[{i}]")
         for mech in self.mechanisms:
@@ -87,11 +84,6 @@ def _family_spec(task, where):
     return config_from_dict(models.FamilySpec,
                             {k: v for k, v in task.items() if k != "name"},
                             where)
-
-
-def stable_seed(*parts):
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def format_cell(mean, std, spend):
@@ -122,12 +114,8 @@ def _pivot_models(cohort, task, level, mechanism, config, seed):
     """Yield (pivot, split, TrainedModel) per pivot year, the model trained
     once on the years before the pivot; every audit of the cell reads it.
     Only one pivot's split is held at a time."""
-    years = sorted(set(cohort.years.tolist()))
-    if len(years) < 2:
-        raise ConfigurationError("yearly protocol needs >= 2 years")
-    for pivot in years[1:]:
+    for pivot, split in cohort_mod.yearly_splits(cohort):
         cell_seed = stable_seed(seed, task["name"], level, mechanism, pivot)
-        split = cohort_mod.split_yearly(cohort, pivot, "cumulative")
         yield pivot, split, _train_cell(split, task, level, mechanism, config,
                                         cell_seed)
 
@@ -157,46 +145,6 @@ def yearly_protocol(cohort, task, level, mechanism, config, seed):
     return rows, _aggregate(rows)
 
 
-def _shift_year(pivot, split, trained, seed):
-    """Domain-classifier significance and malignancy for one pivot year,
-    with the pivot's trained model as the task model; returns the report
-    dict and the in- vs out-of-distribution AUROC gap (None if undefined)."""
-    report, scorer = shift_audit.domain_classifier_significance(
-        split.train, split.test, seed=stable_seed(seed, "shift", pivot),
-        year=pivot)
-    # In-distribution reference: held-back half of the training years.
-    half = split.train.n // 2
-    in_scores = models.predict(trained.params, split.train.features[half:])[:, 1]
-    out_scores = models.predict(trained.params, split.test.features)[:, 1]
-    try:
-        gap = (metrics.auroc(in_scores, split.train.labels[half:])
-               - metrics.auroc(out_scores, split.test.labels))
-    except DPTailsError:
-        gap = None
-    if report.significant:
-        shift_audit.shift_malignancy(report, split.test, scorer, trained.params)
-    return report.to_dict(), gap
-
-
-def _robustness_audit(shifts):
-    """Per-year shift reports plus the gap-vs-malignancy Pearson
-    correlation when enough years exist."""
-    pairs = [(gap, report["malignancy_accuracy"]) for report, gap in shifts
-             if gap is not None and report["malignancy_accuracy"] is not None]
-    correlation = None
-    if len(pairs) >= 3:
-        gaps, malignancies = zip(*pairs)
-        try:
-            result = shift_audit.robustness_correlation(list(gaps),
-                                                        list(malignancies))
-            correlation = {"r": result.statistic, "p_value": result.p_value,
-                           "method": result.method}
-        except DPTailsError as exc:
-            correlation = {"error": str(exc)}
-    return {"per_year": [report for report, _ in shifts],
-            "gap_malignancy_correlation": correlation}
-
-
 def _fairness_audit(pivot, split, trained):
     scores = models.predict(trained.params, split.test.features)[:, 1]
     try:
@@ -210,53 +158,31 @@ def _fairness_audit(pivot, split, trained):
 def _influence_audit(split, trained, config):
     train_sub = split.train.subset(slice(0, config.influence_train_cap))
     test_sub = split.test.subset(slice(0, config.influence_test_cap))
-    engine = influence.InfluenceEngine(trained.params, train_sub)
-    matrix = engine.matrix(train_sub, test_sub)
-    panel_k = min(config.influence_panel, len(matrix.test_ids))
-    panel_ids = influence.top_variance_test_points(matrix, k=panel_k)
-    panel_cols = [int(np.flatnonzero(matrix.test_ids == tid)[0])
-                  for tid in panel_ids]
-    panel = influence.InfluenceMatrix(
-        values=matrix.values[:, panel_cols],
-        train_ids=matrix.train_ids,
-        test_ids=np.asarray(panel_ids),
-        damping=matrix.damping,
-        model_fingerprint=matrix.model_fingerprint)
-    by_label = influence.group_influence(
-        panel, {int(i): int(l) for i, l in zip(train_sub.ids, train_sub.labels)})
-    by_group = influence.group_influence(
-        panel, {int(i): int(g) for i, g in zip(train_sub.ids, train_sub.groups)})
-    freq = influence.influencer_frequency(panel, "helpful")
-    return {
-        "sign_convention": influence.SIGN_CONVENTION,
-        "panel_size": panel_k,
-        "max_abs_influence": float(np.abs(panel.values).max()),
-        "by_label": by_label.to_dict(),
-        "by_group": by_group.to_dict(),
-        "helpful_frequency": {"concentration": freq.concentration,
-                              "counts": {str(k): v
-                                         for k, v in sorted(freq.counts.items())}},
-        "spend": trained.spend.to_dict(),
-    }
+    matrix = influence.InfluenceEngine(trained.params, train_sub).matrix(
+        train_sub, test_sub)
+    return {**influence.influence_summary(matrix, train_sub,
+                                          config.influence_panel),
+            "spend": trained.spend.to_dict()}
 
 
 def _audit_cell(audits, base, task, level, mechanism, seed, config):
     """Train the cell's pivot models once and run every requested audit on
     them; returns the cell's audit results by name."""
-    rows, shifts, fairness = [], [], []
+    rows, fairness = [], []
+    robustness = shift_audit.RobustnessAudit(seed)
     for pivot, split, trained in _pivot_models(base, task, level, mechanism,
                                                config, seed):
         if "utility" in audits:
             rows.append(_utility_row(pivot, split, trained))
         if "robustness" in audits:
-            shifts.append(_shift_year(pivot, split, trained, seed))
+            robustness.add(pivot, split, trained.params)
         if "fairness" in audits:
             fairness.append(_fairness_audit(pivot, split, trained))
     out = {}
     if "utility" in audits:
         out["utility"] = {"per_year": rows, **_aggregate(rows)}
     if "robustness" in audits:
-        out["robustness"] = _robustness_audit(shifts)
+        out["robustness"] = robustness.report()
     if "fairness" in audits:
         out["fairness"] = fairness
     if "influence" in audits:

@@ -27,6 +27,7 @@ from .errors import (AssignmentError, ConditioningError, DomainError,
 SIGN_CONVENTION = ("negative = helpful (removal raises test loss), "
                    "positive = harmful")
 DEFAULT_DAMPING = 1e-3
+DEFAULT_PANEL = 100
 
 
 @dataclass
@@ -167,3 +168,39 @@ def influencer_frequency(matrix: InfluenceMatrix, direction) -> InfluencerFreque
     concentration = max(counts.values()) / n_test
     return InfluencerFrequencyTable(direction=direction, counts=counts,
                                     n_test=n_test, concentration=concentration)
+
+
+def influence_summary(matrix: InfluenceMatrix, train_cohort,
+                      panel_size=DEFAULT_PANEL):
+    """The influence report of one model, as the grid and `audit-influence`
+    write it. Over the panel, the `panel_size` test points of largest
+    influence variance: the largest |value|, the group influence of each
+    label and of each group of training records (train_cohort gives them
+    by id), and how often each training record is a panel point's most
+    helpful one."""
+    panel_k = min(panel_size, len(matrix.test_ids))
+    panel_ids = top_variance_test_points(matrix, k=panel_k)
+    panel_cols = [int(np.flatnonzero(matrix.test_ids == tid)[0])
+                  for tid in panel_ids]
+    panel = InfluenceMatrix(
+        values=matrix.values[:, panel_cols],
+        train_ids=matrix.train_ids,
+        test_ids=np.asarray(panel_ids),
+        damping=matrix.damping,
+        model_fingerprint=matrix.model_fingerprint)
+    ids = train_cohort.ids.tolist()
+    by_label = group_influence(
+        panel, dict(zip(ids, train_cohort.labels.tolist())))
+    by_group = group_influence(
+        panel, dict(zip(ids, train_cohort.groups.tolist())))
+    freq = influencer_frequency(panel, "helpful")
+    return {
+        "sign_convention": SIGN_CONVENTION,
+        "panel_size": panel_k,
+        "max_abs_influence": float(np.abs(panel.values).max()),
+        "by_label": by_label.to_dict(),
+        "by_group": by_group.to_dict(),
+        "helpful_frequency": {
+            "concentration": freq.concentration,
+            "counts": {str(k): v for k, v in sorted(freq.counts.items())}},
+    }

@@ -1,14 +1,13 @@
-"""Model families: binary/multinomial logistic regression and a one
-hidden layer network, with DP-SGD's clipped gradient sums, per-example
-gradients and (for binary LR) the exact Hessian of the regularized mean
-loss. Every family runs one forward/backward pass that yields, per layer,
-the pre-activation gradient delta and the input a, so each record's
-gradient is a per-layer outer product.
+"""Model families for binary labels: logistic regression and a one
+hidden layer network with a 2-way softmax output, with DP-SGD's clipped
+gradient sums, per-example gradients and (for LR) the exact Hessian of the
+regularized mean loss. Every family runs one forward/backward pass that
+yields, per layer, the pre-activation gradient delta and the input a, so
+each record's gradient is a per-layer outer product.
 
 Parameter layouts (flat theta):
-  lr-binary:      [w(d), b]
-  lr-multinomial: [W(K*d row-major), b(K)]
-  mlp-1:          [W1(h*d), b1(h), W2(K*h), b2(K)], logistic activation
+  lr-binary: [w(d), b]
+  mlp-1:     [W1(h*d), b1(h), W2(2*h), b2(2)], logistic activation
 Bias terms are never regularized.
 """
 
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import (ConfigurationError, DomainError, OptimizationError,
                      ShapeError, UnsupportedFamilyError, config_from_dict)
 
-FAMILIES = ("lr-binary", "lr-multinomial", "mlp-1")
+FAMILIES = ("lr-binary", "mlp-1")
 _CLAMP = 1e-12
 
 
@@ -37,13 +36,11 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def param_count(family, d, k=2, h=16):
+def param_count(family, d, h=16):
     if family == "lr-binary":
         return d + 1
-    if family == "lr-multinomial":
-        return k * d + k
     if family == "mlp-1":
-        return h * d + h + k * h + k
+        return h * d + h + 2 * h + 2
     raise UnsupportedFamilyError(f"unknown family {family!r}")
 
 
@@ -52,13 +49,15 @@ class FamilySpec:
     """A model family and its sizes, as a training config names them; the
     input dimension d comes from the data."""
     family: str = "lr-binary"
-    k: int = 2
     h: int = 16
     l2_lambda: float = 0.0
 
     def __post_init__(self):
-        if self.k < 2 or self.h < 1:
-            raise ConfigurationError("k/h: need k >= 2 classes, h >= 1 units")
+        if self.family not in FAMILIES:
+            raise ConfigurationError(
+                f"family: unknown {self.family!r}, must be one of {FAMILIES}")
+        if self.h < 1:
+            raise ConfigurationError("h: need h >= 1 units")
 
 
 @dataclass
@@ -66,7 +65,6 @@ class ModelParams:
     family: str
     theta: np.ndarray
     d: int
-    k: int = FamilySpec.k
     h: int = FamilySpec.h
     l2_lambda: float = FamilySpec.l2_lambda
 
@@ -76,18 +74,18 @@ class ModelParams:
         if self.l2_lambda < 0:
             raise ConfigurationError("l2_lambda: must be >= 0")
         self.theta = np.asarray(self.theta, dtype=float)
-        expected = param_count(self.family, self.d, self.k, self.h)
+        expected = param_count(self.family, self.d, self.h)
         if self.theta.shape != (expected,):
             raise ShapeError(
                 f"theta length {self.theta.shape} != expected ({expected},)")
 
     def copy_with(self, theta):
         return ModelParams(self.family, np.asarray(theta, dtype=float),
-                           self.d, self.k, self.h, self.l2_lambda)
+                           self.d, self.h, self.l2_lambda)
 
     def to_dict(self):
         return {"family": self.family,
-                "dims": {"d": self.d, "k": self.k, "h": self.h},
+                "dims": {"d": self.d, "h": self.h},
                 "l2_lambda": self.l2_lambda,
                 "theta": [float(v) for v in self.theta]}
 
@@ -97,7 +95,7 @@ class ModelParams:
         p = config_from_dict(_ParamsFile, raw, "params")
         dims = config_from_dict(_Dims, p.dims, "params.dims")
         return cls(p.family, np.asarray(p.theta, dtype=float),
-                   dims.d, dims.k, dims.h, p.l2_lambda)
+                   dims.d, dims.h, p.l2_lambda)
 
 
 @dataclass
@@ -112,34 +110,33 @@ class _ParamsFile:
 @dataclass
 class _Dims:
     d: int
-    k: int
     h: int
 
 
-def init_params(family, d, k=FamilySpec.k, h=FamilySpec.h,
-                l2_lambda=FamilySpec.l2_lambda, seed=0):
-    """Zeros for the convex families, scaled uniform (1/sqrt(fan-in)) for MLP."""
-    p = param_count(family, d, k, h)
+def init_params(family, d, h=FamilySpec.h, l2_lambda=FamilySpec.l2_lambda,
+                seed=0):
+    """Zeros for lr-binary, scaled uniform (1/sqrt(fan-in)) for MLP."""
+    p = param_count(family, d, h)
     if family == "mlp-1":
         rng = np.random.default_rng(seed)
         theta = np.zeros(p)
         s1, s2 = 1.0 / np.sqrt(d), 1.0 / np.sqrt(h)
         theta[: h * d] = rng.uniform(-s1, s1, size=h * d)
         off = h * d + h
-        theta[off: off + k * h] = rng.uniform(-s2, s2, size=k * h)
+        theta[off: off + 2 * h] = rng.uniform(-s2, s2, size=2 * h)
     else:
         theta = np.zeros(p)
-    return ModelParams(family, theta, d, k, h, l2_lambda)
+    return ModelParams(family, theta, d, h, l2_lambda)
 
 
 def _unpack_mlp(params):
-    h, d, k = params.h, params.d, params.k
+    h, d = params.h, params.d
     t = params.theta
     W1 = t[: h * d].reshape(h, d)
     b1 = t[h * d: h * d + h]
     off = h * d + h
-    W2 = t[off: off + k * h].reshape(k, h)
-    b2 = t[off + k * h:]
+    W2 = t[off: off + 2 * h].reshape(2, h)
+    b2 = t[off + 2 * h:]
     return W1, b1, W2, b2
 
 
@@ -151,10 +148,6 @@ def _forward(params, X):
     if params.family == "lr-binary":
         aw = X @ t[:-1]
         return _sigmoid(aw + t[-1]), [(X, t[None, :-1], aw[:, None])]
-    if params.family == "lr-multinomial":
-        W = t[: params.k * params.d].reshape(params.k, params.d)
-        aw = X @ W.T
-        return _softmax(aw + t[params.k * params.d:]), [(X, W, aw)]
     W1, b1, W2, b2 = _unpack_mlp(params)
     aw1 = X @ W1.T
     A1 = _sigmoid(aw1 + b1)
@@ -163,7 +156,7 @@ def _forward(params, X):
 
 
 def predict(params: ModelParams, features) -> np.ndarray:
-    """Class probability matrix, one row per record, K columns."""
+    """Class probability matrix, one row per record, 2 columns."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     if X.shape[1] != params.d:
         raise ShapeError(f"feature width {X.shape[1]} != d={params.d}")
@@ -184,9 +177,8 @@ def _backprop(params, features, labels):
         raise DomainError("empty subset")
     if X.shape[1] != params.d:
         raise ShapeError(f"feature width {X.shape[1]} != d={params.d}")
-    k_eff = 2 if params.family == "lr-binary" else params.k
-    if y.min() < 0 or y.max() >= k_eff:
-        raise DomainError(f"labels must lie in [0,{k_eff}) for {params.family}")
+    if y.min() < 0 or y.max() > 1:
+        raise DomainError(f"labels must lie in [0,2) for {params.family}")
 
     S, layers = _forward(params, X)
     if params.family == "lr-binary":
@@ -198,10 +190,8 @@ def _backprop(params, features, labels):
         ce = -np.log(Sc[np.arange(n), y])
         D = S.copy()
         D[np.arange(n), y] -= 1.0
-        deltas = [D]
-        if params.family == "mlp-1":
-            A1, W2, _ = layers[1]
-            deltas.insert(0, (D @ W2) * A1 * (1.0 - A1))
+        A1, W2, _ = layers[1]
+        deltas = [(D @ W2) * A1 * (1.0 - A1), D]
     return (float(ce.sum() / n),
             [(D, A, W, aw) for D, (A, W, aw) in zip(deltas, layers)])
 

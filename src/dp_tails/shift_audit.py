@@ -6,6 +6,9 @@ evaluation accuracy is tested against chance with the exact binomial test.
 Only when the shift is significant is malignancy diagnosed: the task
 model's accuracy on the test records the domain classifier most
 confidently places in the test distribution (lower = more malignant).
+RobustnessAudit runs both per pivot year and correlates malignancy with
+the task model's AUROC gap across years; the grid and `audit-shift` both
+report through it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, models
-from .cohort import Cohort
-from .errors import InsufficientDataError, ProcedureOrderError
+from .cohort import Cohort, CohortSplit, stable_seed
+from .errors import DPTailsError, InsufficientDataError, ProcedureOrderError
 
 ALPHA = 0.05
 
@@ -126,3 +129,56 @@ def robustness_correlation(generalization_gaps, malignancies) -> metrics.TestRes
         statistic=result.statistic, p_value=result.p_value,
         method=result.method + "; positive gap-vs-(1-malignancy) correlation "
                                "means a lack of robustness")
+
+
+class RobustnessAudit:
+    """The robustness report of one task model per pivot year.
+
+    add() runs the domain-classifier test on a pivot's cumulative split,
+    seeded with stable_seed(seed, "shift", pivot), and diagnoses
+    malignancy with the pivot's task model when the shift is significant.
+    It also records the model's AUROC gap: the AUROC on the second half of
+    split.train minus the AUROC on split.test. The model was trained on all
+    of split.train, so the gap compares records it saw with the pivot year,
+    not held-out training years with it. report() gives the per-year shift
+    reports and, over at least three years with both values, the Pearson
+    correlation of gap with malignancy.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._shifts = []
+
+    def add(self, pivot, split: CohortSplit, task_params: models.ModelParams):
+        report, scorer = domain_classifier_significance(
+            split.train, split.test,
+            seed=stable_seed(self.seed, "shift", pivot), year=pivot)
+        half = split.train.n // 2
+        in_scores = models.predict(task_params,
+                                   split.train.features[half:])[:, 1]
+        out_scores = models.predict(task_params, split.test.features)[:, 1]
+        try:
+            gap = (metrics.auroc(in_scores, split.train.labels[half:])
+                   - metrics.auroc(out_scores, split.test.labels))
+        except DPTailsError:
+            gap = None
+        if report.significant:
+            shift_malignancy(report, split.test, scorer, task_params)
+        self._shifts.append((report.to_dict(), gap))
+
+    def report(self):
+        pairs = [(gap, row["malignancy_accuracy"])
+                 for row, gap in self._shifts
+                 if gap is not None and row["malignancy_accuracy"] is not None]
+        correlation = None
+        if len(pairs) >= 3:
+            gaps, malignancies = zip(*pairs)
+            try:
+                result = robustness_correlation(list(gaps), list(malignancies))
+                correlation = {"r": result.statistic,
+                               "p_value": result.p_value,
+                               "method": result.method}
+            except DPTailsError as exc:
+                correlation = {"error": str(exc)}
+        return {"per_year": [row for row, _ in self._shifts],
+                "gap_malignancy_correlation": correlation}

@@ -272,25 +272,6 @@ def test_invalid_inputs():
         accountant.PrivacySpend(epsilon=1.0, delta=1.0)
 
 
-def test_group_epsilon_examples():
-    base = accountant.PrivacySpend(epsilon=3.54, delta=1e-5)
-    assert accountant.group_epsilon(base, 1).epsilon == 3.54
-    two = accountant.group_epsilon(base, 2)
-    assert abs(two.epsilon - 7.08) < 1e-12
-    assert two.delta == 1e-5
-    zero = accountant.PrivacySpend(epsilon=0.0, delta=1e-5)
-    assert accountant.group_epsilon(zero, 7).epsilon == 0.0
-
-
-def test_group_epsilon_errors():
-    base = accountant.PrivacySpend(epsilon=1.0, delta=1e-5)
-    with pytest.raises(DomainError):
-        accountant.group_epsilon(base, 0)
-    inf = accountant.PrivacySpend(epsilon=math.inf, delta=0.0)
-    with pytest.raises(DomainError):
-        accountant.group_epsilon(inf, 2)
-
-
 def test_spend_log_recomputable():
     spend, log = accountant.spend_for_training(0.01, 1.0, 500)
     again, _ = accountant.spend_for_training(

@@ -117,8 +117,9 @@ def test_io_label_out_of_range(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,year,group,label,f0\n0,2001,0,2,1.0\n")
     with pytest.raises(ParseError) as err:
-        cohort.read_cohort(path, num_classes=2)
-    assert err.value.row == 1
+        cohort.read_cohort(path)
+    assert (err.value.row, err.value.column) == (1, 3)
+    assert "label 2 out of range [0,2)" in str(err.value)
 
 
 def test_io_non_numeric_cell(tmp_path):
@@ -155,7 +156,8 @@ def _write_and_read(c):
 def test_io_round_trip_property(features, data):
     n = features.shape[0]
     ints = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    c = raw_cohort(features, data.draw(ints), groups=data.draw(ints),
+    labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    c = raw_cohort(features, data.draw(labels), groups=data.draw(ints),
                    years=[2000 + y for y in data.draw(ints)])
     assert _write_and_read(c) == c
 
@@ -214,6 +216,8 @@ def _mutate(lines, kind, data):
             data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN"])))
     elif kind == "negative":
         put(data.draw(st.sampled_from([2, 3])), "-1")
+    elif kind == "label-above-1":
+        put(3, data.draw(st.sampled_from(["2", "3"])))
     elif kind == "duplicate-id":
         put(0, lines[data.draw(st.sampled_from(body))].split(",")[0])
     elif kind == "odd-cell":
@@ -221,11 +225,17 @@ def _mutate(lines, kind, data):
             data.draw(st.sampled_from(_ODD_CELLS)))
 
 
-def _oracle_outcome(path, num_classes):
+def _oracle_read(path):
+    """The frozen oracle at num_classes=2, where it refuses every label
+    other than 0 and 1, as the reader does."""
+    return oracle_read_cohort(path, num_classes=2)
+
+
+def _oracle_outcome(path):
     """The frozen oracle's outcome, except where the oracle overflows int64
     (its OverflowError): there the reader must raise ParseError at the
     first id, year, group or label cell outside int64, in row order."""
-    expected = _outcome(oracle_read_cohort, path, num_classes)
+    expected = _outcome(_oracle_read, path)
     if expected[0] != "OverflowError":
         return expected
     with open(path, newline="") as fh:
@@ -236,11 +246,11 @@ def _oracle_outcome(path, num_classes):
             r, j)
 
 
-def _outcome(read, path, num_classes):
+def _outcome(read, path):
     """What a reader makes of a file: the cohort's exact bytes, or the
     error with its message and location."""
     try:
-        c = read(path, num_classes=num_classes)
+        c = read(path)
     except ParseError as exc:
         return ("ParseError", str(exc), exc.row, exc.column)
     except Exception as exc:
@@ -257,12 +267,14 @@ def _outcome(read, path, num_classes):
        kinds=st.lists(st.sampled_from([
            "blank-line", "crlf", "quoted-cell", "hash-line", "extra-cell",
            "missing-cell", "int-cell", "non-finite", "negative",
-           "duplicate-id", "no-trailing-newline", "odd-cell"]), max_size=3),
-       num_classes=st.sampled_from([None, 2, 4]), data=st.data())
-def test_reader_matches_row_parser_oracle(features, kinds, num_classes, data):
+           "label-above-1", "duplicate-id", "no-trailing-newline",
+           "odd-cell"]), max_size=3),
+       data=st.data())
+def test_reader_matches_row_parser_oracle(features, kinds, data):
     n = features.shape[0]
     ints = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    c = raw_cohort(features, data.draw(ints), groups=data.draw(ints),
+    labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    c = raw_cohort(features, data.draw(labels), groups=data.draw(ints),
                    years=[2000 + y for y in data.draw(ints)])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cohort.csv")
@@ -277,8 +289,8 @@ def test_reader_matches_row_parser_oracle(features, kinds, num_classes, data):
             text += ending
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        expected = _oracle_outcome(path, num_classes)
-        assert _outcome(cohort.read_cohort, path, num_classes) == expected
+        expected = _oracle_outcome(path)
+        assert _outcome(cohort.read_cohort, path) == expected
 
 
 def test_reader_matches_row_parser_oracle_on_odd_cells(tmp_path):
@@ -289,8 +301,8 @@ def test_reader_matches_row_parser_oracle_on_odd_cells(tmp_path):
             row[column] = cell
             path.write_text("id,year,group,label,f0\n" + ",".join(row)
                             + "\n1,2001,1,0,-2.0\n", newline="")
-            assert (_outcome(cohort.read_cohort, path, 2)
-                    == _oracle_outcome(path, 2)), (cell, column)
+            assert (_outcome(cohort.read_cohort, path)
+                    == _oracle_outcome(path)), (cell, column)
 
 
 @pytest.mark.parametrize("column", range(4))
@@ -304,8 +316,13 @@ def test_metadata_cell_int64_edges(tmp_path, column):
                         + ",".join(row) + "\n", newline="")
         return cohort.read_cohort(path)
 
-    c = read_with(str(2**63 - 1))
-    assert (c.ids, c.years, c.groups, c.labels)[column][1] == 2**63 - 1
+    if column == 3:
+        # Labels are binary, so the largest int64 is refused at its cell.
+        with pytest.raises(ParseError, match=r"label \d+ out of range"):
+            read_with(str(2**63 - 1))
+    else:
+        c = read_with(str(2**63 - 1))
+        assert (c.ids, c.years, c.groups)[column][1] == 2**63 - 1
     # A negative group or label is refused at the same cell as out of range.
     for cell in (str(2**63), "99999999999999999999", str(-2**63 - 1)):
         with pytest.raises(ParseError) as err:

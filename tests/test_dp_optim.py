@@ -77,8 +77,8 @@ def test_step_reduces_to_plain_sgd(rng):
     config = dp_optim.DPTrainingConfig(
         clip_norm=1e9, noise_multiplier=0.0, batch_size=32,
         microbatch_count=32, learning_rate=0.3)
-    stepped = dp_optim.dp_sgd_step(params, X, y, config,
-                                   np.random.default_rng(0))
+    stepped = dp_optim._step(params, X, y, config,
+                             np.random.default_rng(0))[0]
     _, G = models.loss_and_per_example_grads(params, X, y)
     plain = params.theta - 0.3 * G.mean(axis=0)
     assert np.max(np.abs(stepped.theta - plain)) < 1e-9
@@ -94,8 +94,8 @@ def test_step_clipped_update_bound(rng):
     config = dp_optim.DPTrainingConfig(
         clip_norm=1.0, noise_multiplier=0.0, batch_size=16,
         microbatch_count=16, learning_rate=0.7)
-    stepped = dp_optim.dp_sgd_step(params, X, y, config,
-                                   np.random.default_rng(0))
+    stepped = dp_optim._step(params, X, y, config,
+                             np.random.default_rng(0))[0]
     update = stepped.theta - params.theta
     assert np.linalg.norm(update) <= 0.7 * (1.0 + 1e-9)
 
@@ -106,8 +106,8 @@ def test_step_determinism(rng):
     params = models.init_params("lr-binary", 3)
     config = dp_optim.DPTrainingConfig.from_level("high", batch_size=32,
                                                   microbatch_count=16)
-    a = dp_optim.dp_sgd_step(params, X, y, config, np.random.default_rng(5))
-    b = dp_optim.dp_sgd_step(params, X, y, config, np.random.default_rng(5))
+    a = dp_optim._step(params, X, y, config, np.random.default_rng(5))[0]
+    b = dp_optim._step(params, X, y, config, np.random.default_rng(5))[0]
     assert np.array_equal(a.theta, b.theta)
 
 
@@ -143,16 +143,16 @@ def test_step_rejects_non_finite_gradient(rng, monkeypatch):
         config = dp_optim.DPTrainingConfig.from_level(
             "high", batch_size=16, microbatch_count=m)
         with pytest.raises(NumericError), np.errstate(over="ignore"):
-            dp_optim.dp_sgd_step(params, X, y, config,
-                                 np.random.default_rng(0))
+            dp_optim._step(params, X, y, config,
+                           np.random.default_rng(0))[0]
     # A non-finite clipped sum is refused on the step path too.
     monkeypatch.setattr(models, "clipped_grad_sum",
                         lambda *args: (0.5, np.full(4, np.nan), np.ones(4)))
     config = dp_optim.DPTrainingConfig.from_level(
         "high", batch_size=16, microbatch_count=4)
     with pytest.raises(NumericError):
-        dp_optim.dp_sgd_step(params, rng.normal(size=(16, 3)), y, config,
-                             np.random.default_rng(0))
+        dp_optim._step(params, rng.normal(size=(16, 3)), y, config,
+                       np.random.default_rng(0))[0]
 
 
 def test_noise_calibration():
@@ -170,7 +170,7 @@ def test_noise_calibration():
     rng = np.random.default_rng(7)
     deltas = np.empty((10000, d + 1))
     for t in range(10000):
-        stepped = dp_optim.dp_sgd_step(params, X, y, config, rng)
+        stepped = dp_optim._step(params, X, y, config, rng)[0]
         deltas[t] = stepped.theta - params.theta
     expected = 0.5 * 1.0 * 1.0 / m
     assert abs(deltas.std() - expected) <= 0.03 * expected

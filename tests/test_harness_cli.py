@@ -62,12 +62,15 @@ def test_config_from_dict_rejects_unknown_key(tmp_path):
 
 
 def test_config_rejects_multiclass_cohort(tmp_path):
-    cc = cohort.CohortConfig(n=600, d=4, num_classes=3,
-                             positive_prevalence=(0.3, 0.3, 0.4),
-                             years=(2001, 2002))
-    with pytest.raises(ConfigurationError, match="cohort.num_classes"):
-        _small_config(tmp_path, cohort=cc, tasks=[
-            {"name": "outcome", "family": "lr-multinomial", "k": 3}])
+    # Cohorts and models are binary: the multiclass keys and family are
+    # refused before any training.
+    raw = json.loads(_small_config(tmp_path).cohort.to_json())
+    with pytest.raises(ConfigurationError, match="num_classes"):
+        harness.ExperimentConfig.from_dict(
+            {"cohort": {**raw, "num_classes": 3}})
+    with pytest.raises(ConfigurationError, match="family"):
+        harness.ExperimentConfig.from_dict({"cohort": raw, "tasks": [
+            {"name": "outcome", "family": "lr-multinomial"}]})
 
 
 # Each loader with a minimal valid JSON object for it.
@@ -322,16 +325,28 @@ def test_utility_csv_matches_report(tmp_path):
 # ------------------------------------------------------------------- CLI
 
 
+def _strict_json(text):
+    """JSON as the standard defines it: no Infinity, -Infinity or NaN."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_cli_account(tmp_path):
     out = tmp_path / "eps.json"
     code = cli.main(["account", "--q", "0.01", "--sigma", "1.0",
                      "--steps", "1000", "--out", str(out)])
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = _strict_json(out.read_text())
     spend, _ = accountant.spend_for_training(q=0.01, sigma=1.0, steps=1000)
     assert payload["epsilon"] == spend.epsilon
     assert payload["delta"] == spend.delta
     assert payload["caveats"]
+    # sigma ** 2 is subnormal, so epsilon is infinite: written as "inf".
+    code = cli.main(["account", "--q", "0.01", "--sigma", "1e-160",
+                     "--steps", "100", "--out", str(out)])
+    assert code == 0
+    assert _strict_json(out.read_text())["epsilon"] == "inf"
 
 
 @pytest.mark.parametrize("sigma", ["inf", "nan"])
@@ -429,11 +444,22 @@ def test_cli_run_partial_failure_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(run_config)]) == 3
 
 
-def test_cli_configuration_error_exit_code(tmp_path):
+def test_cli_configuration_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"cohort": {"n": 100, "d": 2}, "seeds": []}))
     assert cli.main(["run", "--config", str(bad)]) == 2
+    # audit-shift refuses a one-year cohort, as the grid does.
+    csv_path = tmp_path / "one_year.csv"
+    cohort.write_cohort(make_cohort(n=200, d=3, years=(2001, 2001)),
+                        str(csv_path))
+    shift = tmp_path / "shift.json"
+    shift.write_text(json.dumps({"cohort_csv": str(csv_path)}))
+    capsys.readouterr()
+    assert cli.main(["audit-shift", "--config", str(shift),
+                     "--out", str(tmp_path / "shift_out.json")]) == 2
+    assert "yearly protocol needs >= 2 years" in capsys.readouterr().err
+    assert not (tmp_path / "shift_out.json").exists()
 
 
 def test_cli_run_unknown_key_exit_code(tmp_path, capsys):
@@ -458,7 +484,7 @@ NAN, INF = math.nan, math.inf
 _SMALL_COHORT = {"n": 600, "d": 4, "positive_prevalence": 0.3,
                  "years": [2001, 2002]}
 _TYPO_TASK = {"name": "o", "family": "lr-binary", "l2_lamda": 0.5}
-_PARAMS = {"family": "lr-binary", "dims": {"d": 3, "k": 2, "h": 16},
+_PARAMS = {"family": "lr-binary", "dims": {"d": 3, "h": 16},
            "l2_lambda": 0.0, "theta": [0.0] * 4}
 
 
@@ -507,15 +533,13 @@ _PROBE_BASE = {
     ("audit-fairness", {"threshold": "0.5"}, "'threshold'"),
     ("audit-influence", {"damping": "0.1"}, "'damping'"),
     ("train", {"training": {"microbatch_count": 0}}, "microbatch_count"),
-    ("audit-fairness", {"params": {**_PARAMS, "dims": {"d": "3", "k": 2,
-                                                       "h": 16}}},
+    ("audit-fairness", {"params": {**_PARAMS, "dims": {"d": "3", "h": 16}}},
      "params.dims: 'd'"),
     ("audit-fairness", {"params": {**_PARAMS, "l2_lambda": "x"}},
      "params: 'l2_lambda'"),
     ("audit-fairness", {"params": {**_PARAMS, "theta": "abcd"}},
      "params: 'theta'"),
-    ("audit-influence", {"params": {**_PARAMS, "dims": {"d": 3, "k": 2,
-                                                        "h": True}}},
+    ("audit-influence", {"params": {**_PARAMS, "dims": {"d": 3, "h": True}}},
      "params.dims: 'h'"),
     ("audit-fairness", {"params": {**_PARAMS, "theta": [0.0, NAN, 0.0, 0.0]}},
      "params: 'theta'"),
@@ -538,6 +562,21 @@ _PROBE_BASE = {
      "'group_prevalences'"),
     ("generate-data", {**_SMALL_COHORT, "years": ["2001", 2002]}, "'years'"),
     ("run", {"cohort": {**_SMALL_COHORT, "years": [2001]}}, "'years'"),
+    ("run", {"cohort": _SMALL_COHORT, "epochs": 1, "privacy_levels": ["none"],
+             "seeds": [0], "tasks": [{"name": "o", "family": "lr-binomial"}]},
+     "family: unknown 'lr-binomial'"),
+    ("train", {"family_spec": {"family": "lr-multinomial"}},
+     "family: unknown 'lr-multinomial'"),
+    ("generate-data", {**_SMALL_COHORT, "num_classes": 2},
+     "cohort: unknown key(s): ['num_classes']"),
+    ("run", {"cohort": {**_SMALL_COHORT, "num_classes": 2}},
+     "cohort: unknown key(s): ['num_classes']"),
+    ("run", {"cohort": _SMALL_COHORT, "epochs": 1, "privacy_levels": ["none"],
+             "seeds": [0], "tasks": [{"name": "o", "k": 2}]},
+     "tasks[0]: unknown key(s): ['k']"),
+    ("audit-fairness", {"params": {**_PARAMS, "dims": {"d": 3, "k": 2,
+                                                       "h": 16}}},
+     "params.dims: unknown key(s): ['k']"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-missing", "generate-data-missing-n", "run-cohort-missing-n",
         "family-spec-typo", "run-task-typo", "task-without-name",
@@ -555,7 +594,9 @@ _PROBE_BASE = {
         "cohort-drift-nan", "cohort-years-inf",
         "cohort-prevalence-tuple-nan", "cohort-prevalence-tuple-string",
         "cohort-group-prevalences-string", "cohort-years-string",
-        "run-cohort-years-single"])
+        "run-cohort-years-single", "run-task-unknown-family",
+        "family-spec-multinomial", "cohort-num-classes",
+        "run-cohort-num-classes", "run-task-k", "params-dims-k"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":
@@ -614,7 +655,7 @@ def test_cli_audit_shift(tmp_path):
                      "--out", str(out), "--csv", str(csv_out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload[0]["year"] == 2002
+    assert payload["per_year"][0]["year"] == 2002
     assert csv_out.read_text().startswith("year,malignancy_accuracy,p_value")
 
 
@@ -666,3 +707,62 @@ def test_cli_audit_influence(tmp_path):
     assert [int(r[0]) for r in rows[1:]] == matrix.train_ids.tolist()
     assert ([[float(c) for c in r[1:]] for r in rows[1:]]
             == matrix.values.tolist())
+
+
+def test_cli_audits_match_grid(tmp_path):
+    # The CLI audits report what the grid reports for the same model and
+    # split: influence and fairness on the last pivot's model, and the shift
+    # test (whose task model is, in the CLI, a ridge-LR reference) on the
+    # same cohort and seed.
+    cc = cohort.CohortConfig(n=1200, d=4, positive_prevalence=0.3,
+                             years=(2001, 2004), yearly_drift=0.5,
+                             class_separation=2.0, seed=2)
+    seed = 3
+    config = harness.ExperimentConfig(
+        cohort=cc, privacy_levels=["high"], seeds=[seed], epochs=1,
+        audits=["robustness", "fairness", "influence"],
+        out_dir=str(tmp_path / "grid"))
+    _, failures = harness.run_experiment(config)
+    assert failures == 0
+    with open(tmp_path / "grid" / "report.json") as fh:
+        cell = json.load(fh)["cells"][0]
+    base = cohort.generate_cohort(cc)
+    *_, (pivot, split, trained) = harness._pivot_models(
+        base, config.tasks[0], "high", "dp-sgd", config, seed)
+    params = trained.params.to_dict()
+
+    def run(command, name, payload):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / f"{name}_out.json"
+        assert cli.main([command, "--config", str(path), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    paths = {}
+    for name, part in (
+            ("cohort", base), ("test", split.test),
+            ("train_cap", split.train.subset(
+                slice(0, config.influence_train_cap))),
+            ("test_cap", split.test.subset(
+                slice(0, config.influence_test_cap)))):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        cohort.write_cohort(part, paths[name])
+
+    got = run("audit-influence", "influence", {
+        "train_csv": paths["train_cap"], "test_csv": paths["test_cap"],
+        "params": params})
+    assert got == {k: v for k, v in cell["influence"].items() if k != "spend"}
+
+    got = run("audit-fairness", "fairness", {"cohort_csv": paths["test"],
+                                             "params": params})
+    row, = [r for r in cell["fairness"] if r["year"] == pivot]
+    assert got == {k: v for k, v in row.items() if k != "year"}
+
+    got = run("audit-shift", "shift", {"cohort_csv": paths["cohort"]})
+    grid = cell["robustness"]
+    assert set(got) == set(grid)
+    keys = ("year", "domain_accuracy", "n_eval", "p_value", "significant")
+    assert ([[r[k] for k in keys] for r in got["per_year"]]
+            == [[r[k] for k in keys] for r in grid["per_year"]])
+    assert len(got["per_year"]) == 3

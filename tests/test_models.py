@@ -10,10 +10,10 @@ from dp_tails.errors import (ConfigurationError, DomainError,
                              UnsupportedFamilyError)
 
 
-def _random_params(family, d, rng, k=3, h=4, l2_lambda=0.0):
-    p = models.param_count(family, d, k, h)
+def _random_params(family, d, rng, h=4, l2_lambda=0.0):
+    p = models.param_count(family, d, h)
     return models.ModelParams(family, rng.normal(scale=0.5, size=p),
-                              d, k, h, l2_lambda)
+                              d, h, l2_lambda)
 
 
 def _fd_gradient(params, x, y, step=1e-5):
@@ -33,12 +33,6 @@ def test_predict_zero_theta_binary():
     params = models.init_params("lr-binary", 3)
     scores = models.predict(params, np.ones((5, 3)))
     assert np.allclose(scores, 0.5)
-
-
-def test_predict_zero_theta_multinomial():
-    params = models.init_params("lr-multinomial", 3, k=4)
-    scores = models.predict(params, np.ones((5, 3)))
-    assert np.allclose(scores, 0.25)
 
 
 def test_predict_rows_sum_to_one(rng):
@@ -66,12 +60,11 @@ def test_loss_ln2_at_zero_theta():
 
 def test_gradient_matches_finite_differences(rng):
     for family in models.FAMILIES:
-        k = 2 if family == "lr-binary" else 3
         for _ in range(100):
-            params = _random_params(family, 3, rng, k=k,
+            params = _random_params(family, 3, rng,
                                     l2_lambda=float(rng.uniform(0, 0.5)))
             x = rng.normal(size=3)
-            y = int(rng.integers(k))
+            y = int(rng.integers(2))
             _, G = models.loss_and_per_example_grads(params, [x], [y])
             fd = _fd_gradient(params, x, y)
             assert np.max(np.abs(G[0] - fd)) <= 1e-5
@@ -119,9 +112,9 @@ def _clipping_cases(draw):
     clip_norm = draw(st.one_of(st.none(), st.floats(1e-3, 1e3)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = int(rng.integers(1, 5))
-    params = _random_params(family, d, rng, k=3, h=4, l2_lambda=lam)
+    params = _random_params(family, d, rng, h=4, l2_lambda=lam)
     X = rng.normal(size=(n, d)) * rng.lognormal(0.0, 2.0, size=(n, 1))
-    y = rng.integers(2 if family == "lr-binary" else 3, size=n)
+    y = rng.integers(2, size=n)
     return params, X, y, clip_norm, m
 
 
@@ -242,11 +235,11 @@ def test_midpoint_convexity(rng):
 
 
 def test_params_json_round_trip(rng):
-    params = _random_params("lr-multinomial", 4, rng, k=3, l2_lambda=0.05)
+    params = _random_params("mlp-1", 4, rng, h=3, l2_lambda=0.05)
     back = models.ModelParams.from_dict(
         json.loads(json.dumps(params.to_dict())))
     assert back.family == params.family
-    assert back.d == params.d and back.k == params.k
+    assert back.d == params.d and back.h == params.h
     assert np.array_equal(back.theta, params.theta)
     assert back.l2_lambda == params.l2_lambda
 

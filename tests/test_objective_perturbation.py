@@ -8,7 +8,7 @@ from dp_tails import cohort, metrics, models, objective_perturbation as op
 from dp_tails.errors import (ConfigurationError, DomainError,
                              UnsupportedFamilyError)
 
-from conftest import make_cohort
+from conftest import make_cohort, raw_cohort
 
 
 def _split_of(c, pivot=2002):
@@ -171,8 +171,7 @@ def test_errors():
         op.ObjPertConfig(eps_p=0.0, lam=0.1)
     with pytest.raises(ConfigurationError):
         op.ObjPertConfig(eps_p=1.0, lam=0.0)
-    c = make_cohort(n=400, d=3, years=(2001, 2002), seed=0,
-                    num_classes=3, prevalence=(0.4, 0.3, 0.3))
+    c = raw_cohort(np.eye(4), [0, 1, 2, 1], years=[2001, 2001, 2001, 2002])
     split = _split_of(c)
     with pytest.raises(UnsupportedFamilyError):
         op.train_objective_perturbation(
