@@ -209,6 +209,11 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
     alphas = np.asarray(orders)
     if q == 0.0:
         per_step = np.zeros(len(orders))
+    elif 1.0 / (2.0 * sigma ** 2) == math.inf:
+        # The quadratic log-term (k^2 - k) / (2 sigma^2) of every order
+        # overflows (k = 2 already), so every order's RDP is infinite; the
+        # series would only reach that through overflow and NaN arithmetic.
+        per_step = np.full(len(orders), math.inf)
     elif q == 1.0:
         per_step = alphas / (2.0 * sigma ** 2)
     else:

@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                harness, influence, models, objective_perturbation,
@@ -38,9 +38,19 @@ class TrainFile:
     protocol: str = "cumulative"
     seed: int = 0
     mechanism: str = "dp-sgd"
-    training: dict = field(default_factory=dict)
-    family_spec: dict = field(default_factory=dict)
-    objpert: dict = field(default_factory=dict)
+    training: dict | None = None
+    family_spec: dict | None = None
+    objpert: dict | None = None
+
+    def __post_init__(self):
+        # Each mechanism reads its own sections; a section it would not
+        # read is refused, not silently ignored.
+        unread = {"dp-sgd": ("objpert",),
+                  "objective-perturbation": ("training", "family_spec")}
+        for key in unread.get(self.mechanism, ()):
+            if getattr(self, key) is not None:
+                raise ConfigurationError(
+                    f"{key!r}: not read by mechanism {self.mechanism!r}")
 
 
 @dataclass
@@ -100,19 +110,18 @@ def cmd_train(args):
     split = cohort_mod.split_yearly(cohort, cfg.pivot_year, cfg.protocol)
     seed = args.seed if args.seed is not None else cfg.seed
     if cfg.mechanism == "dp-sgd":
-        training = cfg.training
+        training = dict(cfg.training or {})
         if "privacy_level" in training:
-            training = dict(training)
             config = dp_optim.DPTrainingConfig.from_level(
                 training.pop("privacy_level"), **training)
         else:
             config = config_from_dict(dp_optim.DPTrainingConfig, training,
                                       "training")
-        trained = dp_optim.train(cfg.family_spec, split,
+        trained = dp_optim.train(cfg.family_spec or {}, split,
                                  dataclasses.replace(config, seed=seed))
     elif cfg.mechanism == "objective-perturbation":
         op = config_from_dict(objective_perturbation.ObjPertConfig,
-                              cfg.objpert, "objpert")
+                              cfg.objpert or {}, "objpert")
         trained = objective_perturbation.train_objective_perturbation(
             split, dataclasses.replace(op, seed=seed))
     else:

@@ -4,10 +4,13 @@ deterministic JSON/CSV reports.
 
 Every cell of the (task x level x mechanism x seed) grid derives its rng
 from a stable hash so it is independently reproducible, and every epsilon
-in a report is recomputable from the logged (q, sigma, T, delta). A cell
-trains one model per pivot year, and every audit of the cell reads those
-models, so utility, fairness, influence and shift results describe the
-same models.
+in a report is recomputable from the logged (q, sigma, T, delta). Each
+(cell, pivot year) has one model, and every audit of the cell reads it, so
+utility, fairness, influence and shift results describe the same models.
+The grid runs per (task, mechanism), pivot by pivot: at each pivot the
+DP-SGD models of all its cells train in two stacks (dp_optim.train_stack),
+the unclipped `none` level and the private levels, and a model gets the
+bits it would get trained alone.
 """
 
 from __future__ import annotations
@@ -91,17 +94,44 @@ def format_cell(mean, std, spend):
     return f"{mean:.2f} +/- {std:.2f} ({eps}, {spend.delta:g})"
 
 
-def _train_cell(split, task, level, mechanism, config, seed):
-    if mechanism == "dp-sgd":
-        train_config = dp_optim.DPTrainingConfig.from_level(
-            level,
-            batch_size=config.batch_size,
-            microbatch_count=config.microbatch_count,
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            seed=seed)
-        return dp_optim.train(_family_spec(task, "task"), split,
-                              train_config)
+def _caught(fn, *args, **kwargs):
+    """fn's result, or the DPTailsError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except DPTailsError as exc:
+        return exc
+
+
+def _train_pivot(split, task, mechanism, jobs, config):
+    """Train one model per (level, cell seed) job on one pivot's split;
+    returns, per job, its TrainedModel or the DPTailsError that failed it.
+    DP-SGD jobs train in two dp_optim.train_stack calls, the unclipped
+    (`none`) and the private ones."""
+    if mechanism == "objective-perturbation":
+        return [_caught(_train_objpert, split, level, seed, config)
+                for level, seed in jobs]
+    results = [_caught(dp_optim.DPTrainingConfig.from_level, level,
+                       batch_size=config.batch_size,
+                       microbatch_count=config.microbatch_count,
+                       learning_rate=config.learning_rate,
+                       epochs=config.epochs, seed=seed)
+               for level, seed in jobs]
+    for private in (False, True):
+        members = [i for i, r in enumerate(results)
+                   if isinstance(r, dp_optim.DPTrainingConfig)
+                   and r.private == private]
+        if members:
+            trained = _caught(dp_optim.train_stack,
+                              _family_spec(task, "task"), split,
+                              [results[i] for i in members])
+            if isinstance(trained, DPTailsError):
+                trained = [trained] * len(members)
+            for i, result in zip(members, trained):
+                results[i] = result
+    return results
+
+
+def _train_objpert(split, level, seed, config):
     if level not in OBJPERT_LEVEL_EPS:
         raise ConfigurationError(f"unknown privacy level {level!r}")
     op_config = objective_perturbation.ObjPertConfig(
@@ -111,13 +141,15 @@ def _train_cell(split, task, level, mechanism, config, seed):
 
 
 def _pivot_models(cohort, task, level, mechanism, config, seed):
-    """Yield (pivot, split, TrainedModel) per pivot year, the model trained
-    once on the years before the pivot; every audit of the cell reads it.
-    Only one pivot's split is held at a time."""
+    """Yield (pivot, split, TrainedModel) per pivot year for one cell, the
+    model trained on the years before the pivot, as the grid trains it."""
     for pivot, split in cohort_mod.yearly_splits(cohort):
         cell_seed = stable_seed(seed, task["name"], level, mechanism, pivot)
-        yield pivot, split, _train_cell(split, task, level, mechanism, config,
-                                        cell_seed)
+        trained, = _train_pivot(split, task, mechanism, [(level, cell_seed)],
+                                config)
+        if isinstance(trained, DPTailsError):
+            raise trained
+        yield pivot, split, trained
 
 
 def _utility_row(pivot, split, trained):
@@ -165,30 +197,73 @@ def _influence_audit(split, trained, config):
             "spend": trained.spend.to_dict()}
 
 
-def _audit_cell(audits, base, task, level, mechanism, seed, config):
-    """Train the cell's pivot models once and run every requested audit on
-    them; returns the cell's audit results by name."""
-    rows, fairness = [], []
-    robustness = shift_audit.RobustnessAudit(seed)
-    for pivot, split, trained in _pivot_models(base, task, level, mechanism,
-                                               config, seed):
-        if "utility" in audits:
-            rows.append(_utility_row(pivot, split, trained))
-        if "robustness" in audits:
-            robustness.add(pivot, split, trained.params)
-        if "fairness" in audits:
-            fairness.append(_fairness_audit(pivot, split, trained))
-    out = {}
-    if "utility" in audits:
-        out["utility"] = {"per_year": rows, **_aggregate(rows)}
-    if "robustness" in audits:
-        out["robustness"] = robustness.report()
-    if "fairness" in audits:
-        out["fairness"] = fairness
-    if "influence" in audits:
-        # The loop leaves the last pivot's split and model bound.
-        out["influence"] = _influence_audit(split, trained, config)
-    return out
+class _CellAudits:
+    """The audits of one grid cell, fed one pivot model at a time."""
+
+    def __init__(self, cell, audits, level, seed):
+        self.cell, self.audits, self.level, self.seed = (cell, audits, level,
+                                                         seed)
+        self.rows, self.fairness = [], []
+        self.robustness = shift_audit.RobustnessAudit(seed)
+        self.trained = None
+
+    def add(self, pivot, split, trained):
+        self.trained = trained
+        if "utility" in self.audits:
+            self.rows.append(_utility_row(pivot, split, trained))
+        if "robustness" in self.audits:
+            self.robustness.add(pivot, split, trained.params)
+        if "fairness" in self.audits:
+            self.fairness.append(_fairness_audit(pivot, split, trained))
+
+    def finish(self, split, config):
+        """The cell's audit results by name; influence reads the last
+        pivot's model and split."""
+        out = {}
+        if "utility" in self.audits:
+            out["utility"] = {"per_year": self.rows, **_aggregate(self.rows)}
+        if "robustness" in self.audits:
+            out["robustness"] = self.robustness.report()
+        if "fairness" in self.audits:
+            out["fairness"] = self.fairness
+        if "influence" in self.audits:
+            out["influence"] = _influence_audit(split, self.trained, config)
+        return out
+
+
+def _run_cells(base, task, mechanism, cells, config):
+    """Train and audit the cells of one (task, mechanism) pivot by pivot,
+    holding one pivot's split at a time: the pivot's models train together
+    (_train_pivot), then feed their cells' audits. A cell whose training or
+    audit raises records only its error and leaves the later stacks; the
+    other cells are unaffected."""
+    live = list(cells)
+
+    def fail(state, exc):
+        state.cell["error"] = f"{type(exc).__name__}: {exc}"
+        live.remove(state)
+
+    split = None
+    try:
+        for pivot, split in cohort_mod.yearly_splits(base):
+            jobs = [(c.level, stable_seed(c.seed, task["name"], c.level,
+                                          mechanism, pivot)) for c in live]
+            trained = _train_pivot(split, task, mechanism, jobs, config)
+            for state, result in zip(list(live), trained):
+                if not isinstance(result, DPTailsError):
+                    result = _caught(state.add, pivot, split, result)
+                if result is not None:
+                    fail(state, result)
+    except DPTailsError as exc:
+        for state in list(live):
+            fail(state, exc)
+    # The loop leaves the last pivot's split bound.
+    for state in list(live):
+        out = _caught(state.finish, split, config)
+        if isinstance(out, DPTailsError):
+            fail(state, out)
+        else:
+            state.cell.update(out)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -201,25 +276,24 @@ def run_experiment(config: ExperimentConfig):
     base = cohort_mod.generate_cohort(config.cohort)
 
     cells = []
-    failures = 0
-    for task, level, mechanism, seed in itertools.product(
-            config.tasks, config.privacy_levels, config.mechanisms,
-            config.seeds):
+    by_group = {}
+    for (t, task), level, mechanism, seed in itertools.product(
+            enumerate(config.tasks), config.privacy_levels,
+            config.mechanisms, config.seeds):
         cell = {"task": task["name"], "level": level,
                 "mechanism": mechanism, "seed": seed}
+        cells.append(cell)
         audits = [a for a in config.audits
                   if a in ("utility", "fairness")
                   or (mechanism == "dp-sgd" and a == "influence")
                   or (mechanism == "dp-sgd" and a == "robustness"
                       and level == config.privacy_levels[0])]
-        try:
-            if audits:
-                cell.update(_audit_cell(audits, base, task, level, mechanism,
-                                        seed, config))
-        except DPTailsError as exc:
-            cell["error"] = f"{type(exc).__name__}: {exc}"
-            failures += 1
-        cells.append(cell)
+        if audits:
+            by_group.setdefault((t, mechanism), []).append(
+                _CellAudits(cell, audits, level, seed))
+    for (t, mechanism), states in by_group.items():
+        _run_cells(base, config.tasks[t], mechanism, states, config)
+    failures = sum("error" in cell for cell in cells)
 
     aggregates = _table_blocks(config, cells)
     report = {"config_hash": _config_hash(config), "cells": cells,

@@ -87,9 +87,16 @@ class InfluenceEngine:
         self.model_fingerprint = _fingerprint(params)
 
     def _grads(self, features, labels):
-        _, G = models.loss_and_per_example_grads(
-            self.params, features, labels, include_ridge=False)
-        return G
+        """Per-record cross-entropy gradients, (p - y) [x; 1] for LR."""
+        X = np.atleast_2d(np.asarray(features, dtype=float))
+        if X.shape[0] == 0:
+            raise DomainError("empty subset")
+        p = models.predict(self.params, X)[:, 1]
+        y = np.asarray(labels, dtype=np.int64).ravel()
+        if y.min() < 0 or y.max() > 1:
+            raise models.label_error(self.params.family)
+        resid = p - y
+        return np.column_stack([resid[:, None] * X, resid])
 
     def pair(self, z_train, z_test):
         """-g_test^T H^{-1} g_train for single records (x, y)."""

@@ -1,9 +1,10 @@
 """Model families for binary labels: logistic regression and a one
 hidden layer network with a 2-way softmax output, with DP-SGD's clipped
-gradient sums, per-example gradients and (for LR) the exact Hessian of the
-regularized mean loss. Every family runs one forward/backward pass that
-yields, per layer, the pre-activation gradient delta and the input a, so
-each record's gradient is a per-layer outer product.
+gradient sums and (for LR) the exact Hessian of the regularized mean loss.
+Every family runs one forward/backward pass over a stack of R models, theta
+(R, p) and one batch per model (R, n, d), that yields, per layer, the
+pre-activation gradient delta and the input a, so each record's gradient
+is a per-layer outer product. `predict` is that pass at R = 1.
 
 Parameter layouts (flat theta):
   lr-binary: [w(d), b]
@@ -27,13 +28,13 @@ _CLAMP = 1e-12
 def _sigmoid(z):
     # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, else e / (1 + e).
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def param_count(family, d, h=16):
@@ -129,30 +130,35 @@ def init_params(family, d, h=FamilySpec.h, l2_lambda=FamilySpec.l2_lambda,
     return ModelParams(family, theta, d, h, l2_lambda)
 
 
-def _unpack_mlp(params):
-    h, d = params.h, params.d
-    t = params.theta
-    W1 = t[: h * d].reshape(h, d)
-    b1 = t[h * d: h * d + h]
+def _unpack_mlp(h, d, theta):
+    """W1 (R, h, d), b1 (R, h), W2 (R, 2, h), b2 (R, 2): views of the
+    stacked theta (R, p)."""
+    R = theta.shape[0]
+    W1 = theta[:, : h * d].reshape(R, h, d)
+    b1 = theta[:, h * d: h * d + h]
     off = h * d + h
-    W2 = t[off: off + 2 * h].reshape(2, h)
-    b2 = t[off + 2 * h:]
+    W2 = theta[:, off: off + 2 * h].reshape(R, 2, h)
+    b2 = theta[:, off + 2 * h:]
     return W1, b1, W2, b2
 
 
-def _forward(params, X):
-    """Class probabilities (for lr-binary, P(y = 1) alone) and, for each
-    layer in theta order, its (input a, weights W, a·Wᵀ); a layer's
-    pre-activation is a·Wᵀ + bias."""
-    t = params.theta
-    if params.family == "lr-binary":
-        aw = X @ t[:-1]
-        return _sigmoid(aw + t[-1]), [(X, t[None, :-1], aw[:, None])]
-    W1, b1, W2, b2 = _unpack_mlp(params)
-    aw1 = X @ W1.T
-    A1 = _sigmoid(aw1 + b1)
-    aw2 = A1 @ W2.T
-    return _softmax(aw2 + b2), [(X, W1, aw1), (A1, W2, aw2)]
+def _forward(spec, theta, X):
+    """Stacked forward pass of R models of one family: theta is (R, p) and
+    X is (R, n, d), model r reading batch X[r]. Returns the class
+    probabilities (for lr-binary, P(y = 1) alone, (R, n)) and, for each
+    layer in theta order, its (input a, weights W, a·Wᵀ), each with the
+    leading model axis; a layer's pre-activation is a·Wᵀ + bias. Every
+    product is a stacked matmul, so model r gets the bits a 2-D pass over
+    theta[r] and X[r] would give, whatever models share the stack."""
+    if spec.family == "lr-binary":
+        aw = np.matmul(X, theta[:, :-1, None])
+        return (_sigmoid(aw[..., 0] + theta[:, -1:]),
+                [(X, theta[:, None, :-1], aw)])
+    W1, b1, W2, b2 = _unpack_mlp(spec.h, X.shape[-1], theta)
+    aw1 = X @ W1.transpose(0, 2, 1)
+    A1 = _sigmoid(aw1 + b1[:, None, :])
+    aw2 = A1 @ W2.transpose(0, 2, 1)
+    return _softmax(aw2 + b2[:, None, :]), [(X, W1, aw1), (A1, W2, aw2)]
 
 
 def predict(params: ModelParams, features) -> np.ndarray:
@@ -160,78 +166,67 @@ def predict(params: ModelParams, features) -> np.ndarray:
     X = np.atleast_2d(np.asarray(features, dtype=float))
     if X.shape[1] != params.d:
         raise ShapeError(f"feature width {X.shape[1]} != d={params.d}")
-    S = _forward(params, X)[0]
+    S = _forward(params, params.theta[None], X[None])[0][0]
     return np.column_stack([1.0 - S, S]) if S.ndim == 1 else S
 
 
-def _backprop(params, features, labels):
-    """Mean cross-entropy and, for each layer in theta order,
-    (delta, a, W, a·Wᵀ), where delta is the cross-entropy gradient with
-    respect to the layer's pre-activation. Record i's loss gradient for the
-    layer is the outer product delta_i ⊗ [a_i; 1], flattened as
-    [W row-major, bias]; the ridge adds l2_lambda * W to the W part."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(labels, dtype=np.int64).ravel()
-    n = X.shape[0]
+def label_error(family):
+    """The error of a batch whose labels are not all 0 or 1."""
+    return DomainError(f"labels must lie in [0,2) for {family}")
+
+
+def _backprop(spec, theta, X, y):
+    """Stacked backward pass: per model, the mean cross-entropy ((R,)) and,
+    for each layer in theta order, (delta, a, W, a·Wᵀ) with the leading
+    model axis, where delta is the cross-entropy gradient with respect to
+    the layer's pre-activation. Record i's loss gradient for the layer is
+    the outer product delta_i ⊗ [a_i; 1], flattened as [W row-major, bias];
+    the ridge adds l2_lambda * W to the W part."""
+    R, n = y.shape
     if n == 0:
         raise DomainError("empty subset")
-    if X.shape[1] != params.d:
-        raise ShapeError(f"feature width {X.shape[1]} != d={params.d}")
     if y.min() < 0 or y.max() > 1:
-        raise DomainError(f"labels must lie in [0,2) for {params.family}")
-
-    S, layers = _forward(params, X)
-    if params.family == "lr-binary":
+        raise label_error(spec.family)
+    S, layers = _forward(spec, theta, X)
+    if spec.family == "lr-binary":
         pc = np.clip(S, _CLAMP, 1.0 - _CLAMP)
         ce = -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
-        deltas = [(S - y)[:, None]]
+        deltas = [(S - y)[..., None]]
     else:
+        rows = np.arange(R)[:, None], np.arange(n)
         Sc = np.clip(S, _CLAMP, 1.0 - _CLAMP)
-        ce = -np.log(Sc[np.arange(n), y])
+        ce = -np.log(Sc[(*rows, y)])
         D = S.copy()
-        D[np.arange(n), y] -= 1.0
+        D[(*rows, y)] -= 1.0
         A1, W2, _ = layers[1]
         deltas = [(D @ W2) * A1 * (1.0 - A1), D]
-    return (float(ce.sum() / n),
+    return (ce.sum(axis=1) / n,
             [(D, A, W, aw) for D, (A, W, aw) in zip(deltas, layers)])
 
 
 def _sq_weights(layers):
-    """||theta_w||^2 over the regularized (non-bias) entries of theta, as
-    one dot product in theta order."""
-    w = np.concatenate([W.ravel() for _, _, W, _ in layers])
-    return float(w @ w)
+    """Per model, ||theta_w||^2 over the regularized (non-bias) entries of
+    theta, as one dot product in theta order."""
+    w = np.concatenate([W.reshape(len(W), -1) for _, _, W, _ in layers],
+                       axis=1)
+    return np.array([float(v @ v) for v in w])
 
 
-def loss_and_per_example_grads(params: ModelParams, features, labels,
-                               include_ridge=True):
-    """Mean cross-entropy (+ ridge on weights) and the n x |theta| matrix
-    of per-record loss gradients.
-
-    With include_ridge, the full ridge gradient is added to every row so
-    the row mean equals the gradient of the regularized mean loss.
-    """
-    loss, layers = _backprop(params, features, labels)
-    lam = params.l2_lambda if include_ridge else 0.0
-    if lam > 0:
-        loss += 0.5 * lam * _sq_weights(layers)
-    n = layers[0][0].shape[0]
-    return loss, np.column_stack([
-        block for D, A, W, _ in layers
-        for block in (np.einsum("no,ni->noi", D, A).reshape(n, -1)
-                      + lam * W.ravel(), D)])
-
-
-def clipped_grad_sum(params: ModelParams, features, labels, clip_norm,
+def clipped_grad_sum(spec, theta, features, labels, clip_norms,
                      microbatch_count):
-    """DP-SGD's pre-noise gradient of one batch, without the n x |theta|
-    matrix of per-record gradients.
+    """DP-SGD's pre-noise gradient of one batch for each of R stacked
+    models of one family, without the n x |theta| matrix of per-record
+    gradients.
 
-    The batch splits into `microbatch_count` equal consecutive units, each
-    with gradient the mean over its records of the regularized loss
-    gradient. Returns (mean regularized loss, the sum of the unit gradients
-    each rescaled to norm <= clip_norm, the units' pre-clip norms). With
-    clip_norm None nothing is clipped and the norms are None.
+    spec names the family, h and l2_lambda (a FamilySpec or ModelParams);
+    theta is (R, p), features (R, n, d), labels (R, n) and clip_norms (R,),
+    or None for no clipping. Each model's batch splits into
+    `microbatch_count` equal consecutive units, each with gradient the mean
+    over its records of the regularized loss gradient. Returns, per model,
+    (mean regularized loss (R,), the sum of the unit gradients each
+    rescaled to norm <= its clip norm (R, p), the units' pre-clip norms
+    (R, m)); with clip_norms None nothing is clipped and the norms are
+    None. Model r's values are those of a stack of r alone, bit for bit.
 
     A record's gradient for a layer is delta_i ⊗ [a_i; 1], so per record
     ||g_i||^2 sums ||delta_i||^2 (||a_i||^2 + 1) over layers, plus the ridge
@@ -239,44 +234,54 @@ def clipped_grad_sum(params: ModelParams, features, labels, clip_norm,
     2015, arXiv:1510.01799); fewer units form their m x |theta| means. The
     sum is then one matmul per layer with per-record weights.
     """
-    loss, layers = _backprop(params, features, labels)
-    n = layers[0][0].shape[0]
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=np.int64)
+    R, n = y.shape
+    if theta.shape[1] != param_count(spec.family, X.shape[2], spec.h):
+        raise ShapeError(f"theta width {theta.shape[1]} does not fit "
+                         f"{spec.family} at d={X.shape[2]}")
     m = microbatch_count
     if m < 1 or n % m != 0:
         raise ConfigurationError("microbatch_count must divide batch size")
-    if clip_norm is not None and clip_norm <= 0:
-        raise DomainError("clip norm must be > 0")
-    lam = params.l2_lambda
-    sq_weights = _sq_weights(layers) if lam > 0 else 0.0
-    loss += 0.5 * lam * sq_weights
+    if clip_norms is not None:
+        clip_norms = np.asarray(clip_norms, dtype=float)
+        if not (clip_norms > 0).all():
+            raise DomainError("clip norm must be > 0")
+    loss, layers = _backprop(spec, theta, X, y)
+    lam = spec.l2_lambda
+    sq_weights = _sq_weights(layers) if lam > 0 else np.zeros(R)
+    loss = loss + 0.5 * lam * sq_weights
 
     norms = None
-    if clip_norm is not None and m == n:
-        sq = lam * lam * sq_weights
+    if clip_norms is not None and m == n:
+        sq = (lam * lam * sq_weights)[:, None]
         for D, A, _, aw in layers:
-            sq = sq + (np.einsum("no,no->n", D, D)
-                       * (np.einsum("ni,ni->n", A, A) + 1.0)
-                       + 2.0 * lam * np.einsum("no,no->n", D, aw))
+            sq = sq + (np.einsum("rno,rno->rn", D, D)
+                       * (np.einsum("rni,rni->rn", A, A) + 1.0)
+                       + 2.0 * lam * np.einsum("rno,rno->rn", D, aw))
         norms = np.sqrt(np.maximum(sq, 0.0))
-    elif clip_norm is not None:
+    elif clip_norms is not None:
         b = n // m
         blocks = []
         for D, A, W, _ in layers:
-            Dm = D.reshape(m, b, -1)
-            blocks += [np.einsum("mbo,mbi->moi", Dm, A.reshape(m, b, -1))
-                       .reshape(m, -1) / b + lam * W.ravel(),
-                       Dm.sum(axis=1) / b]
-        means = np.concatenate(blocks, axis=1)
-        norms = np.sqrt((means * means).sum(axis=1))
-    unit_weights = (np.ones(m) if norms is None
-                    else 1.0 / np.maximum(1.0, norms / clip_norm))
-    weights = np.repeat(unit_weights * (m / n), n // m)
+            Dm = D.reshape(R, m, b, -1)
+            blocks += [np.einsum("rmbo,rmbi->rmoi", Dm,
+                                 A.reshape(R, m, b, -1)).reshape(R, m, -1)
+                       / b + lam * W.reshape(R, 1, -1),
+                       Dm.sum(axis=2) / b]
+        means = np.concatenate(blocks, axis=2)
+        norms = np.sqrt((means * means).sum(axis=2))
+    unit_weights = (np.ones((R, m)) if norms is None
+                    else 1.0 / np.maximum(1.0, norms / clip_norms[:, None]))
+    weights = np.repeat(unit_weights * (m / n), n // m, axis=1)
+    weight_sums = weights.sum(axis=1)[:, None, None]
     blocks = []
     for D, A, W, _ in layers:
-        Dw = D * weights[:, None]
-        blocks += [(Dw.T @ A + weights.sum() * lam * W).ravel(),
-                   Dw.sum(axis=0)]
-    return loss, np.concatenate(blocks), norms
+        Dw = D * weights[..., None]
+        blocks += [(Dw.transpose(0, 2, 1) @ A + weight_sums * lam * W)
+                   .reshape(R, -1),
+                   Dw.sum(axis=1)]
+    return loss, np.concatenate(blocks, axis=1), norms
 
 
 def lr_hessian(params: ModelParams, features, damping=0.0) -> np.ndarray:

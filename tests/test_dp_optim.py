@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dp_tails import accountant, cohort, dp_optim, metrics, models
-from dp_tails.errors import (ConfigurationError, NumericError, TrainingError)
+from dp_tails.errors import (ConfigurationError, DomainError, NumericError,
+                             TrainingError)
+from oracles import trainer_parent
+from oracles.trainer_parent import clip_gradient, loss_and_per_example_grads
 
 from conftest import make_cohort, raw_cohort
 
@@ -15,16 +20,28 @@ def _split_of(c, pivot=2002):
     return cohort.split_yearly(c, pivot, "cumulative")
 
 
+def _step(params, X, y, config, seeds=(0,)):
+    """dp_optim._step on one stack of copies of params, one per seed (the
+    seed picks the model's noise generator), every copy on batch X, y;
+    returns the stack's thetas."""
+    configs = [dataclasses.replace(config, seed=s) for s in seeds]
+    stack = dp_optim._Stack(configs, np.tile(params.theta, (len(seeds), 1)))
+    spec = models.FamilySpec(params.family, params.h, params.l2_lambda)
+    dp_optim._step(stack, spec, np.broadcast_to(X, (len(seeds), *X.shape)),
+                   np.broadcast_to(y, (len(seeds), *y.shape)), config, 0)
+    return stack.theta
+
+
 def test_clip_examples():
-    assert np.allclose(dp_optim.clip_gradient([3.0, 4.0], 1.0), [0.6, 0.8])
-    assert np.allclose(dp_optim.clip_gradient([3.0, 4.0], 5.0), [3.0, 4.0])
-    assert np.allclose(dp_optim.clip_gradient([0.0, 0.0], 0.5), [0.0, 0.0])
+    assert np.allclose(clip_gradient([3.0, 4.0], 1.0), [0.6, 0.8])
+    assert np.allclose(clip_gradient([3.0, 4.0], 5.0), [3.0, 4.0])
+    assert np.allclose(clip_gradient([0.0, 0.0], 0.5), [0.0, 0.0])
 
 
 def test_clip_bound_and_direction(rng):
     for _ in range(200):
         g = rng.normal(scale=3.0, size=8)
-        clipped = dp_optim.clip_gradient(g, 1.0)
+        clipped = clip_gradient(g, 1.0)
         assert np.linalg.norm(clipped) <= 1.0 + 1e-12
         cos = g @ clipped / (np.linalg.norm(g) * np.linalg.norm(clipped))
         assert abs(cos - 1.0) < 1e-12
@@ -35,11 +52,11 @@ def test_clip_bound_and_direction(rng):
                 elements=st.floats(-1e6, 1e6)),
        clip_norm=st.floats(1e-3, 1e3))
 def test_clip_rows_bound_and_direction_property(G, clip_norm):
-    clipped = dp_optim.clip_gradient(G, clip_norm)
+    clipped = clip_gradient(G, clip_norm)
     assert clipped.shape == G.shape
     for g, c in zip(G, clipped):
         # Each row is clipped exactly as the vector on its own would be.
-        assert np.array_equal(c, dp_optim.clip_gradient(g, clip_norm))
+        assert np.array_equal(c, clip_gradient(g, clip_norm))
         norm = np.linalg.norm(g)
         assert np.linalg.norm(c) <= clip_norm * (1.0 + 1e-12)
         if norm <= clip_norm:
@@ -51,7 +68,7 @@ def test_clip_rows_bound_and_direction_property(G, clip_norm):
 
 def test_clip_non_finite_error():
     with pytest.raises(NumericError):
-        dp_optim.clip_gradient([np.nan, 1.0], 1.0)
+        clip_gradient([np.nan, 1.0], 1.0)
 
 
 def test_config_level_binding():
@@ -77,11 +94,10 @@ def test_step_reduces_to_plain_sgd(rng):
     config = dp_optim.DPTrainingConfig(
         clip_norm=1e9, noise_multiplier=0.0, batch_size=32,
         microbatch_count=32, learning_rate=0.3)
-    stepped = dp_optim._step(params, X, y, config,
-                             np.random.default_rng(0))[0]
-    _, G = models.loss_and_per_example_grads(params, X, y)
+    stepped = _step(params, X, y, config)[0]
+    _, G = loss_and_per_example_grads(params, X, y)
     plain = params.theta - 0.3 * G.mean(axis=0)
-    assert np.max(np.abs(stepped.theta - plain)) < 1e-9
+    assert np.max(np.abs(stepped - plain)) < 1e-9
 
 
 def test_step_clipped_update_bound(rng):
@@ -94,9 +110,8 @@ def test_step_clipped_update_bound(rng):
     config = dp_optim.DPTrainingConfig(
         clip_norm=1.0, noise_multiplier=0.0, batch_size=16,
         microbatch_count=16, learning_rate=0.7)
-    stepped = dp_optim._step(params, X, y, config,
-                             np.random.default_rng(0))[0]
-    update = stepped.theta - params.theta
+    stepped = _step(params, X, y, config)[0]
+    update = stepped - params.theta
     assert np.linalg.norm(update) <= 0.7 * (1.0 + 1e-9)
 
 
@@ -106,9 +121,10 @@ def test_step_determinism(rng):
     params = models.init_params("lr-binary", 3)
     config = dp_optim.DPTrainingConfig.from_level("high", batch_size=32,
                                                   microbatch_count=16)
-    a = dp_optim._step(params, X, y, config, np.random.default_rng(5))[0]
-    b = dp_optim._step(params, X, y, config, np.random.default_rng(5))[0]
-    assert np.array_equal(a.theta, b.theta)
+    a = _step(params, X, y, config, seeds=(5,))
+    b = _step(params, X, y, config, seeds=(5, 6, 5))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[0], b[2])
+    assert not np.array_equal(b[0], b[1])
 
 
 def test_sensitivity_invariant(rng):
@@ -128,8 +144,9 @@ def test_sensitivity_invariant(rng):
                 size = unit.stop - unit.start
                 X2[unit] = rng.normal(scale=100.0, size=(size, 5))
                 y2[unit] = rng.integers(2, size=size)
-                _, s1, _ = models.clipped_grad_sum(params, X1, y1, C, m)
-                _, s2, _ = models.clipped_grad_sum(params, X2, y2, C, m)
+                _, (s1, s2), _ = models.clipped_grad_sum(
+                    params, np.tile(params.theta, (2, 1)), np.stack([X1, X2]),
+                    np.stack([y1, y2]), [C, C], m)
                 assert np.linalg.norm(s1 - s2) <= 2 * C + 1e-9
 
 
@@ -138,21 +155,34 @@ def test_step_rejects_non_finite_gradient(rng, monkeypatch):
     # norm overflows, and the step raises rather than apply the update.
     X = np.full((16, 3), 1e200)
     y = np.ones(16, dtype=int)
-    params = models.init_params("lr-binary", 3)
+    split = _split_of(raw_cohort(np.vstack([X, X]), np.ones(32, dtype=int),
+                                 years=[2001] * 16 + [2002] * 16))
     for m in (4, 16):
         config = dp_optim.DPTrainingConfig.from_level(
-            "high", batch_size=16, microbatch_count=m)
+            "high", batch_size=16, microbatch_count=m, epochs=1)
         with pytest.raises(NumericError), np.errstate(over="ignore"):
-            dp_optim._step(params, X, y, config,
-                           np.random.default_rng(0))[0]
-    # A non-finite clipped sum is refused on the step path too.
-    monkeypatch.setattr(models, "clipped_grad_sum",
-                        lambda *args: (0.5, np.full(4, np.nan), np.ones(4)))
+            dp_optim.train({"family": "lr-binary"}, split, config)
+    # A non-finite clipped sum is refused on the step path too, and only
+    # the model it belongs to leaves the stack.
+    params = models.init_params("lr-binary", 3)
+    real = models.clipped_grad_sum
+
+    def poisoned(*args):
+        loss, total, norms = real(*args)
+        total[1] = np.nan
+        return loss, total, norms
+    monkeypatch.setattr(models, "clipped_grad_sum", poisoned)
     config = dp_optim.DPTrainingConfig.from_level(
         "high", batch_size=16, microbatch_count=4)
-    with pytest.raises(NumericError):
-        dp_optim._step(params, rng.normal(size=(16, 3)), y, config,
-                       np.random.default_rng(0))[0]
+    configs = [dataclasses.replace(config, seed=s) for s in (0, 1, 2)]
+    stack = dp_optim._Stack(configs, np.zeros((3, 4)))
+    dp_optim._step(stack, models.FamilySpec(),
+                   np.stack([rng.normal(size=(16, 3))] * 3),
+                   np.stack([y] * 3), config, 0)
+    assert stack.index.tolist() == [0, 2]
+    assert [type(e).__name__ if e else None for e in stack.errors] == \
+        [None, "NumericError", None]
+    assert str(stack.errors[1]) == "non-finite gradient"
 
 
 def test_noise_calibration():
@@ -167,11 +197,9 @@ def test_noise_calibration():
     config = dp_optim.DPTrainingConfig(
         clip_norm=1.0, noise_multiplier=1.0, batch_size=L,
         microbatch_count=m, learning_rate=0.5)
-    rng = np.random.default_rng(7)
-    deltas = np.empty((10000, d + 1))
-    for t in range(10000):
-        stepped = dp_optim._step(params, X, y, config, rng)[0]
-        deltas[t] = stepped.theta - params.theta
+    # 10000 independent steps: one stack of 10000 copies of the model,
+    # each with its own noise generator.
+    deltas = _step(params, X, y, config, seeds=range(10000)) - params.theta
     expected = 0.5 * 1.0 * 1.0 / m
     assert abs(deltas.std() - expected) <= 0.03 * expected
     assert abs(deltas.mean()) <= 3 * expected / np.sqrt(deltas.size)
@@ -195,7 +223,7 @@ def test_train_reduction_to_plain_sgd_path():
         perm = rng.permutation(n)
         for b in range(n // L):
             idx = perm[b * L:(b + 1) * L]
-            _, G = models.loss_and_per_example_grads(params, X[idx], y[idx])
+            _, G = loss_and_per_example_grads(params, X[idx], y[idx])
             params = params.copy_with(params.theta - 0.4 * G.mean(axis=0))
     assert np.max(np.abs(trained.params.theta - params.theta)) < 1e-9
     assert trained.spend.epsilon == math.inf
@@ -303,3 +331,75 @@ def test_monotone_utility_trend():
             vals.append(metrics.auroc(scores, split.test.labels))
         means[level] = float(np.mean(vals))
     assert means["none"] >= means["low"] >= means["high"]
+
+
+def _same_model(a, b):
+    return (np.array_equal(a.params.theta, b.params.theta)
+            and a.params.to_dict() == b.params.to_dict()
+            and a.training_trace == b.training_trace
+            and a.steps_taken == b.steps_taken
+            and a.accounting_log == b.accounting_log
+            and a.spend == b.spend)
+
+
+@pytest.mark.parametrize("family, optimizer, m", itertools.product(
+    models.FAMILIES, ("sgd", "adam"), (1, 16, 64)))
+def test_stacked_models_equal_frozen_per_model_trainer(family, optimizer, m):
+    # Every model of a stack is, bit for bit, the model the per-model
+    # trainer gave (tests/oracles/trainer_parent.py): alone (R = 1), in a
+    # stack of its level's seeds, and in a stack of other companions.
+    c = make_cohort(n=400, d=4, years=(2001, 2002), seed=5)
+    split = _split_of(c)
+    spec = {"family": family, "h": 5, "l2_lambda": 0.01}
+    stacks = {"none": ["none"], "private": ["low", "high"]}
+    for levels in stacks.values():
+        configs = [dp_optim.DPTrainingConfig.from_level(
+            level, batch_size=64, microbatch_count=m, learning_rate=0.3,
+            epochs=2, seed=seed, optimizer=optimizer)
+            for level in levels for seed in (0, 7, 11)]
+        stacked = dp_optim.train_stack(spec, split, configs)
+        reordered = dp_optim.train_stack(spec, split, configs[::-2])
+        for config, model in zip(configs, stacked):
+            oracle = trainer_parent.train(spec, split, config)
+            assert model.steps_taken == 2 * (split.train.n // 64) > 2
+            assert _same_model(model, oracle)
+            assert _same_model(dp_optim.train(spec, split, config), oracle)
+        for config, model in zip(configs[::-2], reordered):
+            assert _same_model(model, stacked[configs.index(config)])
+
+
+def test_train_stack_failure_leaves_companions_untouched():
+    # A label outside {0, 1} stops exactly the models whose batch meets it,
+    # with the error the per-model trainer raises; the others, whose
+    # shuffles drop that record with the partial batch, equal their
+    # training alone.
+    c = make_cohort(n=240, d=3, years=(2001, 2002), seed=1)
+    first = int(np.flatnonzero(c.years == 2001)[0])
+    c.labels[first] = 2
+    split = _split_of(c)
+    configs = [dp_optim.DPTrainingConfig.from_level(
+        "high", batch_size=64, microbatch_count=16, epochs=1, seed=s)
+        for s in range(8)]
+    assert split.train.n % 64 > 32
+    stacked = dp_optim.train_stack({"family": "lr-binary"}, split, configs)
+    failed = 0
+    for config, model in zip(configs, stacked):
+        try:
+            oracle = trainer_parent.train({"family": "lr-binary"}, split,
+                                          config)
+        except DomainError as exc:
+            failed += 1
+            assert isinstance(model, DomainError)
+            assert str(model) == str(exc)
+            continue
+        assert _same_model(model, oracle)
+    assert 0 < failed < len(configs)
+
+
+def test_train_stack_refuses_mixed_stacks():
+    split = _split_of(make_cohort(n=200, d=3, years=(2001, 2002)))
+    low = dp_optim.DPTrainingConfig.from_level("low")
+    for other in (dp_optim.DPTrainingConfig.from_level("none"),
+                  dataclasses.replace(low, learning_rate=0.2)):
+        with pytest.raises(ConfigurationError, match="stacked models"):
+            dp_optim.train_stack({"family": "lr-binary"}, split, [low, other])

@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dp_tails import (accountant, cli, cohort, dp_optim, harness, influence,
                       models, objective_perturbation)
-from dp_tails.errors import ConfigurationError, config_from_dict
+from dp_tails.errors import (ConfigurationError, TrainingError,
+                             config_from_dict)
+from oracles import trainer_parent
 
 from conftest import make_cohort
 
@@ -283,12 +285,16 @@ def test_aggregate_epsilon_is_largest_over_pivots(tmp_path):
 
 
 def test_each_slot_trains_once_and_audits_read_it(tmp_path, monkeypatch):
+    # Every model trained: one per DP-SGD config of a stack, one per
+    # objective-perturbation call.
     calls = []
-    for module, name in ((dp_optim, "train"),
-                         (objective_perturbation,
-                          "train_objective_perturbation")):
-        def counted(*args, _fn=getattr(module, name), **kwargs):
-            calls.append(_fn)
+    for module, name, models_of in (
+            (dp_optim, "train_stack", lambda args: args[2]),
+            (objective_perturbation, "train_objective_perturbation",
+             lambda args: [args[1]])):
+        def counted(*args, _fn=getattr(module, name), _of=models_of,
+                    **kwargs):
+            calls.extend(_of(args))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     cc = cohort.CohortConfig(n=900, d=4, positive_prevalence=0.3,
@@ -308,6 +314,51 @@ def test_each_slot_trains_once_and_audits_read_it(tmp_path, monkeypatch):
     for cell in influenced:
         assert cell["influence"]["spend"] == \
             cell["utility"]["per_year"][-1]["spend"]
+
+
+def test_stacked_failure_fails_only_its_cell(tmp_path, monkeypatch):
+    # One model of a private stack, at the second pivot, starts from
+    # non-finite parameters. Only its cell fails, with the error the
+    # per-model trainer gives it, and it records nothing else; every other
+    # cell equals its cell in a run without the fault.
+    cc = cohort.CohortConfig(n=900, d=4, positive_prevalence=0.3,
+                             years=(2001, 2003), class_separation=2.0, seed=0)
+    config = harness.ExperimentConfig(
+        cohort=cc, privacy_levels=["none", "low", "high"], seeds=[0, 1],
+        audits=["utility", "robustness", "fairness"], epochs=1,
+        out_dir=str(tmp_path / "clean"))
+    clean, failures = harness.run_experiment(config)
+    assert failures == 0
+
+    target = harness.stable_seed(1, "outcome", "low", "dp-sgd", 2003)
+    init = models.init_params
+
+    def poisoned(*args, seed=0, **kwargs):
+        params = init(*args, seed=seed, **kwargs)
+        if seed == target:
+            params.theta[:] = np.nan
+        return params
+    monkeypatch.setattr(models, "init_params", poisoned)
+    split = cohort.split_yearly(cohort.generate_cohort(cc), 2003,
+                                "cumulative")
+    with pytest.raises(TrainingError) as per_model:
+        trainer_parent.train(
+            harness._family_spec(config.tasks[0], "task"),
+            split, dp_optim.DPTrainingConfig.from_level(
+                "low", batch_size=config.batch_size,
+                microbatch_count=config.microbatch_count,
+                learning_rate=config.learning_rate, epochs=1, seed=target))
+    faulty, failures = harness.run_experiment(
+        dataclasses.replace(config, out_dir=str(tmp_path / "faulty")))
+    assert failures == 1
+    for before, after in zip(clean["cells"], faulty["cells"]):
+        if (after["level"], after["seed"]) == ("low", 1):
+            assert after == {"task": "outcome", "level": "low",
+                             "mechanism": "dp-sgd", "seed": 1,
+                             "error": "TrainingError: "
+                                      f"{per_model.value}"}
+        else:
+            assert after == before
 
 
 def test_utility_csv_matches_report(tmp_path):
@@ -507,6 +558,14 @@ _PROBE_BASE = {
     ("train", {"mechanism": "objective-perturbation",
                "objpert": {"eps_p": 1.0, "lam": 0.1, "bogus": 1}}, "bogus"),
     ("train", {"mechanism": "objective-perturbation"}, "eps_p"),
+    ("train", {"mechanism": "objective-perturbation",
+               "objpert": {"eps_p": 1.0, "lam": 0.1},
+               "family_spec": {"family": "mlp-1", "h": 4},
+               "training": {"privacy_level": "high"}}, "'training'"),
+    ("train", {"mechanism": "objective-perturbation",
+               "objpert": {"eps_p": 1.0, "lam": 0.1},
+               "family_spec": {"family": "mlp-1", "h": 4}}, "'family_spec'"),
+    ("train", {"objpert": {"eps_p": 1.0, "lam": 0.1}}, "'objpert'"),
     ("generate-data", {"d": 3}, "'n'"),
     ("run", {"cohort": {"d": 3}}, "'n'"),
     ("train", {"family_spec": {"l2_lamda": 0.5}}, "l2_lamda"),
@@ -578,7 +637,9 @@ _PROBE_BASE = {
                                                        "h": 16}}},
      "params.dims: unknown key(s): ['k']"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
-        "objpert-missing", "generate-data-missing-n", "run-cohort-missing-n",
+        "objpert-missing", "objpert-unread-training",
+        "objpert-unread-family-spec", "dp-sgd-unread-objpert",
+        "generate-data-missing-n", "run-cohort-missing-n",
         "family-spec-typo", "run-task-typo", "task-without-name",
         "training-epochs-string", "run-cohort-n-string", "run-epochs-string",
         "run-level-not-string", "audit-params-not-object",

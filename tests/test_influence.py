@@ -7,6 +7,7 @@ from dp_tails.errors import (AssignmentError, ConditioningError, DomainError,
                              UnsupportedFamilyError)
 
 from conftest import make_cohort, raw_cohort
+from oracles.trainer_parent import loss_and_per_example_grads
 
 
 def _fitted_engine(n=80, d=4, lam=0.1, seed=0):
@@ -62,9 +63,9 @@ def test_pair_matches_direct_formula(rng):
     H = models.lr_hessian(engine.params, c.features)
     for _ in range(10):
         i, j = rng.integers(c.n, size=2)
-        _, Gi = models.loss_and_per_example_grads(
+        _, Gi = loss_and_per_example_grads(
             engine.params, c.features[[i]], [c.labels[i]], include_ridge=False)
-        _, Gj = models.loss_and_per_example_grads(
+        _, Gj = loss_and_per_example_grads(
             engine.params, c.features[[j]], [c.labels[j]], include_ridge=False)
         expected = float(-Gj[0] @ np.linalg.solve(H, Gi[0]))
         got = engine.pair((c.features[i], int(c.labels[i])),

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dp_tails import dp_optim, models
+from dp_tails import models
 from dp_tails.errors import (ConfigurationError, DomainError,
                              OptimizationError, ShapeError,
                              UnsupportedFamilyError)
+from oracles import trainer_parent
+from oracles.trainer_parent import clip_gradient, loss_and_per_example_grads
 
 
 def _random_params(family, d, rng, h=4, l2_lambda=0.0):
@@ -23,8 +25,8 @@ def _fd_gradient(params, x, y, step=1e-5):
         dn = params.theta.copy()
         up[j] += step
         dn[j] -= step
-        lu, _ = models.loss_and_per_example_grads(params.copy_with(up), [x], [y])
-        ld, _ = models.loss_and_per_example_grads(params.copy_with(dn), [x], [y])
+        lu, _ = loss_and_per_example_grads(params.copy_with(up), [x], [y])
+        ld, _ = loss_and_per_example_grads(params.copy_with(dn), [x], [y])
         grad[j] = (lu - ld) / (2 * step)
     return grad
 
@@ -44,17 +46,38 @@ def test_predict_rows_sum_to_one(rng):
         assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_predict_equals_frozen_2d_pass(rng):
+    # predict runs the stacked forward pass at R = 1; its probabilities
+    # are the frozen 2-D pass's, bit for bit.
+    for family in models.FAMILIES:
+        for scale in (0.1, 1.0, 30.0):
+            params = models.ModelParams(
+                family, rng.normal(scale=scale, size=models.param_count(
+                    family, 7, 5)), 7, 5)
+            X = rng.normal(size=(300, 7))
+            assert np.array_equal(models.predict(params, X),
+                                  trainer_parent.predict(params, X))
+
+
 def test_predict_shape_error():
     params = models.init_params("lr-binary", 3)
     with pytest.raises(ShapeError):
         models.predict(params, np.ones((5, 4)))
 
 
+def _one(params, X, y, clip_norm, m):
+    """models.clipped_grad_sum of the stack of params alone."""
+    loss, total, norms = models.clipped_grad_sum(
+        params, params.theta[None], np.asarray(X, dtype=float)[None],
+        np.asarray(y)[None], None if clip_norm is None else [clip_norm], m)
+    return loss[0], total[0], None if norms is None else norms[0]
+
+
 def test_loss_ln2_at_zero_theta():
     params = models.init_params("lr-binary", 2)
     X = np.random.default_rng(0).normal(size=(10, 2))
     y = np.array([0, 1] * 5)
-    loss, _ = models.loss_and_per_example_grads(params, X, y)
+    loss, _, _ = _one(params, X, y, None, 1)
     assert abs(loss - np.log(2)) < 1e-9
 
 
@@ -65,7 +88,7 @@ def test_gradient_matches_finite_differences(rng):
                                     l2_lambda=float(rng.uniform(0, 0.5)))
             x = rng.normal(size=3)
             y = int(rng.integers(2))
-            _, G = models.loss_and_per_example_grads(params, [x], [y])
+            _, G = loss_and_per_example_grads(params, [x], [y])
             fd = _fd_gradient(params, x, y)
             assert np.max(np.abs(G[0] - fd)) <= 1e-5
 
@@ -75,7 +98,7 @@ def test_single_record_closed_form(rng):
     x = rng.normal(size=4)
     p = models.predict(params, [x])[0, 1]
     for y in (0, 1):
-        _, G = models.loss_and_per_example_grads(params, [x], [y])
+        _, G = loss_and_per_example_grads(params, [x], [y])
         expected = (p - y) * np.append(x, 1.0)
         assert np.allclose(G[0], expected, atol=1e-12)
 
@@ -84,15 +107,15 @@ def test_ridge_rows_mean_to_full_batch_gradient(rng):
     params = _random_params("lr-binary", 3, rng, l2_lambda=0.3)
     X = rng.normal(size=(40, 3))
     y = rng.integers(2, size=40)
-    loss, G = models.loss_and_per_example_grads(params, X, y)
+    loss, G = loss_and_per_example_grads(params, X, y)
     step = 1e-6
     fd = np.zeros_like(params.theta)
     for j in range(len(params.theta)):
         up, dn = params.theta.copy(), params.theta.copy()
         up[j] += step
         dn[j] -= step
-        lu, _ = models.loss_and_per_example_grads(params.copy_with(up), X, y)
-        ld, _ = models.loss_and_per_example_grads(params.copy_with(dn), X, y)
+        lu, _ = loss_and_per_example_grads(params.copy_with(up), X, y)
+        ld, _ = loss_and_per_example_grads(params.copy_with(dn), X, y)
         fd[j] = (lu - ld) / (2 * step)
     assert np.max(np.abs(G.mean(axis=0) - fd)) <= 1e-4
 
@@ -100,7 +123,7 @@ def test_ridge_rows_mean_to_full_batch_gradient(rng):
 def test_empty_subset_error():
     params = models.init_params("lr-binary", 3)
     with pytest.raises(DomainError):
-        models.loss_and_per_example_grads(params, np.empty((0, 3)), [])
+        _one(params, np.empty((0, 3)), np.empty(0, dtype=int), None, 1)
 
 
 @st.composite
@@ -124,8 +147,8 @@ def test_clipped_grad_sum_matches_per_example_oracle(case):
     # Oracle: the n x |theta| per-record matrix, averaged into microbatches
     # and clipped row by row with clip_gradient.
     params, X, y, clip_norm, m = case
-    loss, total, norms = models.clipped_grad_sum(params, X, y, clip_norm, m)
-    ref_loss, G = models.loss_and_per_example_grads(params, X, y)
+    loss, total, norms = _one(params, X, y, clip_norm, m)
+    ref_loss, G = loss_and_per_example_grads(params, X, y)
     means = G.reshape(m, X.shape[0] // m, -1).mean(axis=1)
     assert loss == ref_loss
     if clip_norm is None:
@@ -134,9 +157,35 @@ def test_clipped_grad_sum_matches_per_example_oracle(case):
     else:
         np.testing.assert_allclose(norms, np.linalg.norm(means, axis=1),
                                    rtol=1e-12, atol=0)
-        rows = dp_optim.clip_gradient(means, clip_norm)
+        rows = clip_gradient(means, clip_norm)
     np.testing.assert_allclose(total, rows.sum(axis=0), rtol=1e-12,
                                atol=1e-12 * np.abs(rows).sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_clipping_cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_clipped_grad_sum_stack_matches_frozen_per_model(case, seed):
+    # Each model of a stack gets, bit for bit, the per-model clipped sum of
+    # the frozen 2-D pass, whatever its companions and their clip norms.
+    params, X, y, clip_norm, m = case
+    rng = np.random.default_rng(seed)
+    R = 3
+    theta = np.vstack([params.theta,
+                       rng.normal(scale=0.5, size=(R - 1, params.theta.size))])
+    Xs = np.stack([X, *(rng.normal(size=(R - 1, *X.shape)) * 10.0)])
+    ys = np.stack([y, *rng.integers(2, size=(R - 1, len(y)))])
+    clips = (None if clip_norm is None
+             else [clip_norm, *rng.uniform(1e-3, 1e3, size=R - 1)])
+    loss, total, norms = models.clipped_grad_sum(params, theta, Xs, ys,
+                                                 clips, m)
+    for r in range(R):
+        ref = trainer_parent.clipped_grad_sum(
+            params.copy_with(theta[r]), Xs[r], ys[r],
+            None if clips is None else clips[r], m)
+        assert loss[r] == ref[0]
+        assert np.array_equal(total[r], ref[1])
+        assert (norms is None) == (ref[2] is None)
+        assert norms is None or np.array_equal(norms[r], ref[2])
 
 
 def test_clipped_grad_sum_errors(rng):
@@ -144,9 +193,13 @@ def test_clipped_grad_sum_errors(rng):
     X, y = rng.normal(size=(6, 3)), rng.integers(2, size=6)
     for m in (0, 4):
         with pytest.raises(ConfigurationError):
-            models.clipped_grad_sum(params, X, y, 1.0, m)
+            _one(params, X, y, 1.0, m)
     with pytest.raises(DomainError):
-        models.clipped_grad_sum(params, X, y, 0.0, 3)
+        _one(params, X, y, 0.0, 3)
+    with pytest.raises(DomainError, match="labels"):
+        _one(params, X, np.full(6, 2), 1.0, 3)
+    with pytest.raises(ShapeError):
+        _one(params, X[:, :2], y, 1.0, 3)
 
 
 def test_hessian_closed_form_single_record():
@@ -172,7 +225,7 @@ def test_hessian_matches_finite_differences(rng):
 
     def full_grad(theta):
         p = params.copy_with(theta)
-        _, G = models.loss_and_per_example_grads(p, X, y)
+        _, G = loss_and_per_example_grads(p, X, y)
         g = G.mean(axis=0)
         g[-1] += lam * theta[-1]
         return g
@@ -197,7 +250,7 @@ def test_hessian_gradient_consistency(rng):
 
     def full_grad(theta):
         p = params.copy_with(theta)
-        _, G = models.loss_and_per_example_grads(p, X, y)
+        _, G = loss_and_per_example_grads(p, X, y)
         g = G.mean(axis=0)
         g[-1] += lam * theta[-1]
         return g
@@ -224,7 +277,7 @@ def test_midpoint_convexity(rng):
     y = rng.integers(2, size=40)
 
     def objective(theta):
-        loss, _ = models.loss_and_per_example_grads(params.copy_with(theta), X, y)
+        loss, _ = loss_and_per_example_grads(params.copy_with(theta), X, y)
         return loss
 
     for _ in range(10):
@@ -254,7 +307,7 @@ def test_fit_lr_newton_recovers_signal(rng):
     acc = float(np.mean((p >= 0.5) == y))
     assert acc >= 0.75
     # Optimality: gradient of the fitted objective is ~0.
-    _, G = models.loss_and_per_example_grads(params, X, y)
+    _, G = loss_and_per_example_grads(params, X, y)
     grad = G.mean(axis=0)
     grad[-1] += params.l2_lambda * params.theta[-1]
     assert np.linalg.norm(grad) <= 1e-8
@@ -265,7 +318,7 @@ def test_fit_lr_newton_linear_term_and_tolerance_error(rng):
     y = (X[:, 0] > 0).astype(int)
     c = rng.normal(scale=0.1, size=4)
     params = models.fit_lr_newton(X, y, l2_lambda=0.1, linear=c)
-    _, G = models.loss_and_per_example_grads(params, X, y)
+    _, G = loss_and_per_example_grads(params, X, y)
     grad = G.mean(axis=0) + c
     grad[-1] += params.l2_lambda * params.theta[-1]
     assert np.linalg.norm(grad) <= 1e-10
