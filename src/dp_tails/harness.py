@@ -200,11 +200,10 @@ def _influence_audit(split, trained, config):
 class _CellAudits:
     """The audits of one grid cell, fed one pivot model at a time."""
 
-    def __init__(self, cell, audits, level, seed):
-        self.cell, self.audits, self.level, self.seed = (cell, audits, level,
-                                                         seed)
+    def __init__(self, cell, audits):
+        self.cell, self.audits = cell, audits
         self.rows, self.fairness = [], []
-        self.robustness = shift_audit.RobustnessAudit(seed)
+        self.robustness = shift_audit.RobustnessAudit(cell["seed"])
         self.trained = None
 
     def add(self, pivot, split, trained):
@@ -246,8 +245,9 @@ def _run_cells(base, task, mechanism, cells, config):
     split = None
     try:
         for pivot, split in cohort_mod.yearly_splits(base):
-            jobs = [(c.level, stable_seed(c.seed, task["name"], c.level,
-                                          mechanism, pivot)) for c in live]
+            jobs = [(c.cell["level"], stable_seed(
+                c.cell["seed"], task["name"], c.cell["level"], mechanism,
+                pivot)) for c in live]
             trained = _train_pivot(split, task, mechanism, jobs, config)
             for state, result in zip(list(live), trained):
                 if not isinstance(result, DPTailsError):
@@ -290,7 +290,7 @@ def run_experiment(config: ExperimentConfig):
                       and level == config.privacy_levels[0])]
         if audits:
             by_group.setdefault((t, mechanism), []).append(
-                _CellAudits(cell, audits, level, seed))
+                _CellAudits(cell, audits))
     for (t, mechanism), states in by_group.items():
         _run_cells(base, config.tasks[t], mechanism, states, config)
     failures = sum("error" in cell for cell in cells)
