@@ -153,7 +153,10 @@ def _log_a_frac(q, sigma, alphas):
         i = np.arange(lo, n)
         j = alphas - i
         coef = special.binom(alphas, i)
-        log_coef = np.log(np.abs(coef))
+        # An order within rounding of an integer has coefficients of exactly
+        # 0; their log-terms are -inf, and the sum drops them (sign 0).
+        with np.errstate(divide="ignore"):
+            log_coef = np.log(np.abs(coef))
         log_s0 = (log_coef + i * math.log(q) + j * math.log1p(-q)
                   + (i * i - i) / (2.0 * sigma ** 2)
                   + special.log_ndtr((z0 - i) / sigma))

@@ -11,7 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                harness, influence, models, objective_perturbation,
@@ -38,19 +38,25 @@ class TrainFile:
     protocol: str = "cumulative"
     seed: int = 0
     mechanism: str = "dp-sgd"
-    training: dict | None = None
-    family_spec: dict | None = None
-    objpert: dict | None = None
+    training: dict = field(default_factory=dict)
+    family_spec: dict = field(default_factory=dict)
+    objpert: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        # Each mechanism reads its own sections; a section it would not
-        # read is refused, not silently ignored.
-        unread = {"dp-sgd": ("objpert",),
-                  "objective-perturbation": ("training", "family_spec")}
-        for key in unread.get(self.mechanism, ()):
-            if getattr(self, key) is not None:
+    # Each mechanism reads its own sections; a section it would not read
+    # is refused, not silently ignored.
+    UNREAD = {"dp-sgd": ("objpert",),
+              "objective-perturbation": ("training", "family_spec")}
+
+    @classmethod
+    def load(cls, path):
+        raw = _load_json(path)
+        cfg = config_from_dict(cls, raw, path)
+        for key in cls.UNREAD.get(cfg.mechanism, ()):
+            if key in raw:
                 raise ConfigurationError(
-                    f"{key!r}: not read by mechanism {self.mechanism!r}")
+                    f"{path}: {key!r}: not read by mechanism "
+                    f"{cfg.mechanism!r}")
+        return cfg
 
 
 @dataclass
@@ -105,23 +111,23 @@ def cmd_generate_data(args):
 
 
 def cmd_train(args):
-    cfg = _load_config(TrainFile, args.config)
+    cfg = TrainFile.load(args.config)
     cohort = cohort_mod.read_cohort(cfg.cohort_csv)
     split = cohort_mod.split_yearly(cohort, cfg.pivot_year, cfg.protocol)
     seed = args.seed if args.seed is not None else cfg.seed
     if cfg.mechanism == "dp-sgd":
-        training = dict(cfg.training or {})
+        training = dict(cfg.training)
         if "privacy_level" in training:
             config = dp_optim.DPTrainingConfig.from_level(
                 training.pop("privacy_level"), **training)
         else:
             config = config_from_dict(dp_optim.DPTrainingConfig, training,
                                       "training")
-        trained = dp_optim.train(cfg.family_spec or {}, split,
+        trained = dp_optim.train(cfg.family_spec, split,
                                  dataclasses.replace(config, seed=seed))
     elif cfg.mechanism == "objective-perturbation":
         op = config_from_dict(objective_perturbation.ObjPertConfig,
-                              cfg.objpert or {}, "objpert")
+                              cfg.objpert, "objpert")
         trained = objective_perturbation.train_objective_perturbation(
             split, dataclasses.replace(op, seed=seed))
     else:

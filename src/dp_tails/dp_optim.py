@@ -166,17 +166,11 @@ def _rows(a, keep):
 
 
 def _step(stack, family_spec, X, y, config, epoch):
-    """One DP-SGD step of every model still in `stack`, row r on its batch
-    X[r], y[r]: one gradient pass, then per model a label check, a
-    finite-loss check and a finite-gradient check (a model failing one
-    leaves the stack, the others go on untouched), then each model's own
-    noise draw and the update."""
-    failed = (y.min(axis=1) < 0) | (y.max(axis=1) > 1)
-    if failed.any():
-        X, y = stack.drop(failed, models.label_error(family_spec.family),
-                          X, y)
-        if not len(stack.index):
-            return
+    """One DP-SGD step of every model in the non-empty `stack`, row r on
+    its batch X[r], y[r]: one gradient pass, then per model a finite-loss
+    check and a finite-gradient check (a model failing one leaves the
+    stack, the others go on untouched), then each model's own noise draw
+    and the update."""
     m = config.microbatch_count if config.private else 1
     loss, total, norms = models.clipped_grad_sum(
         family_spec, stack.theta, X, y, stack.clip, m)
@@ -255,7 +249,16 @@ def train_stack(family_spec, split: CohortSplit, configs):
             stack.losses[r] = []
         for b in range(steps_per_epoch):
             idx = stack.perms[:, b * L:(b + 1) * L]
-            _step(stack, family_spec, X[idx], y[idx], config, epoch)
+            Xb, yb = X[idx], y[idx]
+            failed = (yb.min(axis=1) < 0) | (yb.max(axis=1) > 1)
+            if failed.any():
+                Xb, yb = stack.drop(
+                    failed, models.label_error(family_spec.family), Xb, yb)
+            # A stack emptied by this batch's labels or an earlier step's
+            # divergence takes no further step.
+            if not len(stack.index):
+                break
+            _step(stack, family_spec, Xb, yb, config, epoch)
         for r in stack.index:
             stack.traces[r].append(float(np.mean(stack.losses[r]))
                                    if stack.losses[r] else math.nan)

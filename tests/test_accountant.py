@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from dp_tails import accountant
@@ -209,10 +209,14 @@ _ORDER_SETS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(q=st.floats(1e-6, 0.999), sigma=st.floats(0.05, 100.0),
        steps=st.integers(1, 10000), orders=_ORDER_SETS)
+@example(q=0.5, sigma=1.0, steps=1, orders=[1.5, 1.999999999999993])
 def test_curve_matches_parent_bit_for_bit(q, sigma, steps, orders):
     # The frozen scipy-based accountant is the reference: every RDP curve,
-    # and so every epsilon, keeps its exact bits.
-    want = accountant_parent.rdp_subsampled_gaussian(q, sigma, steps, orders)
+    # and so every epsilon, keeps its exact bits. The frozen reference
+    # takes the log of a zero binomial coefficient without silencing it.
+    with np.errstate(divide="ignore"):
+        want = accountant_parent.rdp_subsampled_gaussian(q, sigma, steps,
+                                                         orders)
     got = accountant.rdp_subsampled_gaussian(q, sigma, steps, orders)
     assert _same_bits(got.eps_rdp, want)
 

@@ -293,6 +293,26 @@ def test_train_divergence_error():
     assert err.value.epoch == 0
 
 
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_train_divergence_before_last_step_error(epochs):
+    # The only model diverges at the first of several steps of an epoch;
+    # the emptied stack takes no further step, and train raises the
+    # per-model trainer's error.
+    c = make_cohort(n=300, d=3, years=(2001, 2002), seed=0)
+    c.features[:, 0] = np.nan
+    split = _split_of(c)
+    config = dp_optim.DPTrainingConfig.from_level(
+        "none", learning_rate=0.1, epochs=epochs, seed=0, batch_size=64,
+        microbatch_count=1)
+    assert split.train.n // 64 > 1
+    with pytest.raises(TrainingError) as per_model:
+        trainer_parent.train({"family": "lr-binary"}, split, config)
+    with pytest.raises(TrainingError) as err:
+        dp_optim.train({"family": "lr-binary"}, split, config)
+    assert str(err.value) == str(per_model.value)
+    assert err.value.epoch == per_model.value.epoch == 0
+
+
 def test_train_adam_reduces_loss():
     c = make_cohort(n=1000, d=4, years=(2001, 2002), seed=2)
     split = _split_of(c)

@@ -361,6 +361,56 @@ def test_stacked_failure_fails_only_its_cell(tmp_path, monkeypatch):
             assert after == before
 
 
+def test_emptied_stack_fails_each_of_its_cells(tmp_path, monkeypatch):
+    # Every model of the `none` stack at the second pivot starts from
+    # non-finite parameters, so the stack empties at the first of several
+    # steps. Each of its cells records the per-model trainer's error, and
+    # every other cell equals its cell in a run without the fault.
+    cc = cohort.CohortConfig(n=900, d=4, positive_prevalence=0.3,
+                             years=(2001, 2003), class_separation=2.0, seed=0)
+    config = harness.ExperimentConfig(
+        cohort=cc, privacy_levels=["none", "high"], seeds=[0, 1],
+        audits=["utility", "robustness", "fairness"], epochs=1,
+        out_dir=str(tmp_path / "clean"))
+    clean, failures = harness.run_experiment(config)
+    assert failures == 0
+
+    targets = {harness.stable_seed(seed, "outcome", "none", "dp-sgd", 2003): seed
+               for seed in config.seeds}
+    init = models.init_params
+
+    def poisoned(*args, seed=0, **kwargs):
+        params = init(*args, seed=seed, **kwargs)
+        if seed in targets:
+            params.theta[:] = np.nan
+        return params
+    monkeypatch.setattr(models, "init_params", poisoned)
+    split = cohort.split_yearly(cohort.generate_cohort(cc), 2003,
+                                "cumulative")
+    assert split.train.n // config.batch_size > 1
+    expected = {}
+    for target, seed in targets.items():
+        with pytest.raises(TrainingError) as per_model:
+            trainer_parent.train(
+                harness._family_spec(config.tasks[0], "task"),
+                split, dp_optim.DPTrainingConfig.from_level(
+                    "none", batch_size=config.batch_size,
+                    microbatch_count=config.microbatch_count,
+                    learning_rate=config.learning_rate, epochs=1,
+                    seed=target))
+        expected[seed] = f"TrainingError: {per_model.value}"
+    faulty, failures = harness.run_experiment(
+        dataclasses.replace(config, out_dir=str(tmp_path / "faulty")))
+    assert failures == len(config.seeds)
+    for before, after in zip(clean["cells"], faulty["cells"]):
+        if after["level"] == "none":
+            assert after == {"task": "outcome", "level": "none",
+                             "mechanism": "dp-sgd", "seed": after["seed"],
+                             "error": expected[after["seed"]]}
+        else:
+            assert after == before
+
+
 def test_utility_csv_matches_report(tmp_path):
     config = _small_config(tmp_path)
     report, _ = harness.run_experiment(config)
@@ -680,6 +730,33 @@ def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error: ") and key in err
+
+
+@pytest.mark.parametrize("mechanism, section", [
+    ("dp-sgd", "training"), ("dp-sgd", "family_spec"), ("dp-sgd", "objpert"),
+    ("objective-perturbation", "objpert"),
+    ("objective-perturbation", "training"),
+])
+def test_cli_train_refuses_null_section(tmp_path, capsys, mechanism,
+                                        section):
+    # A section given as JSON null is refused (exit 2, the key named), not
+    # read as absent; the probes above delete a key whose value is None.
+    _, cohort_config = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    cli.main(["generate-data", "--config", str(cohort_config),
+              "--out", str(csv_path)])
+    raw = {"cohort_csv": str(csv_path), "pivot_year": 2002,
+           "mechanism": mechanism, section: None}
+    if mechanism == "objective-perturbation" and section != "objpert":
+        raw["objpert"] = {"eps_p": 1.0, "lam": 0.1}
+    config = tmp_path / "probe.json"
+    config.write_text(json.dumps(raw))
+    capsys.readouterr()
+    code = cli.main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and repr(section) in err
 
 
 def test_cli_audit_fairness(tmp_path):
