@@ -210,24 +210,33 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
                 "sigma = 0 with positive sampling rate has no finite RDP")
         return RdpCurve(orders, np.zeros(len(orders)), q, sigma, steps)
     alphas = np.asarray(orders)
-    if q == 0.0:
-        per_step = np.zeros(len(orders))
-    elif 1.0 / (2.0 * sigma ** 2) == math.inf:
-        # The quadratic log-term (k^2 - k) / (2 sigma^2) of every order
-        # overflows (k = 2 already), so every order's RDP is infinite; the
-        # series would only reach that through overflow and NaN arithmetic.
-        per_step = np.full(len(orders), math.inf)
-    elif q == 1.0:
-        per_step = alphas / (2.0 * sigma ** 2)
-    else:
-        is_int = alphas == np.floor(alphas)
-        log_a = np.empty(len(orders))
-        if is_int.any():
-            log_a[is_int] = _log_a_int(q, sigma, alphas[is_int].astype(int))
-        if not is_int.all():
-            log_a[~is_int] = _log_a_frac(q, sigma, alphas[~is_int])
-        per_step = np.maximum(log_a / (alphas - 1.0), 0.0)
-    return RdpCurve(orders, steps * per_step, q, sigma, steps)
+    # For sigma below about 1e-152 the quadratic log-terms of the larger
+    # orders overflow to inf (and an erfc-series term can then be inf - inf),
+    # as can the composed curve: those orders' RDP is infinite, a sound
+    # bound, and the minimum over orders comes from the others. That
+    # overflow is expected arithmetic, not an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q == 0.0:
+            per_step = np.zeros(len(orders))
+        elif 1.0 / (2.0 * sigma ** 2) == math.inf:
+            # The quadratic log-term (k^2 - k) / (2 sigma^2) of every order
+            # overflows (k = 2 already), so every order's RDP is infinite;
+            # the series would only reach that through overflow and NaN
+            # arithmetic.
+            per_step = np.full(len(orders), math.inf)
+        elif q == 1.0:
+            per_step = alphas / (2.0 * sigma ** 2)
+        else:
+            is_int = alphas == np.floor(alphas)
+            log_a = np.empty(len(orders))
+            if is_int.any():
+                log_a[is_int] = _log_a_int(q, sigma,
+                                           alphas[is_int].astype(int))
+            if not is_int.all():
+                log_a[~is_int] = _log_a_frac(q, sigma, alphas[~is_int])
+            per_step = np.maximum(log_a / (alphas - 1.0), 0.0)
+        eps_rdp = steps * per_step
+    return RdpCurve(orders, eps_rdp, q, sigma, steps)
 
 
 def rdp_to_dp(curve: RdpCurve, delta=DEFAULT_DELTA) -> PrivacySpend:

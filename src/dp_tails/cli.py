@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ class TrainFile:
     """The `train` config file."""
     cohort_csv: str
     pivot_year: int
-    protocol: str = "cumulative"
     seed: int = 0
     mechanism: str = "dp-sgd"
     training: dict = field(default_factory=dict)
@@ -113,7 +113,7 @@ def cmd_generate_data(args):
 def cmd_train(args):
     cfg = TrainFile.load(args.config)
     cohort = cohort_mod.read_cohort(cfg.cohort_csv)
-    split = cohort_mod.split_yearly(cohort, cfg.pivot_year, cfg.protocol)
+    split = cohort_mod.split_yearly(cohort, cfg.pivot_year)
     seed = args.seed if args.seed is not None else cfg.seed
     if cfg.mechanism == "dp-sgd":
         training = dict(cfg.training)
@@ -208,7 +208,11 @@ def cmd_run(args):
     return 3 if failures else 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use: parse_args fills
+    a fresh namespace per call, so no value of one command reaches the
+    next."""
     parser = argparse.ArgumentParser(prog="dp-tails")
     sub = parser.add_subparsers(dest="command", required=True)
 

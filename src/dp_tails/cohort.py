@@ -120,7 +120,6 @@ class Cohort:
 class CohortSplit:
     train: Cohort
     test: Cohort
-    protocol: str          # "cumulative" | "single-year"
     pivot_year: int
 
 
@@ -205,31 +204,37 @@ def generate_cohort(config: CohortConfig) -> Cohort:
     )
 
 
-def split_yearly(cohort: Cohort, pivot_year: int, protocol="cumulative") -> CohortSplit:
+def train_rows(cohort: Cohort, pivot_year: int) -> np.ndarray:
+    """Indices of the records before the pivot year: the training side of
+    its cumulative split, in cohort order."""
+    return np.flatnonzero(cohort.years < pivot_year)
+
+
+def split_yearly(cohort: Cohort, pivot_year: int) -> CohortSplit:
+    """The cumulative split at a pivot year: train on every earlier year,
+    test on the pivot year."""
     if pivot_year not in set(cohort.years.tolist()):
         raise SplitError(f"pivot year {pivot_year} not present in cohort")
-    if protocol == "cumulative":
-        train_mask = cohort.years < pivot_year
-        if not train_mask.any():
-            raise SplitError(f"no data prior to pivot year {pivot_year}")
-        test_mask = cohort.years == pivot_year
-        return CohortSplit(cohort.subset(train_mask), cohort.subset(test_mask),
-                           "cumulative", pivot_year)
-    if protocol == "single-year":
-        idx = np.flatnonzero(cohort.years == pivot_year)
-        return CohortSplit(cohort.subset(idx[0::2]), cohort.subset(idx[1::2]),
-                           "single-year", pivot_year)
-    raise SplitError(f"unknown protocol {protocol!r}")
+    rows = train_rows(cohort, pivot_year)
+    if not len(rows):
+        raise SplitError(f"no data prior to pivot year {pivot_year}")
+    return CohortSplit(cohort.subset(rows),
+                       cohort.subset(cohort.years == pivot_year), pivot_year)
 
 
-def yearly_splits(cohort: Cohort):
-    """Yield (pivot, cumulative split) for every year after the cohort's
-    first: the yearly protocol of every grid cell and of `audit-shift`."""
+def pivot_years(cohort: Cohort):
+    """Every year after the cohort's first: the pivots of the yearly
+    protocol of every grid cell and of `audit-shift`."""
     years = sorted(set(cohort.years.tolist()))
     if len(years) < 2:
         raise ConfigurationError("yearly protocol needs >= 2 years")
-    for pivot in years[1:]:
-        yield pivot, split_yearly(cohort, pivot, "cumulative")
+    return years[1:]
+
+
+def yearly_splits(cohort: Cohort):
+    """Yield (pivot, cumulative split) for every pivot year."""
+    for pivot in pivot_years(cohort):
+        yield pivot, split_yearly(cohort, pivot)
 
 
 def stable_seed(*parts):

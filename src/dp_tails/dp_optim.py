@@ -9,23 +9,29 @@ sum straight from per-layer matmuls, so no step forms the batch's
 per-example gradient matrix. The last partial batch of every epoch is
 dropped so the accountant's sampling rate q = L/n is exact.
 
-`train_stack` trains R models of one family on one split at once: theta is
-(R, p), a step's batch (R, L, d), and every numpy call of the step covers
-the whole stack, while each model keeps its own seed-derived generator,
-permutations and noise draws. At small batches a step's cost is numpy's
-per-call overhead, so a stack of R costs far less than R separate
-trainings. `train` is the same trainer at R = 1.
+`train_stack` trains R models of one family at once, each on its own
+records of one cohort (the grid's models of every pivot year together):
+theta is (R, p), a step's batch (R, L, d), and every numpy call of the
+step covers the whole stack, while each model keeps its own seed-derived
+generator, permutations and noise draws. The models run in lockstep, and
+one with fewer records (fewer steps) leaves the stack when it is done. At
+small batches a step's cost is numpy's per-call overhead, so a stack of R
+costs far less than R separate trainings. `train` is the same trainer at
+R = 1.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import accountant, models
-from .cohort import CohortSplit
+from .cohort import Cohort, CohortSplit
 from .errors import (ConfigurationError, DomainError, DPTailsError,
                      NumericError, TrainingError, config_from_dict)
 
@@ -137,25 +143,27 @@ class _Stack:
                      if configs[0].private else None)
         self.adam = (_AdamState(theta.shape)
                      if configs[0].optimizer == "adam" else None)
-        self.perms = None
         self.rngs = [np.random.default_rng(np.random.SeedSequence([c.seed, 2]))
                      for c in configs]
         self.noise = [c.noise_multiplier * c.clip_norm
                       if c.private and c.noise_multiplier > 0 else None
                       for c in configs]
         self.errors = [None] * len(configs)
+        self.final = [None] * len(configs)
         self.losses = [[] for _ in configs]
         self.traces = [[] for _ in configs]
 
-    def drop(self, failed, error, *arrays):
-        """Record `error` for the rows flagged in `failed` and remove them
-        from the stack; returns `arrays` without those rows."""
-        for r in self.index[failed]:
-            self.errors[r] = error
-        keep = ~failed
-        self.index, self.theta, self.clip, self.perms = (
-            _rows(a, keep) for a in (self.index, self.theta, self.clip,
-                                     self.perms))
+    def drop(self, leaving, errors, *arrays):
+        """Remove the rows flagged in `leaving` from the stack, recording
+        per row its entry of `errors`: the DPTailsError that stopped its
+        model, or None for a model whose training is done, whose theta is
+        kept. Returns `arrays` without those rows."""
+        for row, error in zip(np.flatnonzero(leaving), errors):
+            r = self.index[row]
+            self.errors[r], self.final[r] = error, self.theta[row]
+        keep = ~leaving
+        self.index, self.theta, self.clip = (
+            _rows(a, keep) for a in (self.index, self.theta, self.clip))
         if self.adam is not None:
             self.adam.m, self.adam.v = self.adam.m[keep], self.adam.v[keep]
         return [_rows(a, keep) for a in arrays]
@@ -165,42 +173,53 @@ def _rows(a, keep):
     return None if a is None else a[keep]
 
 
-def _step(stack, family_spec, X, y, config, epoch):
+def _step(stack, family_spec, X, y, config, epochs):
     """One DP-SGD step of every model in the non-empty `stack`, row r on
-    its batch X[r], y[r]: one gradient pass, then per model a finite-loss
-    check and a finite-gradient check (a model failing one leaves the
-    stack, the others go on untouched), then each model's own noise draw
-    and the update."""
+    its batch X[r], y[r] in its epoch epochs[r]: one gradient pass, then
+    per model a finite-loss check and a finite-gradient check (a model
+    failing one leaves the stack, the others go on untouched), then each
+    model's own noise draw and the update."""
     m = config.microbatch_count if config.private else 1
     loss, total, norms = models.clipped_grad_sum(
         family_spec, stack.theta, X, y, stack.clip, m)
     failed = ~np.isfinite(loss)
     if failed.any():
-        loss, total, norms = stack.drop(
-            failed, TrainingError("training diverged (non-finite loss)",
-                                  epoch=epoch), loss, total, norms)
+        errors = [TrainingError("training diverged (non-finite loss)",
+                                epoch=int(e)) for e in epochs[failed]]
+        loss, total, norms = stack.drop(failed, errors, loss, total, norms)
     failed = ~np.isfinite(total).all(axis=1)
     if norms is not None:
         failed |= ~np.isfinite(norms).all(axis=1)
     if failed.any():
         loss, total, norms = stack.drop(
-            failed, NumericError("non-finite gradient"), loss, total, norms)
-    for row, r in enumerate(stack.index):
-        stack.losses[r].append(float(loss[row]))
+            failed, itertools.repeat(NumericError("non-finite gradient")),
+            loss, total, norms)
+    noisy, draws = [], []
+    for row, (r, value) in enumerate(zip(stack.index.tolist(),
+                                         loss.tolist())):
+        stack.losses[r].append(value)
         if stack.noise[r] is not None:
-            total[row] = total[row] + stack.rngs[r].normal(
-                scale=stack.noise[r], size=total.shape[1])
+            noisy.append(row)
+            draws.append(stack.rngs[r].normal(scale=stack.noise[r],
+                                              size=total.shape[1]))
+    if noisy:
+        total[noisy] += draws
     g = total / m
     if stack.adam is not None:
         g = stack.adam.direction(g)
     stack.theta = stack.theta - config.learning_rate * g
 
 
-def train_stack(family_spec, split: CohortSplit, configs):
-    """Train one model per config on the split's train side with shuffled
-    fixed-size batches, every step one stacked pass over all models.
+def train_stack(family_spec, cohort: Cohort, configs, rows=None):
+    """Train one model per config, model r on the records rows[r] of
+    `cohort` (default: every record), with shuffled fixed-size batches.
 
-    The configs may differ only in seed, clip_norm, noise_multiplier and
+    The models run in lockstep: global step t is one stacked pass over
+    every model that has steps left, each on its own next batch. Model r
+    has its own n_r records, sampling rate q_r = L / n_r and n_r // L steps
+    per epoch, and leaves the stack when its epochs are done; the batch
+    size L = min(batch_size, n_r) must be the same for every model. The
+    configs may differ only in seed, clip_norm, noise_multiplier and
     delta, and must be all private or all not. Each model keeps its own
     init and generator (SeedSequence([seed, 2])), permutation per epoch and
     noise draw per step, so it gets the bits it would get alone. Returns
@@ -221,61 +240,86 @@ def train_stack(family_spec, split: CohortSplit, configs):
             if getattr(other, name) != getattr(config, name):
                 raise ConfigurationError(
                     f"training: stacked models differ in {name!r}")
-    train_cohort = split.train
-    n = train_cohort.n
-    if n == 0:
+    if rows is None:
+        rows = [np.arange(cohort.n)] * len(configs)
+    n = np.array([len(r) for r in rows])
+    if not n.all():
         raise DomainError("empty training cohort")
-    X = train_cohort.features
-    y = train_cohort.labels
+    X = cohort.features
+    y = cohort.labels
     d = X.shape[1]
 
-    L = min(config.batch_size, n)
+    L = min(config.batch_size, int(n.min()))
+    if L != min(config.batch_size, int(n.max())):
+        raise ConfigurationError(
+            "training: stacked models differ in batch size min(batch_size, n)")
     if L < config.batch_size and L % config.microbatch_count != 0:
         raise ConfigurationError(
             "batch_size exceeds cohort size and microbatch_count does not "
             "divide the reduced batch")
     steps_per_epoch = n // L
+    steps = config.epochs * steps_per_epoch
     stack = _Stack(configs, np.stack([
         models.init_params(family_spec.family, d, family_spec.h,
                            family_spec.l2_lambda, seed=c.seed).theta
         for c in configs]))
+    # order[r, :n_r] holds model r's records in its current epoch's
+    # shuffle, and batches[r, i] the L of them from position i on.
+    order = np.zeros((len(configs), n.max()), dtype=np.intp)
+    batches = sliding_window_view(order, L, axis=1)
+    # A model leaves the stack at the first batch holding a label other
+    # than 0 or 1; batches need checking only if the cohort has one.
+    check_labels = y.min() < 0 or y.max() > 1
+    finish = set(steps.tolist())
 
-    for epoch in range(config.epochs):
+    for t in range(int(steps.max())):
+        if t in finish:
+            stack.drop(steps[stack.index] == t, itertools.repeat(None))
+        # A stack emptied by an earlier batch's labels or divergence takes
+        # no further step.
         if not len(stack.index):
             break
-        stack.perms = np.stack([stack.rngs[r].permutation(n)
-                                for r in stack.index])
-        for r in stack.index:
+        epochs, b = np.divmod(t, steps_per_epoch[stack.index])
+        for r in stack.index[b == 0]:
+            order[r, :n[r]] = rows[r][stack.rngs[r].permutation(n[r])]
             stack.losses[r] = []
-        for b in range(steps_per_epoch):
-            idx = stack.perms[:, b * L:(b + 1) * L]
-            Xb, yb = X[idx], y[idx]
+        idx = batches[stack.index, b * L]
+        Xb, yb = np.take(X, idx, axis=0), y[idx]
+        if check_labels:
             failed = (yb.min(axis=1) < 0) | (yb.max(axis=1) > 1)
             if failed.any():
-                Xb, yb = stack.drop(
-                    failed, models.label_error(family_spec.family), Xb, yb)
-            # A stack emptied by this batch's labels or an earlier step's
-            # divergence takes no further step.
-            if not len(stack.index):
-                break
-            _step(stack, family_spec, Xb, yb, config, epoch)
-        for r in stack.index:
-            stack.traces[r].append(float(np.mean(stack.losses[r]))
-                                   if stack.losses[r] else math.nan)
-    steps = config.epochs * steps_per_epoch
+                Xb, yb, epochs = stack.drop(
+                    failed, itertools.repeat(
+                        models.label_error(family_spec.family)),
+                    Xb, yb, epochs)
+                if not len(stack.index):
+                    break
+        _step(stack, family_spec, Xb, yb, config, epochs)
+        for r in stack.index[(t + 1) % steps_per_epoch[stack.index] == 0]:
+            stack.traces[r].append(float(np.mean(stack.losses[r])))
+    stack.drop(np.ones(len(stack.index), dtype=bool), itertools.repeat(None))
 
     results = list(stack.errors)
-    for row, r in enumerate(stack.index):
-        try:
-            spend, log = _account(configs[r], L / n, steps)
-        except DPTailsError as exc:
-            results[r] = exc
+    # Models of one (sigma, delta, q, steps) spend the same: accounted once.
+    spends = {}
+    for r, theta in enumerate(stack.final):
+        if results[r] is not None:
             continue
+        q, T = L / int(n[r]), int(steps[r])
+        key = (configs[r].noise_multiplier, configs[r].delta, q, T)
+        if key not in spends:
+            try:
+                spends[key] = _account(configs[r], q, T)
+            except DPTailsError as exc:
+                spends[key] = exc
+        if isinstance(spends[key], DPTailsError):
+            results[r] = spends[key]
+            continue
+        spend, log = copy.deepcopy(spends[key])
         results[r] = TrainedModel(
-            params=models.ModelParams(family_spec.family, stack.theta[row],
-                                      d, family_spec.h,
-                                      family_spec.l2_lambda),
-            spend=spend, training_trace=stack.traces[r], steps_taken=steps,
+            params=models.ModelParams(family_spec.family, theta, d,
+                                      family_spec.h, family_spec.l2_lambda),
+            spend=spend, training_trace=stack.traces[r], steps_taken=T,
             mechanism="dp-sgd", accounting_log=log)
     return results
 
@@ -295,8 +339,9 @@ def _account(config, q, steps):
 
 
 def train(family_spec, split: CohortSplit, config: DPTrainingConfig) -> TrainedModel:
-    """Train one model: train_stack at R = 1, its error raised."""
-    trained, = train_stack(family_spec, split, [config])
+    """Train one model on the split's train side: train_stack at R = 1,
+    its error raised."""
+    trained, = train_stack(family_spec, split.train, [config])
     if isinstance(trained, DPTailsError):
         raise trained
     return trained

@@ -7,10 +7,13 @@ from a stable hash so it is independently reproducible, and every epsilon
 in a report is recomputable from the logged (q, sigma, T, delta). Each
 (cell, pivot year) has one model, and every audit of the cell reads it, so
 utility, fairness, influence and shift results describe the same models.
-The grid runs per (task, mechanism), pivot by pivot: at each pivot the
-DP-SGD models of all its cells train in two stacks (dp_optim.train_stack),
-the unclipped `none` level and the private levels, and a model gets the
-bits it would get trained alone.
+The grid runs per (task, mechanism). First the DP-SGD models of all its
+cells and every pivot train together, in lockstep, from the cohort's rows:
+two stacks (dp_optim.train_stack), the unclipped `none` level and the
+private levels, split further only where pivots differ in the batch size
+L = min(batch_size, n). A model gets the bits it would get trained alone.
+Then the audits run pivot by pivot, each pivot's split built in turn; an
+objective-perturbation model trains at its pivot, from that split.
 """
 
 from __future__ import annotations
@@ -102,32 +105,32 @@ def _caught(fn, *args, **kwargs):
         return exc
 
 
-def _train_pivot(split, task, mechanism, jobs, config):
-    """Train one model per (level, cell seed) job on one pivot's split;
-    returns, per job, its TrainedModel or the DPTailsError that failed it.
-    DP-SGD jobs train in two dp_optim.train_stack calls, the unclipped
-    (`none`) and the private ones."""
-    if mechanism == "objective-perturbation":
-        return [_caught(_train_objpert, split, level, seed, config)
-                for level, seed in jobs]
+def _train_dp_sgd(cohort, task, jobs, config):
+    """Train one DP-SGD model per (train rows, level, cell seed) job on the
+    records `rows` of `cohort`; returns, per job, its TrainedModel or the
+    DPTailsError that failed it. The jobs train in lockstep stacks
+    (dp_optim.train_stack), one per unclipped (`none`) or private level and
+    batch size L = min(batch_size, len(rows))."""
     results = [_caught(dp_optim.DPTrainingConfig.from_level, level,
                        batch_size=config.batch_size,
                        microbatch_count=config.microbatch_count,
                        learning_rate=config.learning_rate,
                        epochs=config.epochs, seed=seed)
-               for level, seed in jobs]
-    for private in (False, True):
-        members = [i for i, r in enumerate(results)
-                   if isinstance(r, dp_optim.DPTrainingConfig)
-                   and r.private == private]
-        if members:
-            trained = _caught(dp_optim.train_stack,
-                              _family_spec(task, "task"), split,
-                              [results[i] for i in members])
-            if isinstance(trained, DPTailsError):
-                trained = [trained] * len(members)
-            for i, result in zip(members, trained):
-                results[i] = result
+               for _, level, seed in jobs]
+    stacks = {}
+    for i, result in enumerate(results):
+        if isinstance(result, dp_optim.DPTrainingConfig):
+            stacks.setdefault(
+                (result.private, min(result.batch_size, len(jobs[i][0]))),
+                []).append(i)
+    for members in stacks.values():
+        trained = _caught(dp_optim.train_stack, _family_spec(task, "task"),
+                          cohort, [results[i] for i in members],
+                          [jobs[i][0] for i in members])
+        if isinstance(trained, DPTailsError):
+            trained = [trained] * len(members)
+        for i, result in zip(members, trained):
+            results[i] = result
     return results
 
 
@@ -140,20 +143,35 @@ def _train_objpert(split, level, seed, config):
         split, op_config, force_zero_noise=(level == "none"))
 
 
-def _pivot_models(cohort, task, level, mechanism, config, seed):
-    """Yield (pivot, split, TrainedModel) per pivot year for one cell, the
-    model trained on the years before the pivot, as the grid trains it."""
-    for pivot, split in cohort_mod.yearly_splits(cohort):
-        cell_seed = stable_seed(seed, task["name"], level, mechanism, pivot)
-        trained, = _train_pivot(split, task, mechanism, [(level, cell_seed)],
-                                config)
-        if isinstance(trained, DPTailsError):
-            raise trained
-        yield pivot, split, trained
+def _pivot_models(cohort, task, mechanism, jobs, config):
+    """Yield (pivot, split, models) per pivot year, in order, for the
+    (level, seed) jobs of grid cells: models[j] is job j's TrainedModel,
+    trained on the years before the pivot with cell seed
+    stable_seed(seed, task, level, mechanism, pivot), or the DPTailsError
+    that failed it. The DP-SGD models of every pivot train first, together
+    (_train_dp_sgd), from the cohort's rows; objective-perturbation models
+    train at their pivot. One pivot's split is held at a time."""
+    pivots = cohort_mod.pivot_years(cohort)
+    seeds = [[stable_seed(seed, task["name"], level, mechanism, pivot)
+              for level, seed in jobs] for pivot in pivots]
+    if mechanism == "dp-sgd":
+        dp_jobs = []
+        for pivot, cell_seeds in zip(pivots, seeds):
+            rows = cohort_mod.train_rows(cohort, pivot)
+            dp_jobs += [(rows, level, cell_seed)
+                        for (level, _), cell_seed in zip(jobs, cell_seeds)]
+        trained = _train_dp_sgd(cohort, task, dp_jobs, config)
+    for p, pivot in enumerate(pivots):
+        split = cohort_mod.split_yearly(cohort, pivot)
+        if mechanism == "dp-sgd":
+            yield pivot, split, trained[p * len(jobs):(p + 1) * len(jobs)]
+        else:
+            yield pivot, split, [
+                _caught(_train_objpert, split, level, cell_seed, config)
+                for (level, _), cell_seed in zip(jobs, seeds[p])]
 
 
-def _utility_row(pivot, split, trained):
-    scores = models.predict(trained.params, split.test.features)[:, 1]
+def _utility_row(pivot, split, trained, scores):
     return {
         "year": int(pivot),
         "auroc": metrics.auroc(scores, split.test.labels),
@@ -172,13 +190,17 @@ def _aggregate(rows):
 def yearly_protocol(cohort, task, level, mechanism, config, seed):
     """Train on prior years, test on each pivot year; returns per-year
     metric rows plus the across-year aggregate."""
-    rows = [_utility_row(*p) for p in _pivot_models(
-        cohort, task, level, mechanism, config, seed)]
+    rows = []
+    for pivot, split, (trained,) in _pivot_models(cohort, task, mechanism,
+                                                  [(level, seed)], config):
+        if isinstance(trained, DPTailsError):
+            raise trained
+        scores = models.predict(trained.params, split.test.features)[:, 1]
+        rows.append(_utility_row(pivot, split, trained, scores))
     return rows, _aggregate(rows)
 
 
-def _fairness_audit(pivot, split, trained):
-    scores = models.predict(trained.params, split.test.features)[:, 1]
+def _fairness_audit(pivot, split, scores):
     try:
         report = fairness_audit.fairness_gaps(
             scores, split.test.labels, split.test.groups, g1=0, g2=1)
@@ -207,13 +229,19 @@ class _CellAudits:
         self.trained = None
 
     def add(self, pivot, split, trained):
+        """Audit one pivot's model; the model scores the test year once,
+        and the utility, robustness and fairness audits read those
+        scores."""
         self.trained = trained
+        if {"utility", "robustness", "fairness"}.isdisjoint(self.audits):
+            return
+        scores = models.predict(trained.params, split.test.features)[:, 1]
         if "utility" in self.audits:
-            self.rows.append(_utility_row(pivot, split, trained))
+            self.rows.append(_utility_row(pivot, split, trained, scores))
         if "robustness" in self.audits:
-            self.robustness.add(pivot, split, trained.params)
+            self.robustness.add(pivot, split, trained.params, scores)
         if "fairness" in self.audits:
-            self.fairness.append(_fairness_audit(pivot, split, trained))
+            self.fairness.append(_fairness_audit(pivot, split, scores))
 
     def finish(self, split, config):
         """The cell's audit results by name; influence reads the last
@@ -231,11 +259,13 @@ class _CellAudits:
 
 
 def _run_cells(base, task, mechanism, cells, config):
-    """Train and audit the cells of one (task, mechanism) pivot by pivot,
-    holding one pivot's split at a time: the pivot's models train together
-    (_train_pivot), then feed their cells' audits. A cell whose training or
-    audit raises records only its error and leaves the later stacks; the
-    other cells are unaffected."""
+    """Train and audit the cells of one (task, mechanism): the pivots'
+    models (_pivot_models, where DP-SGD trains every pivot's models first)
+    feed their cells' audits pivot by pivot, one pivot's split held at a
+    time.
+    A cell whose training or audit raises records only its first error, in
+    pivot order, and is audited no further; the other cells are
+    unaffected."""
     live = list(cells)
 
     def fail(state, exc):
@@ -243,13 +273,13 @@ def _run_cells(base, task, mechanism, cells, config):
         live.remove(state)
 
     split = None
+    jobs = [(c.cell["level"], c.cell["seed"]) for c in cells]
     try:
-        for pivot, split in cohort_mod.yearly_splits(base):
-            jobs = [(c.cell["level"], stable_seed(
-                c.cell["seed"], task["name"], c.cell["level"], mechanism,
-                pivot)) for c in live]
-            trained = _train_pivot(split, task, mechanism, jobs, config)
-            for state, result in zip(list(live), trained):
+        for pivot, split, trained in _pivot_models(base, task, mechanism,
+                                                   jobs, config):
+            for state, result in zip(cells, trained):
+                if state not in live:
+                    continue
                 if not isinstance(result, DPTailsError):
                     result = _caught(state.add, pivot, split, result)
                 if result is not None:

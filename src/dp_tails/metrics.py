@@ -13,6 +13,7 @@ package's import time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,11 @@ def pearson(x, y) -> TestResult:
     sy = float(yc @ yc)
     if sx == 0.0 or sy == 0.0:
         raise UndefinedCorrelationError("zero variance input")
-    r = float(xc @ yc / np.sqrt(sx * sy))
+    denom = np.sqrt(sx * sy)
+    if not 0.0 < denom < math.inf:
+        # sx * sy under- or overflowed (say, values near 1e-100).
+        denom = np.sqrt(sx) * np.sqrt(sy)
+    r = float(xc @ yc / denom)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0

@@ -149,14 +149,18 @@ class RobustnessAudit:
         self.seed = seed
         self._shifts = []
 
-    def add(self, pivot, split: CohortSplit, task_params: models.ModelParams):
+    def add(self, pivot, split: CohortSplit, task_params: models.ModelParams,
+            test_scores=None):
+        """Audit one pivot; test_scores, when given, are the task model's
+        P(y = 1) on split.test, which it then does not score again."""
         report, scorer = domain_classifier_significance(
             split.train, split.test,
             seed=stable_seed(self.seed, "shift", pivot), year=pivot)
         half = split.train.n // 2
         in_scores = models.predict(task_params,
                                    split.train.features[half:])[:, 1]
-        out_scores = models.predict(task_params, split.test.features)[:, 1]
+        out_scores = (models.predict(task_params, split.test.features)[:, 1]
+                      if test_scores is None else test_scores)
         try:
             gap = (metrics.auroc(in_scores, split.train.labels[half:])
                    - metrics.auroc(out_scores, split.test.labels))

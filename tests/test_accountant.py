@@ -221,6 +221,25 @@ def test_curve_matches_parent_bit_for_bit(q, sigma, steps, orders):
     assert _same_bits(got.eps_rdp, want)
 
 
+@pytest.mark.parametrize("q", [1e-5, 0.01, 0.5, 0.999, 1.0])
+def test_tiny_sigma_sweep_is_quiet_and_matches_parent(q):
+    # From sigma = 10**-151.8 to 1e-155 the quadratic log-terms of the
+    # larger orders overflow, and near 1e-155 every order's do. No numpy
+    # warning is raised (this suite makes a RuntimeWarning an error), no
+    # NaN reaches the curve, and every curve equals the frozen reference's
+    # bits, so epsilon and argmin_order are unchanged. The reference itself
+    # overflows there.
+    for sigma in 10.0 ** np.linspace(-151.8, -155.0, 33):
+        spend, _ = accountant.spend_for_training(q=q, sigma=sigma, steps=100)
+        curve = accountant.rdp_subsampled_gaussian(q, sigma, 100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = accountant_parent.rdp_subsampled_gaussian(
+                q, sigma, 100, accountant.DEFAULT_ORDERS)
+        assert not np.isnan(curve.eps_rdp).any()
+        assert curve.eps_rdp.tobytes() == want.tobytes()
+        assert spend == accountant.rdp_to_dp(curve)
+
+
 @settings(max_examples=100, deadline=None)
 @given(q=st.floats(1e-6, 0.999), sigma=st.floats(0.05, 100.0),
        orders=st.lists(st.integers(2, accountant.MAX_INT_ORDER), min_size=1,

@@ -69,27 +69,16 @@ def test_group_label_association_strong_couples():
 
 def test_split_cumulative():
     c = make_cohort(n=600, d=3, years=(2001, 2003), seed=1)
-    split = cohort.split_yearly(c, 2003, "cumulative")
+    split = cohort.split_yearly(c, 2003)
     assert set(split.train.years.tolist()) == {2001, 2002}
     assert set(split.test.years.tolist()) == {2003}
     assert not set(split.train.ids.tolist()) & set(split.test.ids.tolist())
     assert split.train.n + split.test.n == c.n
 
 
-def test_split_single_year_disjoint_halves():
-    c = make_cohort(n=600, d=3, years=(2006, 2007), seed=1)
-    split = cohort.split_yearly(c, 2006, "single-year")
-    assert set(split.train.years.tolist()) == {2006}
-    assert set(split.test.years.tolist()) == {2006}
-    assert not set(split.train.ids.tolist()) & set(split.test.ids.tolist())
-    n_2006 = int(np.sum(c.years == 2006))
-    assert split.train.n + split.test.n == n_2006
-    assert abs(split.train.n - split.test.n) <= 1
-
-
 def test_split_four_year_train_fraction():
     c = make_cohort(n=1000, d=3, years=(2001, 2004), seed=9)
-    split = cohort.split_yearly(c, 2004, "cumulative")
+    split = cohort.split_yearly(c, 2004)
     # |train| ~ Binomial(1000, 0.75); 3 sigma ~ 41.
     assert abs(split.train.n - 750) <= 3 * np.sqrt(1000 * 0.75 * 0.25)
 
@@ -99,9 +88,7 @@ def test_split_errors():
     with pytest.raises(SplitError):
         cohort.split_yearly(c, 1999)
     with pytest.raises(SplitError):
-        cohort.split_yearly(c, 2001, "cumulative")  # no prior year
-    with pytest.raises(SplitError):
-        cohort.split_yearly(c, 2002, "bogus")
+        cohort.split_yearly(c, 2001)  # no prior year
 
 
 def test_io_round_trip(tmp_path):

@@ -17,7 +17,7 @@ from conftest import make_cohort, raw_cohort
 
 
 def _split_of(c, pivot=2002):
-    return cohort.split_yearly(c, pivot, "cumulative")
+    return cohort.split_yearly(c, pivot)
 
 
 def _step(params, X, y, config, seeds=(0,)):
@@ -28,7 +28,8 @@ def _step(params, X, y, config, seeds=(0,)):
     stack = dp_optim._Stack(configs, np.tile(params.theta, (len(seeds), 1)))
     spec = models.FamilySpec(params.family, params.h, params.l2_lambda)
     dp_optim._step(stack, spec, np.broadcast_to(X, (len(seeds), *X.shape)),
-                   np.broadcast_to(y, (len(seeds), *y.shape)), config, 0)
+                   np.broadcast_to(y, (len(seeds), *y.shape)), config,
+                   np.zeros(len(seeds), dtype=int))
     return stack.theta
 
 
@@ -178,7 +179,7 @@ def test_step_rejects_non_finite_gradient(rng, monkeypatch):
     stack = dp_optim._Stack(configs, np.zeros((3, 4)))
     dp_optim._step(stack, models.FamilySpec(),
                    np.stack([rng.normal(size=(16, 3))] * 3),
-                   np.stack([y] * 3), config, 0)
+                   np.stack([y] * 3), config, np.zeros(3, dtype=int))
     assert stack.index.tolist() == [0, 2]
     assert [type(e).__name__ if e else None for e in stack.errors] == \
         [None, "NumericError", None]
@@ -377,8 +378,8 @@ def test_stacked_models_equal_frozen_per_model_trainer(family, optimizer, m):
             level, batch_size=64, microbatch_count=m, learning_rate=0.3,
             epochs=2, seed=seed, optimizer=optimizer)
             for level in levels for seed in (0, 7, 11)]
-        stacked = dp_optim.train_stack(spec, split, configs)
-        reordered = dp_optim.train_stack(spec, split, configs[::-2])
+        stacked = dp_optim.train_stack(spec, split.train, configs)
+        reordered = dp_optim.train_stack(spec, split.train, configs[::-2])
         for config, model in zip(configs, stacked):
             oracle = trainer_parent.train(spec, split, config)
             assert model.steps_taken == 2 * (split.train.n // 64) > 2
@@ -401,7 +402,8 @@ def test_train_stack_failure_leaves_companions_untouched():
         "high", batch_size=64, microbatch_count=16, epochs=1, seed=s)
         for s in range(8)]
     assert split.train.n % 64 > 32
-    stacked = dp_optim.train_stack({"family": "lr-binary"}, split, configs)
+    stacked = dp_optim.train_stack({"family": "lr-binary"}, split.train,
+                                   configs)
     failed = 0
     for config, model in zip(configs, stacked):
         try:
@@ -422,4 +424,78 @@ def test_train_stack_refuses_mixed_stacks():
     for other in (dp_optim.DPTrainingConfig.from_level("none"),
                   dataclasses.replace(low, learning_rate=0.2)):
         with pytest.raises(ConfigurationError, match="stacked models"):
-            dp_optim.train_stack({"family": "lr-binary"}, split, [low, other])
+            dp_optim.train_stack({"family": "lr-binary"}, split.train,
+                                 [low, other])
+
+
+def _pivot_jobs(c, levels, seeds, **kwargs):
+    """(split, rows, config) per (pivot, level, seed) of a cohort: the
+    models a grid stack trains across its pivots."""
+    return [(cohort.split_yearly(c, pivot), cohort.train_rows(c, pivot),
+             dp_optim.DPTrainingConfig.from_level(level, seed=seed, **kwargs))
+            for pivot in cohort.pivot_years(c) for level in levels
+            for seed in seeds]
+
+
+@pytest.mark.parametrize("family, optimizer", itertools.product(
+    models.FAMILIES, ("sgd", "adam")))
+def test_lockstep_stack_across_pivots_equals_frozen_trainer(family,
+                                                            optimizer):
+    # One stack holds the models of three pivots, each on its own rows of
+    # one cohort: n_r of about 150, 300 and 450 records, none a multiple of
+    # L = 64, so the models take 2, 4 and 7 steps per epoch and leave the
+    # stack at different steps. Every model equals, bit for bit, the frozen
+    # per-model trainer on its pivot's split.
+    c = make_cohort(n=600, d=4, years=(2001, 2004), seed=8)
+    spec = {"family": family, "h": 5, "l2_lambda": 0.01}
+    for levels in (["none"], ["low", "high"]):
+        jobs = _pivot_jobs(c, levels, (0, 7), batch_size=64,
+                           microbatch_count=16, learning_rate=0.3, epochs=3,
+                           optimizer=optimizer)
+        n = sorted({len(rows) for _, rows, _ in jobs})
+        assert len(n) == 3 and all(k % 64 for k in n)
+        assert len({k // 64 for k in n}) == 3
+        stacked = dp_optim.train_stack(spec, c, [j[2] for j in jobs],
+                                       [j[1] for j in jobs])
+        for (split, rows, config), model in zip(jobs, stacked):
+            oracle = trainer_parent.train(spec, split, config)
+            assert model.steps_taken == 3 * (len(rows) // 64)
+            assert model.accounting_log["q"] == oracle.accounting_log["q"]
+            assert _same_model(model, oracle)
+
+
+def test_lockstep_stack_refuses_unequal_batch_sizes():
+    # L = min(batch_size, n_r) differs between a 30-record and a 300-record
+    # model, so they cannot share a stack.
+    c = make_cohort(n=600, d=3, years=(2001, 2002), seed=0)
+    config = dp_optim.DPTrainingConfig.from_level("none", batch_size=64)
+    with pytest.raises(ConfigurationError, match="batch size"):
+        dp_optim.train_stack({"family": "lr-binary"}, c, [config, config],
+                             [np.arange(30), np.arange(300)])
+
+
+def test_lockstep_divergence_fails_only_its_models():
+    # One record of 2002 has a NaN feature, so only the pivot-2003 models
+    # meet it, each in the first epoch whose shuffle keeps it out of the
+    # dropped partial batch. Each fails with the frozen trainer's error,
+    # epoch included; the pivot-2002 models equal their training alone.
+    c = make_cohort(n=360, d=3, years=(2001, 2003), seed=4)
+    c.features[np.flatnonzero(c.years == 2002)[0], 1] = np.nan
+    jobs = _pivot_jobs(c, ["none"], range(12), batch_size=64,
+                       microbatch_count=1, learning_rate=0.1, epochs=3)
+    stacked = dp_optim.train_stack({"family": "lr-binary"}, c,
+                                   [j[2] for j in jobs], [j[1] for j in jobs])
+    epochs = []
+    for (split, _, config), model in zip(jobs, stacked):
+        try:
+            oracle = trainer_parent.train({"family": "lr-binary"}, split,
+                                          config)
+        except TrainingError as exc:
+            assert split.pivot_year == 2003
+            assert isinstance(model, TrainingError)
+            assert str(model) == str(exc)
+            assert model.epoch == exc.epoch
+            epochs.append(exc.epoch)
+            continue
+        assert _same_model(model, oracle)
+    assert len(epochs) == 12 and max(epochs) > 0

@@ -316,6 +316,42 @@ def test_each_slot_trains_once_and_audits_read_it(tmp_path, monkeypatch):
             cell["utility"]["per_year"][-1]["spend"]
 
 
+def test_standard_grid_steps_once_per_largest_pivot_step(tmp_path,
+                                                        monkeypatch):
+    # The standard lr-binary grid (n = 6000 over 2001-2005, none/low/high x
+    # dp-sgd/objective-perturbation x 2 seeds, every audit) trains its
+    # DP-SGD models in two lockstep stacks, `none` and the private levels,
+    # each spanning all four pivots. A stack takes epochs x the largest
+    # pivot's steps per epoch: 2 x 5 x 75 = 750 stacked steps, not the
+    # 2 x 5 x (18 + 36 + 55 + 75) = 1840 of one stack per pivot.
+    steps = []
+    real = dp_optim._step
+
+    def counted(stack, *args):
+        steps.append(len(stack.index))
+        return real(stack, *args)
+    monkeypatch.setattr(dp_optim, "_step", counted)
+    cc = cohort.CohortConfig(
+        n=6000, d=20, positive_prevalence=0.1, group_prevalences=(0.8, 0.2),
+        group_label_association=0.3, years=(2001, 2005), yearly_drift=0.25,
+        transition_year=2004, transition_shift=1.0, seed=5)
+    config = harness.ExperimentConfig(
+        cohort=cc, privacy_levels=["none", "low", "high"],
+        mechanisms=["dp-sgd", "objective-perturbation"], seeds=[0, 1],
+        audits=["utility", "robustness", "fairness", "influence"],
+        out_dir=str(tmp_path))
+    _, failures = harness.run_experiment(config)
+    assert failures == 0
+    base = cohort.generate_cohort(cc)
+    per_epoch = [len(cohort.train_rows(base, pivot)) // config.batch_size
+                 for pivot in cohort.pivot_years(base)]
+    assert per_epoch == [18, 36, 55, 75]
+    assert len(steps) == 2 * config.epochs * max(per_epoch) == 750
+    assert 2 * config.epochs * sum(per_epoch) == 1840
+    # Every (level, seed, pivot) model steps in its stack until it is done.
+    assert sum(steps) == 3 * 2 * config.epochs * sum(per_epoch)
+
+
 def test_stacked_failure_fails_only_its_cell(tmp_path, monkeypatch):
     # One model of a private stack, at the second pivot, starts from
     # non-finite parameters. Only its cell fails, with the error the
@@ -339,8 +375,7 @@ def test_stacked_failure_fails_only_its_cell(tmp_path, monkeypatch):
             params.theta[:] = np.nan
         return params
     monkeypatch.setattr(models, "init_params", poisoned)
-    split = cohort.split_yearly(cohort.generate_cohort(cc), 2003,
-                                "cumulative")
+    split = cohort.split_yearly(cohort.generate_cohort(cc), 2003)
     with pytest.raises(TrainingError) as per_model:
         trainer_parent.train(
             harness._family_spec(config.tasks[0], "task"),
@@ -385,8 +420,7 @@ def test_emptied_stack_fails_each_of_its_cells(tmp_path, monkeypatch):
             params.theta[:] = np.nan
         return params
     monkeypatch.setattr(models, "init_params", poisoned)
-    split = cohort.split_yearly(cohort.generate_cohort(cc), 2003,
-                                "cumulative")
+    split = cohort.split_yearly(cohort.generate_cohort(cc), 2003)
     assert split.train.n // config.batch_size > 1
     expected = {}
     for target, seed in targets.items():
@@ -496,6 +530,53 @@ def test_cli_generate_data_round_trip(tmp_path):
     direct = cohort.generate_cohort(cc)
     np.testing.assert_allclose(loaded.features, direct.features, atol=1e-12)
     assert np.array_equal(loaded.labels, direct.labels)
+
+
+def test_cli_parser_built_once_and_nothing_leaks(tmp_path, capsys):
+    # One parser serves every main() call of a process; flags given to one
+    # call (--seed, --out, --delta) do not reach the next, whatever its
+    # subcommand.
+    cli.build_parser.cache_clear()
+    cc, config_path = _write_cohort_config(tmp_path)
+    seeded, plain = tmp_path / "seeded.csv", tmp_path / "plain.csv"
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--seed", "7", "--out", str(seeded)]) == 0
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--out", str(plain)]) == 0
+    assert cohort.read_cohort(str(plain)) == cohort.generate_cohort(cc)
+    assert cohort.read_cohort(str(seeded)) == cohort.generate_cohort(
+        dataclasses.replace(cc, seed=7))
+    eps = tmp_path / "eps.json"
+    assert cli.main(["account", "--q", "0.01", "--sigma", "1.0",
+                     "--steps", "100", "--delta", "1e-6",
+                     "--out", str(eps)]) == 0
+    capsys.readouterr()
+    assert cli.main(["account", "--q", "0.02", "--sigma", "1.0",
+                     "--steps", "100"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    want, _ = accountant.spend_for_training(q=0.02, sigma=1.0, steps=100)
+    assert printed["epsilon"] == want.epsilon
+    assert printed["delta"] == accountant.DEFAULT_DELTA
+    assert json.loads(eps.read_text())["delta"] == 1e-6
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_cli_train_refuses_protocol_key(tmp_path, capsys):
+    # The train/test protocol is always the cumulative split; a config that
+    # still names `protocol` is refused, naming the key.
+    _, config_path = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--out", str(csv_path)]) == 0
+    train_config = tmp_path / "train.json"
+    train_config.write_text(json.dumps({
+        "cohort_csv": str(csv_path), "pivot_year": 2002,
+        "protocol": "cumulative"}))
+    out = tmp_path / "model.json"
+    assert cli.main(["train", "--config", str(train_config),
+                     "--out", str(out)]) == 2
+    assert "unknown key(s): ['protocol']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_train(tmp_path):
@@ -865,8 +946,8 @@ def test_cli_audits_match_grid(tmp_path):
     with open(tmp_path / "grid" / "report.json") as fh:
         cell = json.load(fh)["cells"][0]
     base = cohort.generate_cohort(cc)
-    *_, (pivot, split, trained) = harness._pivot_models(
-        base, config.tasks[0], "high", "dp-sgd", config, seed)
+    *_, (pivot, split, (trained,)) = harness._pivot_models(
+        base, config.tasks[0], "dp-sgd", [("high", seed)], config)
     params = trained.params.to_dict()
 
     def run(command, name, payload):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import dp_tails
@@ -228,6 +228,8 @@ def test_pearson_zero_variance_error():
 @settings(max_examples=300, deadline=None)
 @given(xy=st.integers(3, 40).flatmap(lambda n: st.tuples(
     *(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),) * 2)))
+@example(xy=([0.0, 0.0, 8.053416686198433e-100],
+             [0.0, 0.0, 8.053416686198433e-100]))
 def test_pearson_p_matches_scipy_t_sf_exactly(xy):
     x, y = xy
     try:

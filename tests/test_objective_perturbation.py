@@ -12,7 +12,7 @@ from conftest import make_cohort, raw_cohort
 
 
 def _split_of(c, pivot=2002):
-    return cohort.split_yearly(c, pivot, "cumulative")
+    return cohort.split_yearly(c, pivot)
 
 
 def test_noise_vector_vanishes_at_huge_beta(rng):
