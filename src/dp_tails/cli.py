@@ -129,7 +129,7 @@ def cmd_train(args):
         op = config_from_dict(objective_perturbation.ObjPertConfig,
                               cfg.objpert, "objpert")
         trained = objective_perturbation.train_objective_perturbation(
-            split, dataclasses.replace(op, seed=seed))
+            split.train, dataclasses.replace(op, seed=seed))
     else:
         raise ConfigurationError(f"unknown mechanism {cfg.mechanism!r}")
     _dump(trained.to_dict(), args.out)

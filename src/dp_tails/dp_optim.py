@@ -9,15 +9,17 @@ sum straight from per-layer matmuls, so no step forms the batch's
 per-example gradient matrix. The last partial batch of every epoch is
 dropped so the accountant's sampling rate q = L/n is exact.
 
-`train_stack` trains R models of one family at once, each on its own
-records of one cohort (the grid's models of every pivot year together):
-theta is (R, p), a step's batch (R, L, d), and every numpy call of the
-step covers the whole stack, while each model keeps its own seed-derived
-generator, permutations and noise draws. The models run in lockstep, and
-one with fewer records (fewer steps) leaves the stack when it is done. At
-small batches a step's cost is numpy's per-call overhead, so a stack of R
-costs far less than R separate trainings. `train` is the same trainer at
-R = 1.
+`train_stack` trains any list of models of one family, each on its own
+records of one cohort (the grid's models of every level, seed and pivot
+year together). It alone decides which models share a lockstep stack:
+those equal in the optimizer settings and privacy (private or not) and in
+the batch size L. In a stack of R models theta is (R, p), a step's batch
+(R, L, d), and every numpy call of the step covers the whole stack, while
+each model keeps its own seed-derived generator, permutations and noise
+draws; one with fewer records (fewer steps) leaves the stack when it is
+done. At small batches a step's cost is numpy's per-call overhead, so a
+stack of R costs far less than R separate trainings. `train` is the same
+trainer for one model.
 """
 
 from __future__ import annotations
@@ -127,7 +129,8 @@ class _AdamState:
 
 
 # DPTrainingConfig fields (and the property `private`) every model of a
-# stack shares; seed, clip_norm, noise_multiplier and delta may differ.
+# lockstep stack shares, with the batch size L; seed, clip_norm,
+# noise_multiplier and delta may differ.
 _SHARED = ("batch_size", "microbatch_count", "learning_rate", "epochs",
            "optimizer", "private")
 
@@ -213,19 +216,21 @@ def _step(stack, family_spec, X, y, config, epochs):
 def train_stack(family_spec, cohort: Cohort, configs, rows=None):
     """Train one model per config, model r on the records rows[r] of
     `cohort` (default: every record), with shuffled fixed-size batches.
+    Returns per config, in input order, its TrainedModel or the DPTailsError
+    that stopped it.
 
-    The models run in lockstep: global step t is one stacked pass over
-    every model that has steps left, each on its own next batch. Model r
-    has its own n_r records, sampling rate q_r = L / n_r and n_r // L steps
-    per epoch, and leaves the stack when its epochs are done; the batch
-    size L = min(batch_size, n_r) must be the same for every model. The
-    configs may differ only in seed, clip_norm, noise_multiplier and
-    delta, and must be all private or all not. Each model keeps its own
-    init and generator (SeedSequence([seed, 2])), permutation per epoch and
-    noise draw per step, so it gets the bits it would get alone. Returns
-    per config its TrainedModel, or the DPTailsError that stopped it (a bad
-    label, a non-finite loss or gradient, its accounting), which leaves the
-    other models untouched; errors common to all models are raised.
+    The models train in lockstep stacks, one per distinct value of the
+    fields a stack shares (`_SHARED`) and the batch size
+    L = min(batch_size, n_r): global step t of a stack is one stacked pass
+    over every member that has steps left, each on its own next batch.
+    Model r has its own n_r records, sampling rate q_r = L / n_r and
+    n_r // L steps per epoch, and leaves its stack when its epochs are done.
+    Each model keeps its own init and generator (SeedSequence([seed, 2])),
+    permutation per epoch and noise draw per step, so it gets the bits it
+    would get alone. An error of one model (a bad label, a non-finite loss
+    or gradient, its accounting) leaves the others untouched; an error that
+    stops a whole stack (an empty row set, a microbatch count that does not
+    divide the reduced batch) is every member's result.
 
     family_spec: a models.FamilySpec, or a JSON object of its fields
     (family, h, l2_lambda), loaded and checked by config_from_dict; the
@@ -234,14 +239,30 @@ def train_stack(family_spec, cohort: Cohort, configs, rows=None):
     if not isinstance(family_spec, models.FamilySpec):
         family_spec = config_from_dict(models.FamilySpec, family_spec,
                                        "family_spec")
-    config = configs[0]
-    for other in configs[1:]:
-        for name in _SHARED:
-            if getattr(other, name) != getattr(config, name):
-                raise ConfigurationError(
-                    f"training: stacked models differ in {name!r}")
     if rows is None:
         rows = [np.arange(cohort.n)] * len(configs)
+    stacks = {}
+    for r, (config, own) in enumerate(zip(configs, rows)):
+        key = tuple(getattr(config, name) for name in _SHARED)
+        stacks.setdefault((*key, min(config.batch_size, len(own))),
+                          []).append(r)
+    results = [None] * len(configs)
+    for members in stacks.values():
+        try:
+            trained = _train_lockstep(family_spec, cohort,
+                                      [configs[r] for r in members],
+                                      [rows[r] for r in members])
+        except DPTailsError as exc:
+            trained = [exc] * len(members)
+        for r, result in zip(members, trained):
+            results[r] = result
+    return results
+
+
+def _train_lockstep(family_spec, cohort, configs, rows):
+    """train_stack's results for one stack: configs equal in `_SHARED` and
+    in L = min(batch_size, n_r)."""
+    config = configs[0]
     n = np.array([len(r) for r in rows])
     if not n.all():
         raise DomainError("empty training cohort")
@@ -249,10 +270,7 @@ def train_stack(family_spec, cohort: Cohort, configs, rows=None):
     y = cohort.labels
     d = X.shape[1]
 
-    L = min(config.batch_size, int(n.min()))
-    if L != min(config.batch_size, int(n.max())):
-        raise ConfigurationError(
-            "training: stacked models differ in batch size min(batch_size, n)")
+    L = min(config.batch_size, int(n[0]))
     if L < config.batch_size and L % config.microbatch_count != 0:
         raise ConfigurationError(
             "batch_size exceeds cohort size and microbatch_count does not "

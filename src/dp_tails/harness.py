@@ -7,13 +7,12 @@ from a stable hash so it is independently reproducible, and every epsilon
 in a report is recomputable from the logged (q, sigma, T, delta). Each
 (cell, pivot year) has one model, and every audit of the cell reads it, so
 utility, fairness, influence and shift results describe the same models.
-The grid runs per (task, mechanism). First the DP-SGD models of all its
-cells and every pivot train together, in lockstep, from the cohort's rows:
-two stacks (dp_optim.train_stack), the unclipped `none` level and the
-private levels, split further only where pivots differ in the batch size
-L = min(batch_size, n). A model gets the bits it would get trained alone.
-Then the audits run pivot by pivot, each pivot's split built in turn; an
-objective-perturbation model trains at its pivot, from that split.
+The grid runs per (task, mechanism). First every model of its cells and
+pivots trains: the DP-SGD models in one dp_optim.train_stack call, which
+puts them in lockstep stacks by itself, each model on its own rows of the
+cohort and with the bits it would get trained alone; the
+objective-perturbation models one pivot's training records at a time.
+Then the audits run pivot by pivot, each pivot's split built in turn.
 """
 
 from __future__ import annotations
@@ -105,70 +104,50 @@ def _caught(fn, *args, **kwargs):
         return exc
 
 
-def _train_dp_sgd(cohort, task, jobs, config):
-    """Train one DP-SGD model per (train rows, level, cell seed) job on the
-    records `rows` of `cohort`; returns, per job, its TrainedModel or the
-    DPTailsError that failed it. The jobs train in lockstep stacks
-    (dp_optim.train_stack), one per unclipped (`none`) or private level and
-    batch size L = min(batch_size, len(rows))."""
-    results = [_caught(dp_optim.DPTrainingConfig.from_level, level,
-                       batch_size=config.batch_size,
-                       microbatch_count=config.microbatch_count,
-                       learning_rate=config.learning_rate,
-                       epochs=config.epochs, seed=seed)
-               for _, level, seed in jobs]
-    stacks = {}
-    for i, result in enumerate(results):
-        if isinstance(result, dp_optim.DPTrainingConfig):
-            stacks.setdefault(
-                (result.private, min(result.batch_size, len(jobs[i][0]))),
-                []).append(i)
-    for members in stacks.values():
-        trained = _caught(dp_optim.train_stack, _family_spec(task, "task"),
-                          cohort, [results[i] for i in members],
-                          [jobs[i][0] for i in members])
-        if isinstance(trained, DPTailsError):
-            trained = [trained] * len(members)
-        for i, result in zip(members, trained):
-            results[i] = result
-    return results
-
-
-def _train_objpert(split, level, seed, config):
+def _train_objpert(train, level, seed, config):
     if level not in OBJPERT_LEVEL_EPS:
         raise ConfigurationError(f"unknown privacy level {level!r}")
     op_config = objective_perturbation.ObjPertConfig(
         eps_p=OBJPERT_LEVEL_EPS[level], lam=config.objpert_lambda, seed=seed)
     return objective_perturbation.train_objective_perturbation(
-        split, op_config, force_zero_noise=(level == "none"))
+        train, op_config, force_zero_noise=(level == "none"))
 
 
-def _pivot_models(cohort, task, mechanism, jobs, config):
-    """Yield (pivot, split, models) per pivot year, in order, for the
-    (level, seed) jobs of grid cells: models[j] is job j's TrainedModel,
-    trained on the years before the pivot with cell seed
+def _train_models(cohort, task, mechanism, jobs, pivots, config):
+    """Per pivot year, per (level, seed) job of grid cells: the job's
+    TrainedModel, trained on the years before the pivot with cell seed
     stable_seed(seed, task, level, mechanism, pivot), or the DPTailsError
-    that failed it. The DP-SGD models of every pivot train first, together
-    (_train_dp_sgd), from the cohort's rows; objective-perturbation models
-    train at their pivot. One pivot's split is held at a time."""
-    pivots = cohort_mod.pivot_years(cohort)
-    seeds = [[stable_seed(seed, task["name"], level, mechanism, pivot)
-              for level, seed in jobs] for pivot in pivots]
+    that failed it. Every DP-SGD model trains in one dp_optim.train_stack
+    call, on its rows of the cohort; objective perturbation trains one
+    pivot's training records at a time."""
+    n = len(jobs)
+    slots = [(pivot, level, stable_seed(seed, task["name"], level,
+                                        mechanism, pivot))
+             for pivot in pivots for level, seed in jobs]
     if mechanism == "dp-sgd":
-        dp_jobs = []
-        for pivot, cell_seeds in zip(pivots, seeds):
-            rows = cohort_mod.train_rows(cohort, pivot)
-            dp_jobs += [(rows, level, cell_seed)
-                        for (level, _), cell_seed in zip(jobs, cell_seeds)]
-        trained = _train_dp_sgd(cohort, task, dp_jobs, config)
-    for p, pivot in enumerate(pivots):
-        split = cohort_mod.split_yearly(cohort, pivot)
-        if mechanism == "dp-sgd":
-            yield pivot, split, trained[p * len(jobs):(p + 1) * len(jobs)]
-        else:
-            yield pivot, split, [
-                _caught(_train_objpert, split, level, cell_seed, config)
-                for (level, _), cell_seed in zip(jobs, seeds[p])]
+        results = [_caught(dp_optim.DPTrainingConfig.from_level, level,
+                           batch_size=config.batch_size,
+                           microbatch_count=config.microbatch_count,
+                           learning_rate=config.learning_rate,
+                           epochs=config.epochs, seed=cell_seed)
+                   for _, level, cell_seed in slots]
+        rows = {pivot: cohort_mod.train_rows(cohort, pivot)
+                for pivot in pivots}
+        valid = [i for i, result in enumerate(results)
+                 if not isinstance(result, DPTailsError)]
+        trained = dp_optim.train_stack(
+            _family_spec(task, "task"), cohort, [results[i] for i in valid],
+            [rows[slots[i][0]] for i in valid])
+        for i, result in zip(valid, trained):
+            results[i] = result
+    else:
+        results = []
+        for p, pivot in enumerate(pivots):
+            train = cohort.subset(cohort_mod.train_rows(cohort, pivot))
+            results += [_caught(_train_objpert, train, level, cell_seed,
+                                config)
+                        for _, level, cell_seed in slots[p * n:(p + 1) * n]]
+    return [results[p * n:(p + 1) * n] for p in range(len(pivots))]
 
 
 def _utility_row(pivot, split, trained, scores):
@@ -185,19 +164,6 @@ def _aggregate(rows):
     aurocs = [r["auroc"] for r in rows]
     return {"auroc_mean": float(np.mean(aurocs)),
             "auroc_std": float(np.std(aurocs))}
-
-
-def yearly_protocol(cohort, task, level, mechanism, config, seed):
-    """Train on prior years, test on each pivot year; returns per-year
-    metric rows plus the across-year aggregate."""
-    rows = []
-    for pivot, split, (trained,) in _pivot_models(cohort, task, mechanism,
-                                                  [(level, seed)], config):
-        if isinstance(trained, DPTailsError):
-            raise trained
-        scores = models.predict(trained.params, split.test.features)[:, 1]
-        rows.append(_utility_row(pivot, split, trained, scores))
-    return rows, _aggregate(rows)
 
 
 def _fairness_audit(pivot, split, scores):
@@ -259,10 +225,9 @@ class _CellAudits:
 
 
 def _run_cells(base, task, mechanism, cells, config):
-    """Train and audit the cells of one (task, mechanism): the pivots'
-    models (_pivot_models, where DP-SGD trains every pivot's models first)
-    feed their cells' audits pivot by pivot, one pivot's split held at a
-    time.
+    """Train and audit the cells of one (task, mechanism): every pivot's
+    models train first (_train_models), then feed their cells' audits
+    pivot by pivot, one pivot's split held at a time.
     A cell whose training or audit raises records only its first error, in
     pivot order, and is audited no further; the other cells are
     unaffected."""
@@ -275,9 +240,11 @@ def _run_cells(base, task, mechanism, cells, config):
     split = None
     jobs = [(c.cell["level"], c.cell["seed"]) for c in cells]
     try:
-        for pivot, split, trained in _pivot_models(base, task, mechanism,
-                                                   jobs, config):
-            for state, result in zip(cells, trained):
+        pivots = cohort_mod.pivot_years(base)
+        trained = _train_models(base, task, mechanism, jobs, pivots, config)
+        for pivot, models_of_pivot in zip(pivots, trained):
+            split = cohort_mod.split_yearly(base, pivot)
+            for state, result in zip(cells, models_of_pivot):
                 if state not in live:
                     continue
                 if not isinstance(result, DPTailsError):
@@ -334,9 +301,10 @@ def run_experiment(config: ExperimentConfig):
 
 def _table_blocks(config, cells):
     """Mean +/- std blocks over seeds per (task, level, mechanism). The
-    epsilon shown is the largest over pivot years and seeds: each pivot
-    has its own sampling rate q = L/n, and the largest is the guarantee
-    that binds."""
+    epsilon shown is the largest per-model epsilon over pivot years and
+    seeds: each pivot has its own sampling rate q = L/n. It is no bound on
+    a record's total loss: a record of year y trains every later pivot's
+    model, and those guarantees compose."""
     blocks = []
     for task, level, mechanism in itertools.product(
             config.tasks, config.privacy_levels, config.mechanisms):

@@ -14,7 +14,6 @@ that orientation throughout and every report states it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ class InfluenceMatrix:
     values: np.ndarray       # |train| x |test|
     train_ids: np.ndarray
     test_ids: np.ndarray
-    damping: float
-    model_fingerprint: str
 
 
 @dataclass
@@ -84,7 +81,6 @@ class InfluenceEngine:
             self._cho = cho_factor(self.hessian)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(f"Hessian factorization failed: {exc}")
-        self.model_fingerprint = _fingerprint(params)
 
     def _grads(self, features, labels):
         """Per-record cross-entropy gradients, (p - y) [x; 1] for LR."""
@@ -114,16 +110,7 @@ class InfluenceEngine:
         values = -(G_tr @ solved)
         return InfluenceMatrix(values=values,
                                train_ids=train_subset.ids.copy(),
-                               test_ids=test_subset.ids.copy(),
-                               damping=self.damping,
-                               model_fingerprint=self.model_fingerprint)
-
-
-def _fingerprint(params):
-    h = hashlib.sha256()
-    h.update(params.family.encode())
-    h.update(np.ascontiguousarray(params.theta).tobytes())
-    return h.hexdigest()[:16]
+                               test_ids=test_subset.ids.copy())
 
 
 def group_influence(matrix: InfluenceMatrix, assignment) -> GroupInfluenceSummary:
@@ -192,9 +179,7 @@ def influence_summary(matrix: InfluenceMatrix, train_cohort,
     panel = InfluenceMatrix(
         values=matrix.values[:, panel_cols],
         train_ids=matrix.train_ids,
-        test_ids=np.asarray(panel_ids),
-        damping=matrix.damping,
-        model_fingerprint=matrix.model_fingerprint)
+        test_ids=np.asarray(panel_ids))
     ids = train_cohort.ids.tolist()
     by_label = group_influence(
         panel, dict(zip(ids, train_cohort.labels.tolist())))

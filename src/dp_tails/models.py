@@ -209,7 +209,7 @@ def _sq_weights(layers):
     theta, as one dot product in theta order."""
     w = np.concatenate([W.reshape(len(W), -1) for _, _, W, _ in layers],
                        axis=1)
-    return np.array([float(v @ v) for v in w])
+    return np.vecdot(w, w)
 
 
 def clipped_grad_sum(spec, theta, features, labels, clip_norms,

@@ -1,16 +1,18 @@
 """(eps, 0)-DP regularized logistic regression via objective perturbation.
 
-Records are first rescaled to norm <= C. The privacy budget is split as
-  eps' = eps_p - log(1 + 2c/(n Lambda) + c^2/(n^2 Lambda^2))
+Records are first rescaled to norm <= C, and the solver appends the
+intercept's 1, so its inputs [x; 1] have norm <= B = sqrt(C^2 + 1). The
+logistic loss is c-smooth with c = 1/4 for unit-norm inputs, hence cB^2
+-smooth in these. The privacy budget is split as
+  eps' = eps_p - log(1 + 2cB^2/(n Lambda) + c^2 B^4/(n^2 Lambda^2))
 and when eps' <= 0 the extra-regularization branch is taken:
-  Delta = c/(n (e^{eps_p/4} - 1)) - Lambda,   eps' = eps_p / 2.
+  Delta = cB^2/(n (e^{eps_p/4} - 1)) - Lambda,   eps' = eps_p / 2.
 The perturbation vector b has a uniform direction and Gamma(dim, rate=beta)
-norm with beta = eps'/2, which realizes the density proportional to
-exp(-beta ||b||). The perturbed objective
+norm with beta = eps'/(2B) (a loss gradient has norm <= B), which realizes
+the density proportional to exp(-beta ||b||). The perturbed objective
   J(f) + (1/n) b^T f + (Delta/2) ||f||^2
 is ridge LR plus a linear term, minimized by `models.fit_lr_newton` to
-gradient norm <= 1e-8; c defaults to 1/4, the smoothness constant of the
-logistic loss.
+gradient norm <= 1e-8.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accountant, models
-from .cohort import CohortSplit
+from .cohort import Cohort
 from .dp_optim import TrainedModel
 from .errors import ConfigurationError, DomainError, UnsupportedFamilyError
+
+# The smoothness constant c of the logistic loss at unit input norm; a
+# smaller value would understate epsilon.
+SMOOTHNESS = 0.25
 
 
 @dataclass
@@ -31,7 +37,6 @@ class ObjPertConfig:
     eps_p: float
     lam: float
     record_norm_bound: float = 1.0
-    smoothness_constant: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +46,6 @@ class ObjPertConfig:
             raise ConfigurationError("lam: must be > 0")
         if self.record_norm_bound <= 0:
             raise ConfigurationError("record_norm_bound: must be > 0")
-        if self.smoothness_constant <= 0:
-            raise ConfigurationError("smoothness_constant: must be > 0")
 
 
 def sample_noise_vector(dim, beta, rng):
@@ -58,8 +61,10 @@ def sample_noise_vector(dim, beta, rng):
 
 
 def budget_split(n, config: ObjPertConfig):
-    """(eps_prime, Delta, branch) per the extra-regularization rule."""
-    c, lam, eps_p = config.smoothness_constant, config.lam, config.eps_p
+    """(eps_prime, Delta, branch) per the extra-regularization rule, with
+    the loss's smoothness cB^2 at inputs of norm <= B."""
+    c = SMOOTHNESS * (config.record_norm_bound ** 2 + 1.0)
+    lam, eps_p = config.lam, config.eps_p
     eps_prime = eps_p - math.log(1.0 + 2.0 * c / (n * lam)
                                  + c * c / (n * n * lam * lam))
     if eps_prime > 0:
@@ -68,16 +73,16 @@ def budget_split(n, config: ObjPertConfig):
     return eps_p / 2.0, max(delta_reg, 0.0), "extra-regularization"
 
 
-def train_objective_perturbation(split: CohortSplit, config: ObjPertConfig,
+def train_objective_perturbation(cohort: Cohort, config: ObjPertConfig,
                                  force_zero_noise=False) -> TrainedModel:
-    """Private minimizer of the perturbed regularized logistic objective.
+    """Private minimizer of the perturbed regularized logistic objective on
+    the training records `cohort`.
 
     force_zero_noise sets b = 0 and Delta = 0 (the beta -> infinity limit),
     giving the non-private regularized minimizer, reported as a non-private
     run with epsilon = inf and eps_p unused; intended for tests and
     baselines only.
     """
-    cohort = split.train
     y = cohort.labels
     if y.min() < 0 or y.max() > 1:
         raise UnsupportedFamilyError(
@@ -91,14 +96,16 @@ def train_objective_perturbation(split: CohortSplit, config: ObjPertConfig,
 
     log = {"mechanism": "objective-perturbation", "lambda": config.lam,
            "record_norm_bound": config.record_norm_bound,
-           "smoothness_constant": config.smoothness_constant}
+           "input_norm_bound": math.sqrt(config.record_norm_bound ** 2
+                                         + 1.0),
+           "smoothness_constant": SMOOTHNESS}
     if force_zero_noise:
         b, delta_reg = np.zeros(d + 1), 0.0
         spend = accountant.PrivacySpend(epsilon=math.inf, delta=0.0)
         caveat = "non-private run"
     else:
         eps_prime, delta_reg, branch = budget_split(n, config)
-        beta = eps_prime / 2.0
+        beta = eps_prime / (2.0 * log["input_norm_bound"])
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
         b = sample_noise_vector(d + 1, beta, rng)
         spend = accountant.PrivacySpend(epsilon=config.eps_p, delta=0.0)

@@ -282,7 +282,7 @@ def test_criterion_9_objective_perturbation():
         def run_auroc(eps_p, force_zero_noise=False):
             config = objpert.ObjPertConfig(eps_p=eps_p, lam=0.01, seed=seed)
             trained = objpert.train_objective_perturbation(
-                split, config, force_zero_noise=force_zero_noise)
+                split.train, config, force_zero_noise=force_zero_noise)
             scores = models.predict(trained.params, split.test.features)[:, 1]
             return metrics.auroc(scores, split.test.labels)
 

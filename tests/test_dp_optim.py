@@ -418,14 +418,46 @@ def test_train_stack_failure_leaves_companions_untouched():
     assert 0 < failed < len(configs)
 
 
-def test_train_stack_refuses_mixed_stacks():
-    split = _split_of(make_cohort(n=200, d=3, years=(2001, 2002)))
-    low = dp_optim.DPTrainingConfig.from_level("low")
-    for other in (dp_optim.DPTrainingConfig.from_level("none"),
-                  dataclasses.replace(low, learning_rate=0.2)):
-        with pytest.raises(ConfigurationError, match="stacked models"):
-            dp_optim.train_stack({"family": "lr-binary"}, split.train,
-                                 [low, other])
+def test_train_stack_forms_its_own_stacks():
+    # One call mixes models that cannot share a lockstep stack: `none` and
+    # `low` models, two learning rates, 30-record and 300-record models
+    # (L = 30 and 64), and a clipped sigma = 0 model beside a `none` model
+    # of the same (q, T). Every result, in input order, equals the frozen
+    # per-model trainer on that model's rows alone: its TrainedModel, or
+    # its error where 16 microbatches do not divide the reduced batch 30.
+    c = make_cohort(n=600, d=3, years=(2001, 2002), seed=0)
+    spec = {"family": "lr-binary", "l2_lambda": 0.01}
+    none, low = (dp_optim.DPTrainingConfig.from_level(
+        level, batch_size=64, microbatch_count=16, epochs=2, seed=seed)
+        for level, seed in (("none", 1), ("low", 2)))
+    jobs = [(low, 300), (none, 30),
+            (dataclasses.replace(low, noise_multiplier=0.0, seed=3), 300),
+            (dataclasses.replace(low, learning_rate=0.2, seed=4), 300),
+            (dataclasses.replace(low, seed=5), 30),
+            (dataclasses.replace(none, seed=6), 300),
+            (dataclasses.replace(low, microbatch_count=2, seed=7), 30),
+            (dataclasses.replace(none, learning_rate=0.2, seed=8), 300)]
+    rows = [np.arange(0, c.n, c.n // n) for _, n in jobs]
+    stacked = dp_optim.train_stack(spec, c, [j[0] for j in jobs], rows)
+    assert len(stacked) == len(jobs)
+    failed = 0
+    for (config, _), own, model in zip(jobs, rows, stacked):
+        train = c.subset(own)
+        try:
+            oracle = trainer_parent.train(
+                spec, cohort.CohortSplit(train, train, 0), config)
+        except ConfigurationError as exc:
+            failed += 1
+            assert type(model) is ConfigurationError
+            assert str(model) == str(exc)
+            continue
+        assert _same_model(model, oracle)
+    assert failed == 2
+    clipped, unclipped = stacked[2], stacked[5]
+    assert clipped.accounting_log["q"] == 64 / 300
+    assert clipped.accounting_log["sigma"] == 0.0
+    assert unclipped.accounting_log["q"] is None
+    assert clipped.steps_taken == unclipped.steps_taken == 8
 
 
 def _pivot_jobs(c, levels, seeds, **kwargs):
@@ -462,16 +494,6 @@ def test_lockstep_stack_across_pivots_equals_frozen_trainer(family,
             assert model.steps_taken == 3 * (len(rows) // 64)
             assert model.accounting_log["q"] == oracle.accounting_log["q"]
             assert _same_model(model, oracle)
-
-
-def test_lockstep_stack_refuses_unequal_batch_sizes():
-    # L = min(batch_size, n_r) differs between a 30-record and a 300-record
-    # model, so they cannot share a stack.
-    c = make_cohort(n=600, d=3, years=(2001, 2002), seed=0)
-    config = dp_optim.DPTrainingConfig.from_level("none", batch_size=64)
-    with pytest.raises(ConfigurationError, match="batch size"):
-        dp_optim.train_stack({"family": "lr-binary"}, c, [config, config],
-                             [np.arange(30), np.arange(300)])
 
 
 def test_lockstep_divergence_fails_only_its_models():

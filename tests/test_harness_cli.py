@@ -116,24 +116,34 @@ def test_config_hash_covers_field(tmp_path, name, value):
 # ---------------------------------------------------------- yearly protocol
 
 
+def _per_year(config):
+    """The per-year utility rows of the one cell of a one-level, one-seed
+    grid."""
+    report, _ = harness.run_experiment(config)
+    cell, = report["cells"]
+    return cell["utility"]["per_year"]
+
+
 def test_two_year_cohort_single_pivot_row(tmp_path):
     config = _small_config(tmp_path)
-    base = cohort.generate_cohort(config.cohort)
-    rows, agg = harness.yearly_protocol(
-        base, config.tasks[0], "none", "dp-sgd", config, seed=0)
+    report, failures = harness.run_experiment(config)
+    assert failures == 0
+    utility = report["cells"][0]["utility"]
+    rows = utility["per_year"]
     assert len(rows) == 1
     assert rows[0]["year"] == 2002
-    assert agg["auroc_mean"] == rows[0]["auroc"]
-    assert agg["auroc_std"] == 0.0
+    assert utility["auroc_mean"] == rows[0]["auroc"]
+    assert utility["auroc_std"] == 0.0
 
 
 def test_single_year_cohort_rejected(tmp_path):
     config = _small_config(tmp_path)
-    base = cohort.generate_cohort(config.cohort)
-    one_year = base.subset(base.years == 2001)
-    with pytest.raises(ConfigurationError):
-        harness.yearly_protocol(one_year, config.tasks[0], "none", "dp-sgd",
-                                config, seed=0)
+    config = dataclasses.replace(config, cohort=dataclasses.replace(
+        config.cohort, years=(2001, 2001)))
+    report, failures = harness.run_experiment(config)
+    assert failures == 1
+    assert report["cells"][0]["error"] == (
+        "ConfigurationError: yearly protocol needs >= 2 years")
 
 
 def test_stationarity_on_drift_free_cohort(tmp_path):
@@ -144,13 +154,12 @@ def test_stationarity_on_drift_free_cohort(tmp_path):
         cc = cohort.CohortConfig(n=8000, d=10, positive_prevalence=0.3,
                                  years=(2001, 2005), class_separation=2.0,
                                  seed=seed)
-        base = cohort.generate_cohort(cc)
-        config = harness.ExperimentConfig(cohort=cc, epochs=5,
+        config = harness.ExperimentConfig(cohort=cc, tasks=[task],
+                                          privacy_levels=["none"],
+                                          seeds=[seed], epochs=5,
                                           learning_rate=0.5,
                                           out_dir=str(tmp_path))
-        rows, _ = harness.yearly_protocol(base, task, "none", "dp-sgd",
-                                          config, seed)
-        aurocs = [r["auroc"] for r in rows]
+        aurocs = [r["auroc"] for r in _per_year(config)]
         assert max(aurocs) - min(aurocs) <= 0.05, f"seed {seed}: {aurocs}"
 
 
@@ -166,13 +175,12 @@ def test_transition_shock_year_is_auroc_minimum(tmp_path):
                                  years=(2001, 2005), transition_year=2005,
                                  transition_shift=5.0, class_separation=1.0,
                                  seed=seed)
-        base = cohort.generate_cohort(cc)
-        config = harness.ExperimentConfig(cohort=cc, epochs=20,
+        config = harness.ExperimentConfig(cohort=cc, tasks=[task],
+                                          privacy_levels=["none"],
+                                          seeds=[seed], epochs=20,
                                           learning_rate=0.5,
                                           out_dir=str(tmp_path))
-        rows, _ = harness.yearly_protocol(base, task, "none", "dp-sgd",
-                                          config, seed)
-        aurocs = {r["year"]: r["auroc"] for r in rows}
+        aurocs = {r["year"]: r["auroc"] for r in _per_year(config)}
         hits += min(aurocs, key=aurocs.get) == 2005
     assert hits >= 4, f"shock year was the minimum in only {hits}/5 seeds"
 
@@ -688,6 +696,11 @@ _PROBE_BASE = {
      "clip_norm"),
     ("train", {"mechanism": "objective-perturbation",
                "objpert": {"eps_p": 1.0, "lam": 0.1, "bogus": 1}}, "bogus"),
+    # c = 1/4 is the logistic loss's, not a setting.
+    ("train", {"mechanism": "objective-perturbation",
+               "objpert": {"eps_p": 1.0, "lam": 0.1,
+                           "smoothness_constant": 1.0}},
+     "objpert: unknown key(s): ['smoothness_constant']"),
     ("train", {"mechanism": "objective-perturbation"}, "eps_p"),
     ("train", {"mechanism": "objective-perturbation",
                "objpert": {"eps_p": 1.0, "lam": 0.1},
@@ -768,7 +781,7 @@ _PROBE_BASE = {
                                                        "h": 16}}},
      "params.dims: unknown key(s): ['k']"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
-        "objpert-missing", "objpert-unread-training",
+        "objpert-smoothness-constant", "objpert-missing", "objpert-unread-training",
         "objpert-unread-family-spec", "dp-sgd-unread-objpert",
         "generate-data-missing-n", "run-cohort-missing-n",
         "family-spec-typo", "run-task-typo", "task-without-name",
@@ -946,8 +959,10 @@ def test_cli_audits_match_grid(tmp_path):
     with open(tmp_path / "grid" / "report.json") as fh:
         cell = json.load(fh)["cells"][0]
     base = cohort.generate_cohort(cc)
-    *_, (pivot, split, (trained,)) = harness._pivot_models(
-        base, config.tasks[0], "dp-sgd", [("high", seed)], config)
+    pivot = cohort.pivot_years(base)[-1]
+    split = cohort.split_yearly(base, pivot)
+    (trained,), = harness._train_models(
+        base, config.tasks[0], "dp-sgd", [("high", seed)], [pivot], config)
     params = trained.params.to_dict()
 
     def run(command, name, payload):

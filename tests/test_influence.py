@@ -187,8 +187,7 @@ def test_group_influence_single_group_is_column_sum():
 def test_group_influence_zero_rows_group():
     matrix = influence.InfluenceMatrix(
         values=np.array([[0.0, 0.0], [1.0, -2.0]]),
-        train_ids=np.array([0, 1]), test_ids=np.array([10, 11]),
-        damping=0.0, model_fingerprint="x")
+        train_ids=np.array([0, 1]), test_ids=np.array([10, 11]))
     summary = influence.group_influence(matrix, {0: 0, 1: 1})
     assert summary.group_means[0] == 0.0
 
@@ -196,7 +195,7 @@ def test_group_influence_zero_rows_group():
 def test_group_influence_unassigned_id_error():
     matrix = influence.InfluenceMatrix(
         values=np.ones((2, 2)), train_ids=np.array([0, 1]),
-        test_ids=np.array([5, 6]), damping=0.0, model_fingerprint="x")
+        test_ids=np.array([5, 6]))
     with pytest.raises(AssignmentError):
         influence.group_influence(matrix, {0: 0})
 
@@ -207,8 +206,7 @@ def _toy_matrix(values, test_ids=None):
         values=values,
         train_ids=np.arange(values.shape[0]),
         test_ids=np.arange(values.shape[1]) if test_ids is None
-        else np.asarray(test_ids),
-        damping=0.0, model_fingerprint="x")
+        else np.asarray(test_ids))
 
 
 def test_top_variance_constant_columns_id_order():
@@ -279,8 +277,7 @@ def _panel(matrix, k=100):
     idx = [cols[t] for t in panel_ids]
     return influence.InfluenceMatrix(
         values=matrix.values[:, idx], train_ids=matrix.train_ids,
-        test_ids=np.asarray(panel_ids), damping=matrix.damping,
-        model_fingerprint=matrix.model_fingerprint)
+        test_ids=np.asarray(panel_ids))
 
 
 def _trained_panel(seed, level, epochs, lr, association=0.0,

@@ -54,12 +54,15 @@ def test_noise_vector_errors(rng):
 
 
 def test_budget_split_matches_formula_grid():
+    # c B^2 with c = 1/4 and B^2 = C^2 + 1, the squared norm bound of a
+    # solver input [x; 1].
     for n in (50, 500, 5000):
         for lam in (1e-4, 1e-2, 1.0):
             for eps_p in (1e-4, 0.1, 3.54, 3.5e5):
-                for c in (0.25, 1.0):
+                for C in (0.5, 1.0):
+                    c = 0.25 * (C ** 2 + 1.0)
                     config = op.ObjPertConfig(eps_p=eps_p, lam=lam,
-                                              smoothness_constant=c)
+                                              record_norm_bound=C)
                     eps_prime, delta_reg, branch = op.budget_split(n, config)
                     direct = eps_p - math.log(1.0 + 2 * c / (n * lam)
                                               + c * c / (n * n * lam * lam))
@@ -74,6 +77,33 @@ def test_budget_split_matches_formula_grid():
                         assert delta_reg == max(expected, 0.0)
 
 
+def test_noise_rate_and_budget_cover_rescaled_records():
+    # The solver sees [x; 1] for a record x rescaled to norm <= C, so its
+    # input norm reaches sqrt(C^2 + 1). The bound B that the noise rate
+    # beta = eps' / (2B) assumes must cover the largest such norm, and the
+    # budget's eps' must use the same B (c B^2 in place of c).
+    c = make_cohort(n=800, d=6, prevalence=0.3, years=(2001, 2002), seed=4)
+    train = _split_of(c).train
+    norms = np.linalg.norm(train.features, axis=1)
+    for C in (0.5, 1.0, 3.0):
+        config = op.ObjPertConfig(eps_p=2.0, lam=0.05,
+                                  record_norm_bound=C, seed=4)
+        log = op.train_objective_perturbation(train, config).accounting_log
+        X = train.features / np.maximum(1.0, norms / C)[:, None]
+        largest = np.linalg.norm(np.column_stack([X, np.ones(train.n)]),
+                                 axis=1).max()
+        assert largest == pytest.approx(math.sqrt(C * C + 1.0), rel=1e-12)
+        assumed = log["eps_prime"] / (2.0 * log["beta"])
+        assert largest <= assumed * (1.0 + 1e-12)
+        assert log["input_norm_bound"] == pytest.approx(assumed, rel=1e-12)
+        cb2 = 0.25 * assumed * assumed
+        n, lam = train.n, config.lam
+        assert log["eps_prime"] == pytest.approx(
+            config.eps_p - math.log(1.0 + 2.0 * cb2 / (n * lam)
+                                    + cb2 * cb2 / (n * n * lam * lam)),
+            rel=1e-12)
+
+
 def test_budget_split_both_branches_reachable():
     branches = set()
     for eps_p in (1e-4, 10.0):
@@ -86,7 +116,7 @@ def test_output_optimality():
     c = make_cohort(n=800, d=6, prevalence=0.3, years=(2001, 2002), seed=4)
     split = _split_of(c)
     config = op.ObjPertConfig(eps_p=2.0, lam=0.05, seed=4)
-    trained = op.train_objective_perturbation(split, config)
+    trained = op.train_objective_perturbation(split.train, config)
 
     # Recompute the perturbed-objective gradient at the returned params.
     train = split.train
@@ -94,9 +124,10 @@ def test_output_optimality():
     X = train.features / np.maximum(1.0, norms)[:, None]
     Z = np.column_stack([X, np.ones(train.n)])
     y_pm = 2.0 * train.labels - 1.0
-    eps_prime, delta_reg, _ = op.budget_split(train.n, config)
+    _, delta_reg, _ = op.budget_split(train.n, config)
     rng = np.random.default_rng(np.random.SeedSequence([4, 3]))
-    b = op.sample_noise_vector(train.d + 1, eps_prime / 2.0, rng)
+    b = op.sample_noise_vector(train.d + 1, trained.accounting_log["beta"],
+                               rng)
     theta = trained.params.theta
     s = models._sigmoid(-(y_pm * (Z @ theta)))
     grad = (-(Z * (y_pm * s)[:, None]).mean(axis=0)
@@ -108,7 +139,7 @@ def test_zero_noise_limit_equals_non_private_minimizer():
     c = make_cohort(n=600, d=5, prevalence=0.3, years=(2001, 2002), seed=1)
     split = _split_of(c)
     config = op.ObjPertConfig(eps_p=1.0, lam=0.1, seed=1)
-    trained = op.train_objective_perturbation(split, config,
+    trained = op.train_objective_perturbation(split.train, config,
                                               force_zero_noise=True)
 
     # Direct Newton solve of the unperturbed rescaled objective.
@@ -123,9 +154,9 @@ def test_huge_epsilon_matches_zero_noise_run():
     c = make_cohort(n=600, d=5, prevalence=0.3, years=(2001, 2002), seed=2)
     split = _split_of(c)
     noisy = op.train_objective_perturbation(
-        split, op.ObjPertConfig(eps_p=3.5e5, lam=0.05, seed=2))
+        split.train, op.ObjPertConfig(eps_p=3.5e5, lam=0.05, seed=2))
     clean = op.train_objective_perturbation(
-        split, op.ObjPertConfig(eps_p=3.5e5, lam=0.05, seed=2),
+        split.train, op.ObjPertConfig(eps_p=3.5e5, lam=0.05, seed=2),
         force_zero_noise=True)
     assert np.max(np.abs(noisy.params.theta - clean.params.theta)) < 1e-3
 
@@ -134,7 +165,7 @@ def test_small_epsilon_takes_extra_regularization_branch():
     c = make_cohort(n=400, d=4, prevalence=0.3, years=(2001, 2002), seed=3)
     split = _split_of(c)
     config = op.ObjPertConfig(eps_p=1e-4, lam=1e-4, seed=3)
-    trained = op.train_objective_perturbation(split, config)
+    trained = op.train_objective_perturbation(split.train, config)
     assert trained.accounting_log["branch"] == "extra-regularization"
     assert trained.accounting_log["extra_regularization"] > 0
     assert trained.accounting_log["eps_prime"] == 1e-4 / 2.0
@@ -144,7 +175,7 @@ def test_spend_convention():
     c = make_cohort(n=400, d=4, prevalence=0.3, years=(2001, 2002), seed=0)
     split = _split_of(c)
     trained = op.train_objective_perturbation(
-        split, op.ObjPertConfig(eps_p=3.54, lam=0.01, seed=0))
+        split.train, op.ObjPertConfig(eps_p=3.54, lam=0.01, seed=0))
     assert trained.spend.epsilon == 3.54
     assert trained.spend.delta == 0.0
     assert trained.mechanism == "objective-perturbation"
@@ -159,7 +190,8 @@ def test_utility_degradation_trend():
                             years=(2001, 2002), seed=seed)
             split = _split_of(c)
             trained = op.train_objective_perturbation(
-                split, op.ObjPertConfig(eps_p=eps_p, lam=0.01, seed=seed))
+                split.train,
+                op.ObjPertConfig(eps_p=eps_p, lam=0.01, seed=seed))
             scores = models.predict(trained.params, split.test.features)[:, 1]
             vals.append(metrics.auroc(scores, split.test.labels))
         means[eps_p] = float(np.mean(vals))
@@ -175,4 +207,4 @@ def test_errors():
     split = _split_of(c)
     with pytest.raises(UnsupportedFamilyError):
         op.train_objective_perturbation(
-            split, op.ObjPertConfig(eps_p=1.0, lam=0.1, seed=0))
+            split.train, op.ObjPertConfig(eps_p=1.0, lam=0.1, seed=0))
