@@ -12,14 +12,16 @@ dropped so the accountant's sampling rate q = L/n is exact.
 `train_stack` trains any list of models of one family, each on its own
 records of one cohort (the grid's models of every level, seed and pivot
 year together). It alone decides which models share a lockstep stack:
-those equal in the optimizer settings and privacy (private or not) and in
-the batch size L. In a stack of R models theta is (R, p), a step's batch
-(R, L, d), and every numpy call of the step covers the whole stack, while
-each model keeps its own seed-derived generator, permutations and noise
-draws; one with fewer records (fewer steps) leaves the stack when it is
-done. At small batches a step's cost is numpy's per-call overhead, so a
-stack of R costs far less than R separate trainings. `train` is the same
-trainer for one model.
+those equal in the optimizer settings and in the batch size L, private or
+not. In a stack of R models theta is (R, p), a step's batch (R, L, d), and
+every numpy call of the step covers the whole stack, while each model
+keeps its own seed-derived generator, permutations and noise draws; one
+with fewer records (fewer steps) leaves the stack when it is done. A
+non-private model in a stack is one unclipped unit per batch (each record
+weighted 1/L, divided by 1), as it is trained alone, and draws no noise.
+At small batches a step's cost is numpy's per-call overhead, so a stack of
+R costs far less than R separate trainings. `train` is the same trainer
+for one model.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ class DPTrainingConfig:
     delta: float = accountant.DEFAULT_DELTA
 
     def __post_init__(self):
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigurationError("clip_norm: must be > 0 or absent")
+        # A stack reads an infinite clip norm as a non-private model.
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ConfigurationError(
+                "clip_norm: must be finite and > 0, or absent")
         if self.noise_multiplier < 0:
             raise ConfigurationError("noise_multiplier: must be >= 0")
         if self.batch_size < 1 or self.epochs < 0:
@@ -128,22 +132,26 @@ class _AdamState:
         return mhat / (np.sqrt(vhat) + self.eps_hat)
 
 
-# DPTrainingConfig fields (and the property `private`) every model of a
-# lockstep stack shares, with the batch size L; seed, clip_norm,
-# noise_multiplier and delta may differ.
+# DPTrainingConfig fields every model of a lockstep stack shares, with the
+# batch size L; seed, clip_norm, noise_multiplier and delta may differ, so
+# private and non-private models share a stack.
 _SHARED = ("batch_size", "microbatch_count", "learning_rate", "epochs",
-           "optimizer", "private")
+           "optimizer")
 
 
 class _Stack:
     """The models of a stack still training. Row i of every stacked array
-    belongs to model index[i]; per-model lists are indexed by model."""
+    belongs to model index[i]; per-model lists are indexed by model. A
+    non-private model has clip norm inf and one unit per batch, a private
+    one its clip norm and microbatch_count units."""
 
     def __init__(self, configs, theta):
         self.index = np.arange(len(configs))
         self.theta = theta
-        self.clip = (np.array([c.clip_norm for c in configs])
-                     if configs[0].private else None)
+        self.clip = np.array([c.clip_norm if c.private else np.inf
+                              for c in configs])
+        self.units = np.array([c.microbatch_count if c.private else 1
+                               for c in configs], dtype=float)
         self.adam = (_AdamState(theta.shape)
                      if configs[0].optimizer == "adam" else None)
         self.rngs = [np.random.default_rng(np.random.SeedSequence([c.seed, 2]))
@@ -165,8 +173,9 @@ class _Stack:
             r = self.index[row]
             self.errors[r], self.final[r] = error, self.theta[row]
         keep = ~leaving
-        self.index, self.theta, self.clip = (
-            _rows(a, keep) for a in (self.index, self.theta, self.clip))
+        self.index, self.theta, self.clip, self.units = (
+            _rows(a, keep)
+            for a in (self.index, self.theta, self.clip, self.units))
         if self.adam is not None:
             self.adam.m, self.adam.v = self.adam.m[keep], self.adam.v[keep]
         return [_rows(a, keep) for a in arrays]
@@ -179,12 +188,13 @@ def _rows(a, keep):
 def _step(stack, family_spec, X, y, config, epochs):
     """One DP-SGD step of every model in the non-empty `stack`, row r on
     its batch X[r], y[r] in its epoch epochs[r]: one gradient pass, then
-    per model a finite-loss check and a finite-gradient check (a model
-    failing one leaves the stack, the others go on untouched), then each
-    model's own noise draw and the update."""
-    m = config.microbatch_count if config.private else 1
+    per model a finite-loss check and a finite-gradient check (of the
+    pre-clip norms too, for a model that clips; a model failing one leaves
+    the stack, the others go on untouched), then each private model's own
+    noise draw and the update, each model's sum divided by its unit
+    count."""
     loss, total, norms = models.clipped_grad_sum(
-        family_spec, stack.theta, X, y, stack.clip, m)
+        family_spec, stack.theta, X, y, stack.clip, config.microbatch_count)
     failed = ~np.isfinite(loss)
     if failed.any():
         errors = [TrainingError("training diverged (non-finite loss)",
@@ -192,7 +202,7 @@ def _step(stack, family_spec, X, y, config, epochs):
         loss, total, norms = stack.drop(failed, errors, loss, total, norms)
     failed = ~np.isfinite(total).all(axis=1)
     if norms is not None:
-        failed |= ~np.isfinite(norms).all(axis=1)
+        failed |= ~np.isfinite(norms).all(axis=1) & (stack.clip < np.inf)
     if failed.any():
         loss, total, norms = stack.drop(
             failed, itertools.repeat(NumericError("non-finite gradient")),
@@ -207,7 +217,7 @@ def _step(stack, family_spec, X, y, config, epochs):
                                               size=total.shape[1]))
     if noisy:
         total[noisy] += draws
-    g = total / m
+    g = total / stack.units[:, None]
     if stack.adam is not None:
         g = stack.adam.direction(g)
     stack.theta = stack.theta - config.learning_rate * g
@@ -318,13 +328,15 @@ def _train_lockstep(family_spec, cohort, configs, rows):
     stack.drop(np.ones(len(stack.index), dtype=bool), itertools.repeat(None))
 
     results = list(stack.errors)
-    # Models of one (sigma, delta, q, steps) spend the same: accounted once.
+    # Models of one (privacy, sigma, delta, q, steps) spend the same:
+    # accounted once.
     spends = {}
     for r, theta in enumerate(stack.final):
         if results[r] is not None:
             continue
         q, T = L / int(n[r]), int(steps[r])
-        key = (configs[r].noise_multiplier, configs[r].delta, q, T)
+        key = (configs[r].private, configs[r].noise_multiplier,
+               configs[r].delta, q, T)
         if key not in spends:
             try:
                 spends[key] = _account(configs[r], q, T)

@@ -9,10 +9,13 @@ in a report is recomputable from the logged (q, sigma, T, delta). Each
 utility, fairness, influence and shift results describe the same models.
 The grid runs per (task, mechanism). First every model of its cells and
 pivots trains: the DP-SGD models in one dp_optim.train_stack call, which
-puts them in lockstep stacks by itself, each model on its own rows of the
-cohort and with the bits it would get trained alone; the
-objective-perturbation models one pivot's training records at a time.
-Then the audits run pivot by pivot, each pivot's split built in turn.
+puts them in lockstep stacks by itself (on a grid of one batch size, one
+stack for every level), each model on its own rows of the cohort and with
+the bits it would get trained alone; the objective-perturbation models one
+pivot's training records at a time. The noiseless objective-perturbation
+minimizer (level `none`) depends on no seed, so it is solved once per
+(task, pivot) and every seed's `none` cell reads that one model. Then the
+audits run pivot by pivot, each pivot's split built in turn.
 """
 
 from __future__ import annotations
@@ -119,7 +122,8 @@ def _train_models(cohort, task, mechanism, jobs, pivots, config):
     stable_seed(seed, task, level, mechanism, pivot), or the DPTailsError
     that failed it. Every DP-SGD model trains in one dp_optim.train_stack
     call, on its rows of the cohort; objective perturbation trains one
-    pivot's training records at a time."""
+    pivot's training records at a time, and every seed's `none` job of a
+    pivot reads its one noiseless model (or its one error)."""
     n = len(jobs)
     slots = [(pivot, level, stable_seed(seed, task["name"], level,
                                         mechanism, pivot))
@@ -144,9 +148,14 @@ def _train_models(cohort, task, mechanism, jobs, pivots, config):
         results = []
         for p, pivot in enumerate(pivots):
             train = cohort.subset(cohort_mod.train_rows(cohort, pivot))
-            results += [_caught(_train_objpert, train, level, cell_seed,
-                                config)
-                        for _, level, cell_seed in slots[p * n:(p + 1) * n]]
+            solved = {}
+            for _, level, cell_seed in slots[p * n:(p + 1) * n]:
+                # The noiseless minimizer reads no seed: one per pivot.
+                key = (level, None if level == "none" else cell_seed)
+                if key not in solved:
+                    solved[key] = _caught(_train_objpert, train, level,
+                                          cell_seed, config)
+                results.append(solved[key])
     return [results[p * n:(p + 1) * n] for p in range(len(pivots))]
 
 

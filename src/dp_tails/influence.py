@@ -115,14 +115,14 @@ class InfluenceEngine:
 
 def group_influence(matrix: InfluenceMatrix, assignment) -> GroupInfluenceSummary:
     """Group influence per test point is the exact sum of member rows."""
-    missing = [int(i) for i in matrix.train_ids if int(i) not in assignment]
+    ids = matrix.train_ids.tolist()
+    missing = [int(i) for i in ids if i not in assignment]
     if missing:
         raise AssignmentError(f"train ids without group assignment: {missing[:5]}")
-    groups = sorted({assignment[int(i)] for i in matrix.train_ids})
-    per_group = {}
-    for g in groups:
-        rows = np.array([assignment[int(i)] == g for i in matrix.train_ids])
-        per_group[g] = matrix.values[rows].sum(axis=0)
+    group_of = [assignment[i] for i in ids]
+    groups = sorted(set(group_of))
+    group_of = np.array(group_of)
+    per_group = {g: matrix.values[group_of == g].sum(axis=0) for g in groups}
     means = {g: float(v.mean()) for g, v in per_group.items()}
     stds = {g: float(v.std()) for g, v in per_group.items()}
     # Helpful = most negative mean under the LOO-fixed sign convention.

@@ -46,7 +46,7 @@ def _binary_arrays(scores, labels):
     y = np.asarray(labels).ravel().astype(np.int64)
     if s.shape != y.shape:
         raise UndefinedMetricError("scores and labels must have equal length")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise UndefinedMetricError("labels must be binary")
     return s, y
 

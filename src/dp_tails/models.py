@@ -27,14 +27,17 @@ _CLAMP = 1e-12
 
 def _sigmoid(z):
     # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, else e / (1 + e).
+    # e lies in [0, 1] (or is NaN, which maximum keeps), so max(e, z >= 0)
+    # is 1 for z >= 0 and e otherwise, with no branch per element.
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of 2-way logits (..., 2): the max and the
+    sum over the two columns are one elementwise call each."""
+    e = np.exp(logits - np.maximum(logits[..., 0], logits[..., 1])[..., None])
+    return e / (e[..., 0] + e[..., 1])[..., None]
 
 
 def param_count(family, d, h=16):
@@ -226,7 +229,10 @@ def clipped_grad_sum(spec, theta, features, labels, clip_norms,
     (mean regularized loss (R,), the sum of the unit gradients each
     rescaled to norm <= its clip norm (R, p), the units' pre-clip norms
     (R, m)); with clip_norms None nothing is clipped and the norms are
-    None. Model r's values are those of a stack of r alone, bit for bit.
+    None. A model whose clip norm is inf is not clipped and its whole batch
+    is one unit: its sum is the mean gradient, each record weighted 1/n,
+    and its row of norms is not read. Model r's values are those of a stack
+    of r alone, bit for bit.
 
     A record's gradient for a layer is delta_i ⊗ [a_i; 1], so per record
     ||g_i||^2 sums ||delta_i||^2 (||a_i||^2 + 1) over layers, plus the ridge
@@ -243,24 +249,27 @@ def clipped_grad_sum(spec, theta, features, labels, clip_norms,
     m = microbatch_count
     if m < 1 or n % m != 0:
         raise ConfigurationError("microbatch_count must divide batch size")
+    clipped = None
     if clip_norms is not None:
         clip_norms = np.asarray(clip_norms, dtype=float)
         if not (clip_norms > 0).all():
             raise DomainError("clip norm must be > 0")
+        clipped = clip_norms < np.inf
+    any_clipped = clipped is not None and clipped.any()
     loss, layers = _backprop(spec, theta, X, y)
     lam = spec.l2_lambda
     sq_weights = _sq_weights(layers) if lam > 0 else np.zeros(R)
     loss = loss + 0.5 * lam * sq_weights
 
     norms = None
-    if clip_norms is not None and m == n:
+    if any_clipped and m == n:
         sq = (lam * lam * sq_weights)[:, None]
         for D, A, _, aw in layers:
             sq = sq + (np.einsum("rno,rno->rn", D, D)
                        * (np.einsum("rni,rni->rn", A, A) + 1.0)
                        + 2.0 * lam * np.einsum("rno,rno->rn", D, aw))
         norms = np.sqrt(np.maximum(sq, 0.0))
-    elif clip_norms is not None:
+    elif any_clipped:
         b = n // m
         blocks = []
         for D, A, W, _ in layers:
@@ -273,7 +282,10 @@ def clipped_grad_sum(spec, theta, features, labels, clip_norms,
         norms = np.sqrt((means * means).sum(axis=2))
     unit_weights = (np.ones((R, m)) if norms is None
                     else 1.0 / np.maximum(1.0, norms / clip_norms[:, None]))
-    weights = np.repeat(unit_weights * (m / n), n // m, axis=1)
+    unit_weights = unit_weights * (m / n)
+    if clipped is not None and not clipped.all():
+        unit_weights = np.where(clipped[:, None], unit_weights, 1.0 / n)
+    weights = np.repeat(unit_weights, n // m, axis=1)
     weight_sums = weights.sum(axis=1)[:, None, None]
     blocks = []
     for D, A, W, _ in layers:
@@ -314,6 +326,12 @@ def fit_lr_newton(features, labels, l2_lambda=1e-3, tol=1e-10, max_iter=100,
     over theta = [w, b]. The bias is regularized too so the objective is
     strongly convex. Raises OptimizationError if the gradient norm does
     not reach tol within max_iter Newton steps.
+
+    Each iterate forms the margins X w + b and their sigmoid once; the
+    gradient, the Hessian (lr_hessian's arithmetic, on [X, 1] built once
+    per solve) and the line search's base objective read them, and an
+    accepted line-search point carries its margins and objective to the
+    next iterate.
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=float).ravel()
@@ -324,36 +342,53 @@ def fit_lr_newton(features, labels, l2_lambda=1e-3, tol=1e-10, max_iter=100,
         raise DomainError("labels must lie in [0,2) for lr-binary")
     y_pm = 2.0 * y - 1.0
     c = np.zeros(d + 1) if linear is None else np.asarray(linear, dtype=float)
+    theta = np.zeros(d + 1)
+    # Checks l2_lambda before the first iterate.
+    params = ModelParams("lr-binary", theta, d, l2_lambda=l2_lambda)
+    Z = np.column_stack([X, np.ones(n)])
+    ridge = l2_lambda * np.eye(d + 1)
 
-    def objective(theta):
+    def margins(theta):
+        return X @ theta[:-1] + theta[-1]
+
+    def objective(theta, s):
         # log(1 + exp(-margin)) computed stably
-        margins = y_pm * (X @ theta[:-1] + theta[-1])
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
+        loss = float(np.mean(np.logaddexp(0.0, -(y_pm * s))))
         return loss + 0.5 * l2_lambda * float(theta @ theta) + float(c @ theta)
 
-    theta = np.zeros(d + 1)
+    s, base = margins(theta), None
     for it in range(max_iter + 1):
-        params = ModelParams("lr-binary", theta, d, l2_lambda=l2_lambda)
-        resid = _sigmoid(X @ theta[:-1] + theta[-1]) - y
+        p = _sigmoid(s)
+        resid = p - y
         grad = (np.append(X.T @ resid, resid.sum()) / n
                 + l2_lambda * theta + c)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
-            return params
+            return params.copy_with(theta)
         if it == max_iter:
             break
-        step = np.linalg.solve(lr_hessian(params, X), grad)
+        H = (Z * (p * (1.0 - p))[:, None]).T @ Z / n
+        H += ridge
+        step = np.linalg.solve((H + H.T) / 2.0, grad)
         # Backtracking keeps the update stable on separable data.
-        t, base, gdots = 1.0, objective(theta), float(grad @ step)
+        t, gdots = 1.0, float(grad @ step)
+        if base is None:
+            base = objective(theta, s)
+        accepted = None
         for _ in range(60):
             # Accept when the Armijo decrease holds or the predicted
             # decrease is below float resolution of the objective.
             if 1e-4 * t * gdots <= 1e-14 * max(1.0, abs(base)):
                 break
-            if objective(theta - t * step) <= base - 1e-4 * t * gdots:
+            trial = theta - t * step
+            s_trial = margins(trial)
+            value = objective(trial, s_trial)
+            if value <= base - 1e-4 * t * gdots:
+                accepted = s_trial, value
                 break
             t *= 0.5
         theta = theta - t * step
+        s, base = accepted if accepted else (margins(theta), None)
     raise OptimizationError(
         f"Newton solve did not reach tolerance {tol:g} in {max_iter} "
         f"iterations (grad norm {grad_norm:.3e})")

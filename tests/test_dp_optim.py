@@ -389,6 +389,39 @@ def test_stacked_models_equal_frozen_per_model_trainer(family, optimizer, m):
             assert _same_model(model, stacked[configs.index(config)])
 
 
+@pytest.mark.parametrize("family, optimizer, L, m", [
+    *itertools.product(models.FAMILIES, ("sgd", "adam"), (64,), (1, 16, 64)),
+    *itertools.product(models.FAMILIES, ("sgd", "adam"), (60,), (12,))])
+def test_mixed_level_stack_equals_frozen_per_model_trainer(family, optimizer,
+                                                           L, m, monkeypatch):
+    # `none`, `low` and `high` models share one lockstep stack: it takes
+    # the steps of one model, not one run per privacy. Each model equals,
+    # bit for bit, the frozen per-model trainer, where a `none` model is
+    # one unclipped unit per batch whatever m is (L = 60 and m = 12 make
+    # 1/L and m/L no powers of two).
+    steps = []
+    real = dp_optim._step
+
+    def counted(stack, *args):
+        steps.append(len(stack.index))
+        return real(stack, *args)
+    monkeypatch.setattr(dp_optim, "_step", counted)
+    c = make_cohort(n=400, d=4, years=(2001, 2002), seed=5)
+    split = _split_of(c)
+    spec = {"family": family, "h": 5, "l2_lambda": 0.01}
+    configs = [dp_optim.DPTrainingConfig.from_level(
+        level, batch_size=L, microbatch_count=m, learning_rate=0.3,
+        epochs=2, seed=seed, optimizer=optimizer)
+        for seed in (0, 7) for level in ("none", "low", "high")]
+    stacked = dp_optim.train_stack(spec, split.train, configs)
+    per_model = 2 * (split.train.n // L)
+    assert steps == [len(configs)] * per_model
+    for config, model in zip(configs, stacked):
+        oracle = trainer_parent.train(spec, split, config)
+        assert model.steps_taken == per_model > 2
+        assert _same_model(model, oracle)
+
+
 def test_train_stack_failure_leaves_companions_untouched():
     # A label outside {0, 1} stops exactly the models whose batch meets it,
     # with the error the per-model trainer raises; the others, whose
@@ -419,10 +452,10 @@ def test_train_stack_failure_leaves_companions_untouched():
 
 
 def test_train_stack_forms_its_own_stacks():
-    # One call mixes models that cannot share a lockstep stack: `none` and
-    # `low` models, two learning rates, 30-record and 300-record models
-    # (L = 30 and 64), and a clipped sigma = 0 model beside a `none` model
-    # of the same (q, T). Every result, in input order, equals the frozen
+    # One call mixes models that share a lockstep stack (`none` and `low`)
+    # and models that cannot: two learning rates, 30-record and 300-record
+    # models (L = 30 and 64). A clipped sigma = 0 model sits beside a
+    # `none` model of the same (q, T). Every result, in input order, equals the frozen
     # per-model trainer on that model's rows alone: its TrainedModel, or
     # its error where 16 microbatches do not divide the reduced batch 30.
     c = make_cohort(n=600, d=3, years=(2001, 2002), seed=0)

@@ -294,7 +294,8 @@ def test_aggregate_epsilon_is_largest_over_pivots(tmp_path):
 
 def test_each_slot_trains_once_and_audits_read_it(tmp_path, monkeypatch):
     # Every model trained: one per DP-SGD config of a stack, one per
-    # objective-perturbation call.
+    # objective-perturbation call, where both seeds' `none` cells of a
+    # pivot read one noiseless model.
     calls = []
     for module, name, models_of in (
             (dp_optim, "train_stack", lambda args: args[2]),
@@ -316,7 +317,7 @@ def test_each_slot_trains_once_and_audits_read_it(tmp_path, monkeypatch):
     report, failures = harness.run_experiment(config)
     assert failures == 0
     pivots = 2
-    assert len(calls) == 1 * 2 * 2 * 2 * pivots
+    assert len(calls) == 2 * 2 * pivots + (1 + 2) * pivots == 14
     influenced = [c for c in report["cells"] if "influence" in c]
     assert len(influenced) == 4
     for cell in influenced:
@@ -324,14 +325,44 @@ def test_each_slot_trains_once_and_audits_read_it(tmp_path, monkeypatch):
             cell["utility"]["per_year"][-1]["spend"]
 
 
+def test_noiseless_objpert_solved_once_per_pivot(tmp_path, monkeypatch):
+    # Three seeds' `none` objective-perturbation cells of a pivot read one
+    # noiseless minimizer: one solve per pivot for `none`, one per
+    # (seed, pivot) for `high`, and the three `none` cells report the same
+    # utility.
+    levels = []
+    real = objective_perturbation.train_objective_perturbation
+
+    def counted(train, op_config, force_zero_noise=False):
+        levels.append("none" if force_zero_noise else "private")
+        return real(train, op_config, force_zero_noise=force_zero_noise)
+    monkeypatch.setattr(objective_perturbation,
+                        "train_objective_perturbation", counted)
+    cc = cohort.CohortConfig(n=900, d=4, positive_prevalence=0.3,
+                             years=(2001, 2003), class_separation=2.0, seed=0)
+    config = harness.ExperimentConfig(
+        cohort=cc, privacy_levels=["none", "high"],
+        mechanisms=["objective-perturbation"], seeds=[0, 1, 2],
+        audits=["utility"], out_dir=str(tmp_path))
+    report, failures = harness.run_experiment(config)
+    assert failures == 0
+    pivots = 2
+    assert levels.count("none") == pivots
+    assert levels.count("private") == 3 * pivots
+    none_cells = [c for c in report["cells"] if c["level"] == "none"]
+    assert len(none_cells) == 3
+    assert all(c["utility"] == none_cells[0]["utility"] for c in none_cells)
+
+
 def test_standard_grid_steps_once_per_largest_pivot_step(tmp_path,
                                                         monkeypatch):
     # The standard lr-binary grid (n = 6000 over 2001-2005, none/low/high x
     # dp-sgd/objective-perturbation x 2 seeds, every audit) trains its
-    # DP-SGD models in two lockstep stacks, `none` and the private levels,
-    # each spanning all four pivots. A stack takes epochs x the largest
-    # pivot's steps per epoch: 2 x 5 x 75 = 750 stacked steps, not the
-    # 2 x 5 x (18 + 36 + 55 + 75) = 1840 of one stack per pivot.
+    # DP-SGD models in one lockstep stack, every level together, spanning
+    # all four pivots. The stack takes epochs x the largest pivot's steps
+    # per epoch: 5 x 75 = 375 stacked steps, not the 750 of one stack per
+    # privacy or the 2 x 5 x (18 + 36 + 55 + 75) = 1840 of one per
+    # (privacy, pivot).
     steps = []
     real = dp_optim._step
 
@@ -354,7 +385,7 @@ def test_standard_grid_steps_once_per_largest_pivot_step(tmp_path,
     per_epoch = [len(cohort.train_rows(base, pivot)) // config.batch_size
                  for pivot in cohort.pivot_years(base)]
     assert per_epoch == [18, 36, 55, 75]
-    assert len(steps) == 2 * config.epochs * max(per_epoch) == 750
+    assert len(steps) == config.epochs * max(per_epoch) == 375
     assert 2 * config.epochs * sum(per_epoch) == 1840
     # Every (level, seed, pivot) model steps in its stack until it is done.
     assert sum(steps) == 3 * 2 * config.epochs * sum(per_epoch)

@@ -8,7 +8,7 @@ from dp_tails import models
 from dp_tails.errors import (ConfigurationError, DomainError,
                              OptimizationError, ShapeError,
                              UnsupportedFamilyError)
-from oracles import trainer_parent
+from oracles import models_parent, trainer_parent
 from oracles.trainer_parent import clip_gradient, loss_and_per_example_grads
 
 
@@ -186,6 +186,109 @@ def test_clipped_grad_sum_stack_matches_frozen_per_model(case, seed):
         assert np.array_equal(total[r], ref[1])
         assert (norms is None) == (ref[2] is None)
         assert norms is None or np.array_equal(norms[r], ref[2])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_clipping_cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_clipped_grad_sum_unclipped_rows_are_one_unit(case, seed):
+    # A stack mixing clipped models with models of clip norm inf: each
+    # clipped row is the frozen per-model sum at m units, each inf row the
+    # frozen unclipped sum of one unit (weight 1/n per record), bit for bit.
+    params, X, y, clip_norm, m = case
+    rng = np.random.default_rng(seed)
+    R = 4
+    theta = np.vstack([params.theta,
+                       rng.normal(scale=0.5, size=(R - 1, params.theta.size))])
+    Xs = np.stack([X, *(rng.normal(size=(R - 1, *X.shape)) * 10.0)])
+    ys = np.stack([y, *rng.integers(2, size=(R - 1, len(y)))])
+    clips = [clip_norm or 1.0, np.inf, float(rng.uniform(1e-3, 1e3)), np.inf]
+    loss, total, norms = models.clipped_grad_sum(params, theta, Xs, ys,
+                                                 clips, m)
+    for r in range(R):
+        clipped = clips[r] < np.inf
+        ref = trainer_parent.clipped_grad_sum(
+            params.copy_with(theta[r]), Xs[r], ys[r],
+            clips[r] if clipped else None, m if clipped else 1)
+        assert loss[r] == ref[0]
+        assert np.array_equal(total[r], ref[1])
+        if clipped:
+            assert np.array_equal(norms[r], ref[2])
+    _, _, none_clip = models.clipped_grad_sum(params, theta, Xs, ys,
+                                              [np.inf] * R, m)
+    assert none_clip is None
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                745.2, -745.2, 800.0, -800.0, 36.8, -36.8]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                          st.floats(-800.0, 800.0, allow_subnormal=True)),
+                min_size=2, max_size=64))
+def test_activations_equal_frozen_forms(values):
+    # The branch-free sigmoid and the two-column softmax give the bits of
+    # the frozen np.where and axis-reduction forms, over signed zeros,
+    # infinities, NaN, subnormals and |z| up to 800. Where the softmax
+    # output is NaN only the NaN's sign may differ (the frozen max
+    # reduction returns a NaN of its own sign); it stays NaN.
+    z = np.array(values[:len(values) // 2 * 2])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_bits(models._sigmoid(z)),
+                              _bits(models_parent._sigmoid(z)))
+        logits = z.reshape(1, -1, 2)
+        new, old = models._softmax(logits), models_parent._softmax(logits)
+    assert np.array_equal(np.isnan(new), np.isnan(old))
+    keep = ~np.isnan(old)
+    assert np.array_equal(_bits(new[keep]), _bits(old[keep]))
+
+
+def _newton_cases():
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(200, 5))
+    y = (X[:, 0] + rng.normal(size=200) > 0).astype(int)
+    cases = {"plain": (X, y, {}),
+             "linear": (X, y, {"l2_lambda": 0.1,
+                               "linear": rng.normal(size=6)}),
+             "max-iter": (X, y, {"l2_lambda": 0.1, "max_iter": 1}),
+             # At tol 1e-18 the gradient stalls at float resolution, so
+             # every later iterate stops its line search on the 1e-14
+             # predicted-decrease break, and the solve raises.
+             "stall": (X, y, {"tol": 1e-18, "max_iter": 15})}
+    for seed in (4, 5, 7, 10, 22):
+        # Separable scaled data: backtracking steps, the 1e-14 break, and
+        # for seeds 7, 10 and 22 no convergence within max_iter.
+        r = np.random.default_rng(seed)
+        Xs = r.normal(size=(40, 2)) * r.choice([1, 10, 1000])
+        lam = float(r.choice([1e-8, 1e-6, 1e-3]))
+        cases[f"separable-{seed}"] = (
+            Xs, (Xs[:, 0] > 0).astype(int),
+            {"l2_lambda": lam, "max_iter": 200,
+             "linear": r.normal(size=3) * r.choice([0, 1, 100])})
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_newton_cases()))
+def test_fit_lr_newton_equals_frozen_solver(name):
+    # The solver that forms X·theta and the sigmoid once per iterate gives
+    # the frozen solver's theta bit for bit, or raises its
+    # OptimizationError, message (and so the final gradient norm) included.
+    X, y, kwargs = _newton_cases()[name]
+    try:
+        oracle = models_parent.fit_lr_newton(X, y, **kwargs)
+    except OptimizationError as exc:
+        with pytest.raises(OptimizationError) as raised:
+            models.fit_lr_newton(X, y, **kwargs)
+        assert str(raised.value) == str(exc)
+        return
+    params = models.fit_lr_newton(X, y, **kwargs)
+    assert np.array_equal(params.theta, oracle.theta)
+    assert params.to_dict() == oracle.to_dict()
 
 
 def test_clipped_grad_sum_errors(rng):
