@@ -9,8 +9,15 @@ Per-step RDP at order alpha:
             log-sum-exp per order; for fractional alpha the erfc series,
             its signed terms summed by one signed log-sum-exp.
 The log-sum-exp is scipy.special.logsumexp's arithmetic (scipy 1.17.1)
-without its array-API dispatch, so curves keep scipy's bits. Nothing is
-kept between calls: every query builds its own matrices.
+without its array-API dispatch, so curves keep scipy's bits.
+
+Memo: what depends on the orders alone is kept between calls, for the
+last _MEMO_SIZE orders tuples: the sorted, checked orders with their array
+and integer mask, and the fractional orders' binomial coefficients (and
+their logs) for the series chunks up to _MEMO_SERIES_TERMS terms. Nothing that depends on
+(q, sigma) is kept, nor the orders x k log-term matrix: queries rarely
+repeat a (q, sigma), and a kept 0.5 MB matrix per program import raised a
+benchmark's peak RSS by 4-7 MB. The memo fills on first use, not at import.
 Composition over T steps is linear; conversion to (eps, delta) takes the
 minimum of eps(alpha) + log(1/delta)/(alpha-1) over the curve's orders.
 
@@ -22,10 +29,12 @@ record.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .errors import ConfigurationError, DomainError, InfinitePrivacyLossError
@@ -38,6 +47,10 @@ MAX_INT_ORDER = 1024
 # Longest fractional-order series computed (64 * 4**6 terms): q = 0.5 with
 # sigma = 1e5 needs all of it at order 1.25; a NaN term never stops one.
 MAX_SERIES_TERMS = 262144
+# Distinct orders tuples memoized (see the module docstring), and the
+# longest fractional-order series whose coefficients the memo keeps.
+_MEMO_SIZE = 8
+_MEMO_SERIES_TERMS = 1024
 
 STANDARD_CAVEATS = (
     "Poisson-subsampling RDP bound applied to shuffled fixed-size batches",
@@ -110,12 +123,21 @@ def _logsumexp(a, axis, b=None):
 def _log_a_int(q, sigma, alphas):
     """log A_alpha for integer orders: the exact binomial sum, an
     orders x k matrix of log-terms (k > alpha masked out) reduced by one
-    log-sum-exp per order. The log-binomials are gathered from one table
-    of log k! for k = 0..max order, and each log-term is summed in the
-    direct formula's left-to-right order, so it keeps that formula's bits."""
-    alphas = np.asarray(alphas)[:, None]
-    k = np.arange(alphas.max() + 1)
-    log_fact = special.gammaln(np.arange(1, len(k) + 1))
+    log-sum-exp per order. Each log-term is summed in the direct formula's
+    left-to-right order, so it keeps that formula's bits. Row alpha reads
+    log (alpha - k)!, alpha - k and the k > alpha mask as one window of a
+    reversed vector each: the window of length K = max order + 1 starting
+    at K - 1 - alpha."""
+    alphas = np.asarray(alphas)
+    size = alphas.max() + 1
+    log_fact = special.gammaln(np.arange(1, size + 1))
+    # rest[j] = K - 1 - j, so its window at K - 1 - alpha is alpha - k; the
+    # log-factorials past the reversed table (k > alpha) are padding, masked.
+    rest = np.arange(size - 1, -size, -1)
+    windows = [sliding_window_view(v, size) for v in (
+        np.concatenate((log_fact[::-1], np.zeros(size - 1))),
+        rest * math.log1p(-q), rest < 0)]
+    k = np.arange(size)
     log_qk = k * math.log(q)
     quad = (k * k - k) / (2.0 * sigma ** 2)
     log_a = np.empty(len(alphas))
@@ -123,47 +145,84 @@ def _log_a_int(q, sigma, alphas):
     # 2**14 cells (128 KiB) the allocator reuses a block's temporaries for
     # the next block and call; whole-matrix temporaries (512 KiB at the
     # default orders) took about 500 fresh page faults per call.
-    rows = max(1, 2 ** 14 // len(k))
+    rows = max(1, 2 ** 14 // size)
     for lo in range(0, len(alphas), rows):
-        alpha = alphas[lo:lo + rows]
-        rest = alpha - k
-        terms = log_fact[alpha] - log_fact[k]
-        terms -= log_fact[np.maximum(rest, 0)]
+        start = size - 1 - alphas[lo:lo + rows]
+        log_fact_rest, rest_log1p, masked = (w[start] for w in windows)
+        terms = log_fact[alphas[lo:lo + rows], None] - log_fact
+        terms -= log_fact_rest
         terms += log_qk
-        terms += rest * math.log1p(-q)
+        terms += rest_log1p
         terms += quad
-        np.copyto(terms, -np.inf, where=rest < 0)
+        np.copyto(terms, -np.inf, where=masked)
         log_a[lo:lo + rows] = _logsumexp(terms, axis=1)
     return log_a
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _checked_orders(orders):
+    """The orders of a query as sorted floats, checked, with their array and
+    its integer mask. Memoized on the orders alone, which the caller sorts
+    so that every arrangement of them shares one entry; a refused tuple
+    raises on every call, as exceptions are not kept."""
+    orders = tuple(sorted(float(a) for a in orders))
+    if any(a <= 1.0 for a in orders):
+        raise DomainError("all orders must exceed 1")
+    if not all(map(math.isfinite, orders)):
+        raise DomainError("all orders must be finite")
+    if any(a == math.floor(a) and a > MAX_INT_ORDER for a in orders):
+        raise DomainError(f"integer orders above {MAX_INT_ORDER} are not "
+                          f"supported")
+    alphas = np.array(orders)
+    is_int = alphas == np.floor(alphas)
+    alphas.flags.writeable = is_int.flags.writeable = False
+    return orders, alphas, is_int
+
+
+def _series_coefs(alphas, lo, n):
+    """special.binom(alpha, i) and log|binom(alpha, i)| for i in [lo, n),
+    one row per fractional order of the tuple `alphas`."""
+    coef = special.binom(np.array(alphas)[:, None], np.arange(lo, n))
+    # An order within rounding of an integer has coefficients of exactly
+    # 0; their log-terms are -inf, and the sum drops them (sign 0).
+    with np.errstate(divide="ignore"):
+        log_coef = np.log(np.abs(coef))
+    coef.flags.writeable = log_coef.flags.writeable = False
+    return coef, log_coef
+
+
+# Up to _MEMO_SERIES_TERMS, an orders tuple's series has three chunks:
+# [0, 64), [64, 256) and [256, 1024). Longer series are rare, and their
+# chunks large.
+_memo_series_coefs = functools.lru_cache(maxsize=3 * _MEMO_SIZE)(
+    _series_coefs)
+
+
 def _log_a_frac(q, sigma, alphas):
-    """log A_alpha for fractional orders: the erfc series of each order up to
-    its first term below e^-30 past i = alpha, as one orders x i matrix of
-    log-terms (longer series masked out) reduced by one signed log-sum-exp.
-    The index range grows fourfold, each new term computed once, until every
-    order's series has stopped; past MAX_SERIES_TERMS it raises DomainError,
-    as the terms then no longer fall (a NaN or infinite term never does)."""
-    alphas = np.asarray(alphas)[:, None]
+    """log A_alpha for the fractional orders of the tuple `alphas`: the erfc
+    series of each order up to its first term below e^-30 past i = alpha,
+    as one orders x i matrix of log-terms (longer series masked out)
+    reduced by one signed log-sum-exp. The index range grows fourfold, each
+    new term computed once, until every order's series has stopped; past
+    MAX_SERIES_TERMS it raises DomainError, as the terms then no longer
+    fall (a NaN or infinite term never does)."""
     z0 = sigma ** 2 * math.log(1.0 / q - 1.0) + 0.5
     chunks = []
     stopped = np.zeros(len(alphas), dtype=bool)
+    column = np.array(alphas)[:, None]
     lo, n = 0, 64
     while True:
         i = np.arange(lo, n)
-        j = alphas - i
-        coef = special.binom(alphas, i)
-        # An order within rounding of an integer has coefficients of exactly
-        # 0; their log-terms are -inf, and the sum drops them (sign 0).
-        with np.errstate(divide="ignore"):
-            log_coef = np.log(np.abs(coef))
+        j = column - i
+        coef, log_coef = (_memo_series_coefs if n <= _MEMO_SERIES_TERMS
+                          else _series_coefs)(alphas, lo, n)
         log_s0 = (log_coef + i * math.log(q) + j * math.log1p(-q)
                   + (i * i - i) / (2.0 * sigma ** 2)
                   + special.log_ndtr((z0 - i) / sigma))
         log_s1 = (log_coef + j * math.log(q) + i * math.log1p(-q)
                   + (j * j - j) / (2.0 * sigma ** 2)
                   + special.log_ndtr((j - z0) / sigma))
-        stop = (np.maximum(log_s0, log_s1) < -30) & (i + 1 > alphas)
+        stop = (np.maximum(log_s0, log_s1) < -30) & (i + 1 > column)
         chunks.append((coef, log_s0, log_s1, stop))
         stopped |= stop.any(axis=1)
         if stopped.all():
@@ -194,14 +253,11 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
         # range python's sigma ** 2 raises OverflowError.
         raise DomainError("noise multiplier sigma: sigma ** 2 under- or "
                           "overflows a float")
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
+        raise DomainError(f"step count must be an integer, not {steps!r}")
     if steps < 0:
         raise DomainError("step count must be >= 0")
-    orders = tuple(sorted(float(a) for a in orders))
-    if any(a <= 1.0 for a in orders):
-        raise DomainError("all orders must exceed 1")
-    if any(a == math.floor(a) and a > MAX_INT_ORDER for a in orders):
-        raise DomainError(f"integer orders above {MAX_INT_ORDER} are not "
-                          f"supported")
+    orders, alphas, is_int = _checked_orders(tuple(sorted(orders)))
     if steps == 0:
         return RdpCurve(orders, np.zeros(len(orders)), q, sigma, 0)
     if sigma <= 0.0:
@@ -209,7 +265,6 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
             raise InfinitePrivacyLossError(
                 "sigma = 0 with positive sampling rate has no finite RDP")
         return RdpCurve(orders, np.zeros(len(orders)), q, sigma, steps)
-    alphas = np.asarray(orders)
     # For sigma below about 1e-152 the quadratic log-terms of the larger
     # orders overflow to inf (and an erfc-series term can then be inf - inf),
     # as can the composed curve: those orders' RDP is infinite, a sound
@@ -227,13 +282,13 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
         elif q == 1.0:
             per_step = alphas / (2.0 * sigma ** 2)
         else:
-            is_int = alphas == np.floor(alphas)
             log_a = np.empty(len(orders))
             if is_int.any():
                 log_a[is_int] = _log_a_int(q, sigma,
                                            alphas[is_int].astype(int))
             if not is_int.all():
-                log_a[~is_int] = _log_a_frac(q, sigma, alphas[~is_int])
+                log_a[~is_int] = _log_a_frac(
+                    q, sigma, tuple(alphas[~is_int].tolist()))
             per_step = np.maximum(log_a / (alphas - 1.0), 0.0)
         eps_rdp = steps * per_step
     return RdpCurve(orders, eps_rdp, q, sigma, steps)

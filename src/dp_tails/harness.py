@@ -350,8 +350,7 @@ def _config_hash(config):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _write_reports(config, report):

@@ -244,6 +244,9 @@ def test_tiny_sigma_sweep_is_quiet_and_matches_parent(q):
 @given(q=st.floats(1e-6, 0.999), sigma=st.floats(0.05, 100.0),
        orders=st.lists(st.integers(2, accountant.MAX_INT_ORDER), min_size=1,
                        max_size=40, unique=True))
+@example(q=0.01, sigma=1.0, orders=[2])
+@example(q=0.999, sigma=0.05, orders=[accountant.MAX_INT_ORDER])
+@example(q=1e-6, sigma=100.0, orders=[2, accountant.MAX_INT_ORDER])
 def test_integer_orders_match_parent_unsorted(q, sigma, orders):
     # _log_a_int works row by row in blocks; orders in any order, with gaps,
     # give the reference's bits in the caller's order.
@@ -286,6 +289,17 @@ def test_invalid_inputs():
         accountant.rdp_subsampled_gaussian(0.1, 1.0, -1)
     with pytest.raises(DomainError):
         accountant.rdp_subsampled_gaussian(0.1, 1.0, 10, orders=(0.5, 2.0))
+    # A NaN or infinite order used to pass the > 1 check and reach
+    # math.floor, which raised ValueError or OverflowError. The refusal
+    # repeats: the orders memo keeps no exception.
+    for bad in (math.nan, math.inf):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="must be finite"):
+                accountant.rdp_subsampled_gaussian(0.1, 1.0, 10,
+                                                   orders=(bad,))
+            with pytest.raises(DomainError, match="must be finite"):
+                accountant.spend_for_training(0.1, 1.0, 10,
+                                              orders=(2.0, bad))
     curve = accountant.rdp_subsampled_gaussian(0.1, 1.0, 10)
     with pytest.raises(DomainError):
         accountant.rdp_to_dp(curve, delta=0.0)
@@ -301,3 +315,74 @@ def test_spend_log_recomputable():
         log["q"], log["sigma"], log["steps"], log["delta"])
     assert again.epsilon == spend.epsilon
     assert list(log["caveats"]) == list(accountant.STANDARD_CAVEATS)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, np.float64(3.0), True, "3",
+                                   None])
+def test_non_integer_steps_raise(steps):
+    # A step count of 2.5 used to be accounted (epsilon 3.20) and logged.
+    with pytest.raises(DomainError, match="must be an integer"):
+        accountant.spend_for_training(0.1, 1.0, steps)
+
+
+def test_numpy_integer_steps_are_accounted():
+    spend, log = accountant.spend_for_training(0.1, 1.0, np.int64(3))
+    assert spend == accountant.spend_for_training(0.1, 1.0, 3)[0]
+    assert log["steps"] == 3
+
+
+def _clear_memo():
+    accountant._checked_orders.cache_clear()
+    accountant._memo_series_coefs.cache_clear()
+
+
+def test_orders_memo_shares_one_entry_and_keeps_bits():
+    _clear_memo()
+    orders = [7, 1.5, 32, 2, 2.5]
+    with np.errstate(divide="ignore"):
+        want = accountant_parent.rdp_subsampled_gaussian(0.02, 1.3, 500,
+                                                         orders)
+    for given in (orders, tuple(orders), sorted(orders),
+                  tuple(sorted(orders, reverse=True)), orders):
+        got = accountant.rdp_subsampled_gaussian(0.02, 1.3, 500, given)
+        assert _same_bits(got.eps_rdp, want)
+        assert got.orders == (1.5, 2.0, 2.5, 7.0, 32.0)
+    info = accountant._checked_orders.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
+
+
+def _parent_epsilon(q, sigma, steps):
+    """The frozen reference's epsilon at the default orders and delta."""
+    curve = accountant.RdpCurve(
+        accountant.DEFAULT_ORDERS,
+        accountant_parent.rdp_subsampled_gaussian(
+            q, sigma, steps, accountant.DEFAULT_ORDERS), q, sigma, steps)
+    return accountant.rdp_to_dp(curve).epsilon
+
+
+def test_memo_keeps_nothing_per_query():
+    # The first query runs the default fractional orders' series past 1024
+    # terms, so every memoized chunk ([0, 64), [64, 256), [256, 1024)) is
+    # filled; 200 queries at other (q, sigma) then add no entry, and every
+    # entry is a vector per order or a chunk of coefficients per order.
+    _clear_memo()
+    accountant.spend_for_training(0.1, 1.0, 10)
+    assert accountant._memo_series_coefs.cache_info().currsize == 3
+    rng = np.random.default_rng(15)
+    for q, sigma in zip(rng.uniform(1e-3, 0.2, 200),
+                        rng.uniform(0.5, 4.0, 200)):
+        spend, _ = accountant.spend_for_training(q, sigma, 1000)
+        assert spend.epsilon == _parent_epsilon(q, sigma, 1000)
+    orders_info = accountant._checked_orders.cache_info()
+    assert (orders_info.currsize, orders_info.hits) == (1, 200)
+    assert accountant._memo_series_coefs.cache_info().currsize == 3
+    n_orders = len(accountant.DEFAULT_ORDERS)
+    orders, alphas, is_int = accountant._checked_orders(
+        tuple(accountant.DEFAULT_ORDERS))
+    assert len(orders) == alphas.shape[0] == is_int.shape[0] == n_orders
+    fracs = tuple(a for a in orders if a % 1)
+    for lo, n in ((0, 64), (64, 256), (256, 1024)):
+        coef, log_coef = accountant._memo_series_coefs(fracs, lo, n)
+        assert coef.shape == log_coef.shape == (len(fracs), n - lo)
+        assert not coef.flags.writeable and not log_coef.flags.writeable
+    assert accountant._memo_series_coefs.cache_info().currsize == 3

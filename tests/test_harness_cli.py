@@ -1031,3 +1031,17 @@ def test_cli_audits_match_grid(tmp_path):
     assert ([[r[k] for k in keys] for r in got["per_year"]]
             == [[r[k] for k in keys] for r in grid["per_year"]])
     assert len(got["per_year"]) == 3
+
+
+def test_write_json_keeps_json_dump_bytes(tmp_path):
+    # One write of json.dumps gives the bytes json.dump streamed in small
+    # writes: sorted keys, indent 1, floats by repr, a trailing newline.
+    payload = {"b": [0.1, -0.0, 1e-300, 3, None, True, "inf"],
+               "a": {"z": {"y": []}, "x": [{"w": 2.5}, {}]}}
+    path = tmp_path / "out.json"
+    harness._write_json(str(path), payload)
+    want = tmp_path / "want.json"
+    with open(want, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    assert path.read_bytes() == want.read_bytes()
