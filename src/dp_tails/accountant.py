@@ -13,8 +13,10 @@ without its array-API dispatch, so curves keep scipy's bits.
 
 Memo: what depends on the orders alone is kept between calls, for the
 last _MEMO_SIZE orders tuples: the sorted, checked orders with their array
-and integer mask, and the fractional orders' binomial coefficients (and
-their logs) for the series chunks up to _MEMO_SERIES_TERMS terms. Nothing that depends on
+and integer mask, the fractional orders' binomial coefficients (and
+their logs) for the series chunks up to _MEMO_SERIES_TERMS terms, and, per
+largest integer order, the log k! table and its q-independent window views
+(about 6 KB at the default orders). Nothing that depends on
 (q, sigma) is kept, nor the orders x k log-term matrix: queries rarely
 repeat a (q, sigma), and a kept 0.5 MB matrix per program import raised a
 benchmark's peak RSS by 4-7 MB. The memo fills on first use, not at import.
@@ -129,14 +131,13 @@ def _log_a_int(q, sigma, alphas):
     reversed vector each: the window of length K = max order + 1 starting
     at K - 1 - alpha."""
     alphas = np.asarray(alphas)
-    size = alphas.max() + 1
-    log_fact = special.gammaln(np.arange(1, size + 1))
-    # rest[j] = K - 1 - j, so its window at K - 1 - alpha is alpha - k; the
-    # log-factorials past the reversed table (k > alpha) are padding, masked.
+    size = int(alphas.max()) + 1
+    log_fact, fact_windows, mask_windows = _int_order_tables(size)
+    # rest[j] = K - 1 - j, so its window at K - 1 - alpha is alpha - k.
     rest = np.arange(size - 1, -size, -1)
-    windows = [sliding_window_view(v, size) for v in (
-        np.concatenate((log_fact[::-1], np.zeros(size - 1))),
-        rest * math.log1p(-q), rest < 0)]
+    windows = (fact_windows,
+               sliding_window_view(rest * math.log1p(-q), size),
+               mask_windows)
     k = np.arange(size)
     log_qk = k * math.log(q)
     quad = (k * k - k) / (2.0 * sigma ** 2)
@@ -157,6 +158,20 @@ def _log_a_int(q, sigma, alphas):
         np.copyto(terms, -np.inf, where=masked)
         log_a[lo:lo + rows] = _logsumexp(terms, axis=1)
     return log_a
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _int_order_tables(size):
+    """For integer orders up to size - 1: log k! for k < size, and the
+    windows of length `size` over the reversed log-factorials (padded past
+    the table, where k > alpha) and over the k > alpha mask, which
+    _log_a_int reads. Memoized on the largest order alone; read-only."""
+    log_fact = special.gammaln(np.arange(1, size + 1))
+    log_fact.flags.writeable = False
+    padded = np.concatenate((log_fact[::-1], np.zeros(size - 1)))
+    masked = np.arange(size - 1, -size, -1) < 0
+    return (log_fact, sliding_window_view(padded, size),
+            sliding_window_view(masked, size))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                harness, influence, models, objective_perturbation,
                shift_audit)
-from .errors import ConfigurationError, DPTailsError, config_from_dict
+from .errors import (ConfigurationError, DPTailsError, ParseError,
+                     config_from_dict)
 
 
 def _load_json(path):
@@ -90,6 +91,15 @@ def _load_config(cls, path):
     return config_from_dict(cls, _load_json(path), path)
 
 
+def _read_cohort(path):
+    """cohort.read_cohort, with a file that is not UTF-8 refused by name."""
+    try:
+        return cohort_mod.read_cohort(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 (byte "
+                         f"0x{exc.object[exc.start]:02x}: {exc.reason})")
+
+
 def _dump(payload, path=None):
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if path:
@@ -112,7 +122,7 @@ def cmd_generate_data(args):
 
 def cmd_train(args):
     cfg = TrainFile.load(args.config)
-    cohort = cohort_mod.read_cohort(cfg.cohort_csv)
+    cohort = _read_cohort(cfg.cohort_csv)
     split = cohort_mod.split_yearly(cohort, cfg.pivot_year)
     seed = args.seed if args.seed is not None else cfg.seed
     if cfg.mechanism == "dp-sgd":
@@ -147,7 +157,7 @@ def cmd_audit_shift(args):
     """The grid's robustness report for a cohort, with a non-private
     ridge-LR task model fitted per pivot year in place of a trained one."""
     cfg = _load_config(ShiftAuditFile, args.config)
-    cohort = cohort_mod.read_cohort(cfg.cohort_csv)
+    cohort = _read_cohort(cfg.cohort_csv)
     audit = shift_audit.RobustnessAudit(
         args.seed if args.seed is not None else cfg.seed)
     for pivot, split in cohort_mod.yearly_splits(cohort):
@@ -168,7 +178,7 @@ def cmd_audit_shift(args):
 
 def cmd_audit_fairness(args):
     cfg = _load_config(FairnessAuditFile, args.config)
-    cohort = cohort_mod.read_cohort(cfg.cohort_csv)
+    cohort = _read_cohort(cfg.cohort_csv)
     params = models.ModelParams.from_dict(cfg.params)
     scores = models.predict(params, cohort.features)[:, 1]
     report = fairness_audit.fairness_gaps(
@@ -180,21 +190,25 @@ def cmd_audit_fairness(args):
 
 def cmd_audit_influence(args):
     cfg = _load_config(InfluenceAuditFile, args.config)
-    train_cohort = cohort_mod.read_cohort(cfg.train_csv)
-    test_cohort = cohort_mod.read_cohort(cfg.test_csv)
+    train_cohort = _read_cohort(cfg.train_csv)
+    test_cohort = _read_cohort(cfg.test_csv)
     params = models.ModelParams.from_dict(cfg.params)
     engine = influence.InfluenceEngine(params, train_cohort,
                                        damping=cfg.damping)
     matrix = engine.matrix(train_cohort, test_cohort)
     _dump(influence.influence_summary(matrix, train_cohort), args.out)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(",".join(map(str, ["train_id",
-                                        *matrix.test_ids.tolist()])) + "\n")
-            fh.writelines(",".join(map(repr, [tid, *row])) + "\n"
-                          for tid, row in zip(matrix.train_ids.tolist(),
-                                              matrix.values.tolist()))
+        _write_influence_csv(matrix, args.csv)
     return 0
+
+
+def _write_influence_csv(matrix, path):
+    """The influence matrix as CSV: a `train_id` column, then one column
+    per test record id."""
+    with open(path, "w") as fh:
+        fh.write(",".join(map(str, ["train_id",
+                                    *matrix.test_ids.tolist()])) + "\n")
+        cohort_mod.write_csv_rows(fh, (matrix.train_ids,), matrix.values)
 
 
 def cmd_run(args):
@@ -245,7 +259,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, OSError) as exc:
+        # A path that is missing, a directory or not permitted is a
+        # configuration error; an OSError on no path (a full disk) is not.
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DPTailsError as exc:

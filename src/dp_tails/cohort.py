@@ -245,17 +245,35 @@ def stable_seed(*parts):
 
 
 _META = ["id", "year", "group", "label"]
+# Cells formatted per block of rows by write_csv_rows (about 1.3 MB of
+# Python objects), and characters of text per chunk parsed by read_cohort:
+# what CSV I/O holds beyond the arrays does not grow with the row count.
+_WRITE_CELLS = 2 ** 15
+_READ_CHARS = 2 ** 20
+
+
+def write_csv_rows(fh, keys, values):
+    """One line per row of the (n, m) float array `values`: the row's cell
+    of each integer column in `keys`, then its values, every cell in
+    Python's shortest round-trip notation (repr), which reads back
+    bit-identical. Rows are formatted in blocks of about _WRITE_CELLS
+    cells."""
+    rows = max(1, _WRITE_CELLS // (len(keys) + values.shape[1]))
+    for lo in range(0, len(values), rows):
+        block = slice(lo, lo + rows)
+        meta = np.column_stack([k[block] for k in keys]).astype(np.int64,
+                                                                 copy=False)
+        fh.writelines(",".join(map(repr, m + v)) + "\n" for m, v in
+                      zip(meta.tolist(), values[block].tolist()))
 
 
 def write_cohort(cohort: Cohort, path):
-    """One line per record: the metadata as ints, then the features in
-    Python's shortest round-trip notation, which reads back bit-identical."""
-    meta = np.column_stack((cohort.ids, cohort.years, cohort.groups,
-                            cohort.labels)).astype(np.int64, copy=False)
+    """The cohort CSV: a header, then one line per record of the metadata
+    as ints and the features as floats (write_csv_rows)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_META + [f"f{j}" for j in range(cohort.d)]) + "\n")
-        fh.writelines(",".join(map(repr, m + f)) + "\n" for m, f in
-                      zip(meta.tolist(), cohort.features.tolist()))
+        write_csv_rows(fh, (cohort.ids, cohort.years, cohort.groups,
+                            cohort.labels), cohort.features)
 
 
 def read_cohort(path) -> Cohort:
@@ -263,42 +281,67 @@ def read_cohort(path) -> Cohort:
     ParseError, naming the row and column where it can."""
     with open(path, newline="") as fh:
         try:
-            text = fh.read()
+            cohort = _bulk_parse(fh)
         except UnicodeDecodeError:
-            text = ""   # the row parser raises it, after any earlier row error
-        cohort = _bulk_parse(text)
+            cohort = None   # the row parser raises it, after any earlier error
         if cohort is None:
             fh.seek(0)
             cohort = _parse_rows(csv.reader(fh))
     return cohort
 
 
-def _bulk_parse(text):
-    """The cohort in `text` from one np.loadtxt call, or None wherever the
-    row parser might decide otherwise, so both accept the same files and
-    _parse_rows raises every error. Left to it: quotes, CR, NUL, blank or
-    over-long lines, the separators 0x1c-0x1f (whitespace to numpy, not to
-    int() and float()), cells loadtxt rejects and failed checks."""
-    lines = text.removesuffix("\n").split("\n")
-    names = lines[0].split(",")
+def _bulk_parse(fh):
+    """The cohort in the text file `fh`, parsed in chunks of about
+    _READ_CHARS characters completed to a line end, or None wherever the
+    row parser might decide otherwise (see _parse_chunk; also a file
+    without a data line), so both accept the same files and _parse_rows
+    raises every error."""
+    header = fh.readline()
+    names = header.removesuffix("\n").split(",")
     d = len(names) - 4
-    if (len(lines) < 2 or names != _META + [f"f{j}" for j in range(d)]
-            or any(c in text for c in '"\r\0\x1c\x1d\x1e\x1f')
-            or "" in lines or max(map(len, lines)) > csv.field_size_limit()):
+    if (not header.endswith("\n")
+            or names != _META + [f"f{j}" for j in range(d)]):
+        return None
+    pieces = []
+    while chunk := fh.read(_READ_CHARS):
+        if not chunk.endswith("\n"):
+            chunk += fh.readline()
+        piece = _parse_chunk(chunk, d)
+        if piece is None:
+            return None
+        pieces.append(piece)
+    if not pieces:
+        return None
+    ids, years, groups, labels = np.concatenate([m for m, _ in pieces],
+                                                axis=1)
+    if len(np.unique(ids)) != len(ids):
+        return None
+    features = np.concatenate([f for _, f in pieces])
+    return Cohort(features, labels, groups, years, ids)
+
+
+def _parse_chunk(chunk, d):
+    """The metadata (4, rows) and features (rows, d) of the data lines in
+    `chunk` from one np.loadtxt call, or None wherever the row parser might
+    decide otherwise. Left to it: quotes, CR, NUL, blank or over-long
+    lines, the separators 0x1c-0x1f (whitespace to numpy, not to int() and
+    float()), cells loadtxt rejects and failed checks."""
+    lines = chunk.removesuffix("\n").split("\n")
+    if (any(c in chunk for c in '"\r\0\x1c\x1d\x1e\x1f') or "" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
     try:
-        table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
                            dtype=[("meta", np.int64, 4),
                                   ("features", np.float64, d)])
     except ValueError:
         return None
-    ids, years, groups, labels = np.ascontiguousarray(table["meta"].T)
+    meta = np.ascontiguousarray(table["meta"].T)
     features = np.ascontiguousarray(table["features"])
-    if (labels.min() < 0 or labels.max() > 1 or groups.min() < 0
-            or not np.isfinite(features).all()
-            or len(np.unique(ids)) != len(ids)):
+    if (meta[3].min() < 0 or meta[3].max() > 1 or meta[2].min() < 0
+            or not np.isfinite(features).all()):
         return None
-    return Cohort(features, labels, groups, years, ids)
+    return meta, features
 
 
 def _parse_rows(reader):

@@ -334,6 +334,7 @@ def test_numpy_integer_steps_are_accounted():
 def _clear_memo():
     accountant._checked_orders.cache_clear()
     accountant._memo_series_coefs.cache_clear()
+    accountant._int_order_tables.cache_clear()
 
 
 def test_orders_memo_shares_one_entry_and_keeps_bits():
@@ -376,6 +377,15 @@ def test_memo_keeps_nothing_per_query():
     orders_info = accountant._checked_orders.cache_info()
     assert (orders_info.currsize, orders_info.hits) == (1, 200)
     assert accountant._memo_series_coefs.cache_info().currsize == 3
+    # The integer-order tables are keyed on the largest order alone: one
+    # read-only entry, shared by every query.
+    tables_info = accountant._int_order_tables.cache_info()
+    assert (tables_info.currsize, tables_info.hits) == (1, 200)
+    size = int(max(accountant.DEFAULT_ORDERS)) + 1
+    log_fact, *windows = accountant._int_order_tables(size)
+    assert log_fact.shape == (size,)
+    assert all(w.shape == (size, size) for w in windows)
+    assert not any(a.flags.writeable for a in (log_fact, *windows))
     n_orders = len(accountant.DEFAULT_ORDERS)
     orders, alphas, is_int = accountant._checked_orders(
         tuple(accountant.DEFAULT_ORDERS))

@@ -2,13 +2,15 @@ import csv
 import json
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dp_tails import cohort
+from dp_tails import cli, cohort, influence
 from dp_tails.errors import ConfigurationError, ParseError, SplitError
 
 from conftest import make_cohort, raw_cohort
@@ -180,6 +182,11 @@ def _mutate(lines, kind, data):
 
     if kind == "blank-line":
         lines.insert(data.draw(st.integers(1, len(lines))), "")
+    elif kind == "non-utf8-byte":
+        # Written as the byte 0xff through the surrogateescape handler.
+        at = data.draw(st.integers(0, len(lines) - 1))
+        pos = data.draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:pos] + "\udcff" + lines[at][pos:]
     elif kind == "hash-line":
         lines.insert(data.draw(st.integers(1, len(lines))),
                      "#" + data.draw(st.sampled_from(lines)))
@@ -246,18 +253,16 @@ def _outcome(read, path):
                  (c.features, c.labels, c.groups, c.years, c.ids))
 
 
-@settings(max_examples=300, deadline=None)
-@given(features=arrays(np.float64, st.tuples(st.integers(0, 5),
-                                             st.integers(0, 3)),
-                       elements=st.floats(allow_nan=False,
-                                          allow_infinity=False)),
-       kinds=st.lists(st.sampled_from([
-           "blank-line", "crlf", "quoted-cell", "hash-line", "extra-cell",
-           "missing-cell", "int-cell", "non-finite", "negative",
-           "label-above-1", "duplicate-id", "no-trailing-newline",
-           "odd-cell"]), max_size=3),
-       data=st.data())
-def test_reader_matches_row_parser_oracle(features, kinds, data):
+_MUTATIONS = st.lists(st.sampled_from([
+    "blank-line", "crlf", "quoted-cell", "hash-line", "extra-cell",
+    "missing-cell", "int-cell", "non-finite", "negative", "label-above-1",
+    "duplicate-id", "no-trailing-newline", "odd-cell", "non-utf8-byte"]),
+    max_size=3)
+
+
+def _check_against_oracle(features, kinds, data):
+    """Write a valid cohort of `features`, apply the mutation `kinds` and
+    require the reader's outcome to be the frozen oracle's."""
     n = features.shape[0]
     ints = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
@@ -274,22 +279,74 @@ def test_reader_matches_row_parser_oracle(features, kinds, data):
         text = ending.join(lines)
         if "no-trailing-newline" not in kinds:
             text += ending
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", errors="surrogateescape") as fh:
             fh.write(text)
         expected = _oracle_outcome(path)
         assert _outcome(cohort.read_cohort, path) == expected
 
 
-def test_reader_matches_row_parser_oracle_on_odd_cells(tmp_path):
+@settings(max_examples=300, deadline=None)
+@given(features=arrays(np.float64, st.tuples(st.integers(0, 5),
+                                             st.integers(0, 3)),
+                       elements=st.floats(allow_nan=False,
+                                          allow_infinity=False)),
+       kinds=_MUTATIONS, data=st.data())
+def test_reader_matches_row_parser_oracle(features, kinds, data):
+    _check_against_oracle(features, kinds, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(features=arrays(np.float64, st.tuples(st.integers(0, 8),
+                                             st.integers(0, 3)),
+                       elements=st.floats(allow_nan=False,
+                                          allow_infinity=False)),
+       kinds=_MUTATIONS, chars=st.integers(1, 48), data=st.data())
+def test_reader_matches_row_parser_oracle_across_chunks(features, kinds,
+                                                        chars, data):
+    # Chunks of a few dozen characters: a refusal or a bad byte may sit in
+    # a later chunk only, and a line may be longer than a chunk.
+    with mock.patch.object(cohort, "_READ_CHARS", chars):
+        _check_against_oracle(features, kinds, data)
+
+
+def test_reader_matches_row_parser_oracle_on_odd_cells(tmp_path,
+                                                       monkeypatch):
     path = tmp_path / "cohort.csv"
-    for cell in _ODD_CELLS:
-        for column in (0, 3, 4):
-            row = ["0", "2001", "0", "1", "0.5"]
-            row[column] = cell
-            path.write_text("id,year,group,label,f0\n" + ",".join(row)
-                            + "\n1,2001,1,0,-2.0\n", newline="")
-            assert (_outcome(cohort.read_cohort, path)
-                    == _oracle_outcome(path)), (cell, column)
+    good = "1,2001,1,0,-2.0\n"
+    # First in one chunk, then in chunks of 8 characters with the odd row
+    # second, so that only a later chunk holds it.
+    for chars, odd_first in ((cohort._READ_CHARS, True), (8, False)):
+        monkeypatch.setattr(cohort, "_READ_CHARS", chars)
+        for cell in _ODD_CELLS:
+            for column in (0, 3, 4):
+                row = ["0", "2001", "0", "1", "0.5"]
+                row[column] = cell
+                odd = ",".join(row) + "\n"
+                path.write_text("id,year,group,label,f0\n"
+                                + (odd + good if odd_first else good + odd),
+                                newline="")
+                assert (_outcome(cohort.read_cohort, path)
+                        == _oracle_outcome(path)), (cell, column, chars)
+
+
+@pytest.mark.parametrize("chars", [None, 64])
+def test_reader_bad_byte_after_an_earlier_error(tmp_path, monkeypatch,
+                                               chars):
+    # The file spans several of the oracle's 8 KiB decode buffers, so a
+    # byte 0xff far down is decoded only after row 1 is parsed: the row
+    # error comes first, and without one the decode error is the oracle's.
+    if chars:
+        monkeypatch.setattr(cohort, "_READ_CHARS", chars)
+    rows = [f"{i},2001,0,1,0.5" for i in range(2000)]
+    path = tmp_path / "cohort.csv"
+    for first in ("0,2001,0,1,oops", rows[0]):
+        text = "\n".join(["id,year,group,label,f0", first, *rows[1:]])
+        at = text.rindex("\n") + 3
+        path.write_bytes(text[:at].encode() + b"\xff" + text[at:].encode())
+        expected = _oracle_outcome(path)
+        assert expected[0] == ("ParseError" if "oops" in first
+                               else "UnicodeDecodeError")
+        assert _outcome(cohort.read_cohort, path) == expected
 
 
 @pytest.mark.parametrize("column", range(4))
@@ -352,6 +409,81 @@ def test_scientific_and_shortest_notation_read_back_bit_identical(features):
             back = cohort.read_cohort(path)
             assert back == c
             assert back.features.tobytes() == c.features.tobytes()
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of fn(*args); the result counts."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_MEMORY_ROWS = (5000, 20000)
+
+
+def _memory_cohort(n):
+    return make_cohort(n=n, d=16, years=(2001, 2005), seed=5)
+
+
+def test_write_cohort_memory_does_not_grow_with_rows(tmp_path):
+    path = tmp_path / "cohort.csv"
+    for n in _MEMORY_ROWS:
+        c = _memory_cohort(n)
+        assert _traced_peak(cohort.write_cohort, c, path) < 3e6, n
+
+
+def test_influence_csv_memory_does_not_grow_with_rows(tmp_path):
+    path = tmp_path / "influence.csv"
+    for n in _MEMORY_ROWS:
+        matrix = influence.InfluenceMatrix(
+            np.random.default_rng(n).normal(size=(n, 16)),
+            np.arange(n, dtype=np.int64), np.arange(16, dtype=np.int64))
+        assert _traced_peak(cli._write_influence_csv, matrix, path) < 3e6, n
+
+
+def test_read_cohort_memory_is_a_few_times_its_arrays(tmp_path):
+    path = tmp_path / "cohort.csv"
+    for n in _MEMORY_ROWS:
+        c = _memory_cohort(n)
+        cohort.write_cohort(c, path)
+        arrays = sum(a.nbytes for a in (c.features, c.labels, c.groups,
+                                        c.years, c.ids))
+        assert _traced_peak(cohort.read_cohort, path) < 3 * arrays + 4e6, n
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_writers_match_whole_matrix_formula(tmp_path, offset):
+    # n below, at and above two blocks of rows, for each writer's width.
+    rng = np.random.default_rng(offset + 1)
+    d = 3
+    n = 2 * (cohort._WRITE_CELLS // (4 + d)) + offset
+    features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300,
+                                                               (n, d))
+    c = raw_cohort(features, rng.integers(0, 2, n),
+                   groups=rng.integers(0, 3, n),
+                   years=rng.integers(2001, 2006, n),
+                   ids=rng.permutation(10 * n)[:n])
+    meta = np.column_stack((c.ids, c.years, c.groups, c.labels))
+    path = tmp_path / "cohort.csv"
+    cohort.write_cohort(c, path)
+    assert path.read_text() == "id,year,group,label,f0,f1,f2\n" + "".join(
+        ",".join(map(repr, m + f)) + "\n"
+        for m, f in zip(meta.tolist(), features.tolist()))
+
+    m = 5
+    n = 2 * (cohort._WRITE_CELLS // (1 + m)) + offset
+    matrix = influence.InfluenceMatrix(rng.normal(size=(n, m)),
+                                       rng.permutation(10 * n)[:n],
+                                       np.arange(100, 100 + m))
+    path = tmp_path / "influence.csv"
+    cli._write_influence_csv(matrix, path)
+    assert path.read_text() == "train_id,100,101,102,103,104\n" + "".join(
+        ",".join(map(repr, [tid, *row])) + "\n"
+        for tid, row in zip(matrix.train_ids.tolist(),
+                            matrix.values.tolist()))
 
 
 def test_io_header_only(tmp_path):

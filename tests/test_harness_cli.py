@@ -939,6 +939,45 @@ def test_cli_audit_shift_int64_overflow_cell_exit_code(tmp_path, capsys):
     assert "outside int64 (row 3, column 0)" in capsys.readouterr().err
 
 
+def test_cli_generate_data_out_directory_exit_code(tmp_path, capsys):
+    _, config_path = _write_cohort_config(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(tmp_path) in err
+
+
+def test_cli_audit_shift_cohort_csv_directory_exit_code(tmp_path, capsys):
+    audit_config = tmp_path / "shift.json"
+    audit_config.write_text(json.dumps({"cohort_csv": str(tmp_path)}))
+    capsys.readouterr()
+    assert cli.main(["audit-shift", "--config", str(audit_config),
+                     "--out", str(tmp_path / "shift_report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(tmp_path) in err
+    assert not (tmp_path / "shift_report.json").exists()
+
+
+def test_cli_audit_shift_non_utf8_cohort_exit_code(tmp_path, capsys):
+    _, config_path = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    cli.main(["generate-data", "--config", str(config_path),
+              "--out", str(csv_path)])
+    lines = csv_path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:5] + b"\xff" + lines[2][5:]
+    csv_path.write_bytes(b"\n".join(lines))
+    with pytest.raises(UnicodeDecodeError):
+        cohort.read_cohort(csv_path)
+    audit_config = tmp_path / "shift.json"
+    audit_config.write_text(json.dumps({"cohort_csv": str(csv_path)}))
+    capsys.readouterr()
+    assert cli.main(["audit-shift", "--config", str(audit_config),
+                     "--out", str(tmp_path / "shift_report.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv_path}: not UTF-8 (byte 0xff: invalid start byte)\n")
+
+
 def test_cli_audit_influence(tmp_path):
     base = make_cohort(n=200, d=4, prevalence=0.4, seed=3)
     train_csv = tmp_path / "train.csv"
