@@ -100,15 +100,6 @@ def _read_cohort(path):
                          f"0x{exc.object[exc.start]:02x}: {exc.reason})")
 
 
-def _dump(payload, path=None):
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_generate_data(args):
     config = cohort_mod.CohortConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
@@ -142,14 +133,15 @@ def cmd_train(args):
             split.train, dataclasses.replace(op, seed=seed))
     else:
         raise ConfigurationError(f"unknown mechanism {cfg.mechanism!r}")
-    _dump(trained.to_dict(), args.out)
+    harness.write_json(args.out, trained.to_dict())
     return 0
 
 
 def cmd_account(args):
     spend, log = accountant.spend_for_training(
         q=args.q, sigma=args.sigma, steps=args.steps, delta=args.delta)
-    _dump({**spend.to_dict(), "caveats": log["caveats"]}, args.out)
+    harness.write_json(args.out,
+                       {**spend.to_dict(), "caveats": log["caveats"]})
     return 0
 
 
@@ -165,14 +157,11 @@ def cmd_audit_shift(args):
             split.train.features, split.train.labels,
             l2_lambda=cfg.l2_lambda))
     report = audit.report()
-    _dump(report, args.out)
+    harness.write_json(args.out, report)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("year,malignancy_accuracy,p_value\n")
-            for r in report["per_year"]:
-                mal = r["malignancy_accuracy"]
-                fh.write(f"{r['year']},{'' if mal is None else repr(mal)},"
-                         f"{r['p_value']!r}\n")
+        harness.write_table(args.csv, harness.MALIGNANCY_COLUMNS,
+                            ([r[k] for k in harness.MALIGNANCY_COLUMNS]
+                             for r in report["per_year"]))
     return 0
 
 
@@ -184,7 +173,7 @@ def cmd_audit_fairness(args):
     report = fairness_audit.fairness_gaps(
         scores, cohort.labels, cohort.groups, g1=cfg.group_1, g2=cfg.group_2,
         threshold=cfg.threshold)
-    _dump(report.to_dict(), args.out)
+    harness.write_json(args.out, report.to_dict())
     return 0
 
 
@@ -196,7 +185,8 @@ def cmd_audit_influence(args):
     engine = influence.InfluenceEngine(params, train_cohort,
                                        damping=cfg.damping)
     matrix = engine.matrix(train_cohort, test_cohort)
-    _dump(influence.influence_summary(matrix, train_cohort), args.out)
+    harness.write_json(args.out,
+                       influence.influence_summary(matrix, train_cohort))
     if args.csv:
         _write_influence_csv(matrix, args.csv)
     return 0

@@ -45,7 +45,7 @@ class CohortConfig:
         first, last = self.years
         return list(range(int(first), int(last) + 1))
 
-    def validate(self):
+    def __post_init__(self):
         prev = self.class_prevalences()
         if np.any(prev <= 0) or np.any(prev >= 1):
             raise ConfigurationError(
@@ -130,7 +130,6 @@ def class_year_means(config: CohortConfig):
     generate_cohort, so drift distances between consecutive years can be
     checked exactly.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     class_dir = rng.normal(size=config.d)
     class_dir /= np.linalg.norm(class_dir)
@@ -171,7 +170,6 @@ def _noise_scale(config, means):
 
 
 def generate_cohort(config: CohortConfig) -> Cohort:
-    config.validate()
     means = class_year_means(config)
     scale = _noise_scale(config, means)
 

@@ -187,26 +187,23 @@ def _rows(a, keep):
 
 def _step(stack, family_spec, X, y, config, epochs):
     """One DP-SGD step of every model in the non-empty `stack`, row r on
-    its batch X[r], y[r] in its epoch epochs[r]: one gradient pass, then
-    per model a finite-loss check and a finite-gradient check (of the
-    pre-clip norms too, for a model that clips; a model failing one leaves
-    the stack, the others go on untouched), then each private model's own
-    noise draw and the update, each model's sum divided by its unit
-    count."""
+    its batch X[r], y[r] in its epoch epochs[r]: one gradient pass; one
+    drop of each model whose loss (TrainingError at its epoch) or else
+    gradient or, if it clips, pre-clip norm (NumericError) is not finite,
+    the others untouched; then each private model's own noise draw and the
+    update, each model's sum divided by its unit count."""
     loss, total, norms = models.clipped_grad_sum(
         family_spec, stack.theta, X, y, stack.clip, config.microbatch_count)
-    failed = ~np.isfinite(loss)
-    if failed.any():
-        errors = [TrainingError("training diverged (non-finite loss)",
-                                epoch=int(e)) for e in epochs[failed]]
-        loss, total, norms = stack.drop(failed, errors, loss, total, norms)
-    failed = ~np.isfinite(total).all(axis=1)
+    diverged = ~np.isfinite(loss)
+    failed = diverged | ~np.isfinite(total).all(axis=1)
     if norms is not None:
         failed |= ~np.isfinite(norms).all(axis=1) & (stack.clip < np.inf)
     if failed.any():
-        loss, total, norms = stack.drop(
-            failed, itertools.repeat(NumericError("non-finite gradient")),
-            loss, total, norms)
+        errors = [TrainingError("training diverged (non-finite loss)",
+                                epoch=int(e)) if bad
+                  else NumericError("non-finite gradient")
+                  for bad, e in zip(diverged[failed], epochs[failed])]
+        loss, total = stack.drop(failed, errors, loss, total)
     noisy, draws = [], []
     for row, (r, value) in enumerate(zip(stack.index.tolist(),
                                          loss.tolist())):
@@ -300,11 +297,11 @@ def _train_lockstep(family_spec, cohort, configs, rows):
     check_labels = y.min() < 0 or y.max() > 1
     finish = set(steps.tolist())
 
-    for t in range(int(steps.max())):
+    # A model leaves the stack when its steps are done, or earlier at its
+    # error; the loop ends when the stack is empty.
+    for t in itertools.count():
         if t in finish:
             stack.drop(steps[stack.index] == t, itertools.repeat(None))
-        # A stack emptied by an earlier batch's labels or divergence takes
-        # no further step.
         if not len(stack.index):
             break
         epochs, b = np.divmod(t, steps_per_epoch[stack.index])
@@ -325,7 +322,6 @@ def _train_lockstep(family_spec, cohort, configs, rows):
         _step(stack, family_spec, Xb, yb, config, epochs)
         for r in stack.index[(t + 1) % steps_per_epoch[stack.index] == 0]:
             stack.traces[r].append(float(np.mean(stack.losses[r])))
-    stack.drop(np.ones(len(stack.index), dtype=bool), itertools.repeat(None))
 
     results = list(stack.errors)
     # Models of one (privacy, sigma, delta, q, steps) spend the same:

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ class ExperimentConfig:
         {"name": "outcome", "family": "lr-binary", "l2_lambda": 0.01}])
     privacy_levels: list = field(default_factory=lambda: ["none", "low", "high"])
     mechanisms: list = field(default_factory=lambda: ["dp-sgd"])
-    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     audits: list = field(default_factory=lambda: ["utility"])
     out_dir: str = "runs"
     learning_rate: float = 0.5
@@ -75,6 +76,20 @@ class ExperimentConfig:
         for audit in self.audits:
             if audit not in ("utility", "robustness", "fairness", "influence"):
                 raise ConfigurationError(f"audits: unknown {audit!r}")
+        for name, values in (("tasks", [t["name"] for t in self.tasks]),
+                             ("privacy_levels", self.privacy_levels),
+                             ("mechanisms", self.mechanisms),
+                             ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name}: duplicate entries")
+        # The trainer's own rules check the fields every grid model shares.
+        dp_optim.DPTrainingConfig(
+            batch_size=self.batch_size, microbatch_count=self.microbatch_count,
+            learning_rate=self.learning_rate, epochs=self.epochs)
+        for name in ("objpert_lambda", "influence_train_cap",
+                     "influence_test_cap", "influence_panel"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name}: must be > 0")
 
     @classmethod
     def from_dict(cls, raw):
@@ -113,7 +128,7 @@ def _train_objpert(train, level, seed, config):
     op_config = objective_perturbation.ObjPertConfig(
         eps_p=OBJPERT_LEVEL_EPS[level], lam=config.objpert_lambda, seed=seed)
     return objective_perturbation.train_objective_perturbation(
-        train, op_config, force_zero_noise=(level == "none"))
+        train, op_config)
 
 
 def _train_models(cohort, task, mechanism, jobs, pivots, config):
@@ -348,46 +363,52 @@ def _config_hash(config):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _write_json(path, payload):
+def write_json(path, payload):
+    """Every JSON output: sorted keys, indent 1 and a final newline, to the
+    file `path` or, if path is None or empty, to standard output."""
+    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    if not path:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def write_table(path, header, rows):
+    """A CSV table: the column names `header`, then one line per row, each
+    cell a str or int as given, a float by repr and None as empty."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        for row in itertools.chain([header], rows):
+            fh.write(",".join(
+                "" if v is None else repr(v) if isinstance(v, float)
+                else str(v) for v in row) + "\n")
+
+
+MALIGNANCY_COLUMNS = ("year", "malignancy_accuracy", "p_value")
 
 
 def _write_reports(config, report):
-    out = config.out_dir
-    _write_json(os.path.join(out, "report.json"), report)
-
-    with open(os.path.join(out, "utility_by_year.csv"), "w") as fh:
-        fh.write("task,level,mechanism,seed,year,auroc,auprc\n")
-        for cell in report["cells"]:
-            for row in cell.get("utility", {}).get("per_year", []):
-                fh.write(f"{cell['task']},{cell['level']},{cell['mechanism']},"
-                         f"{cell['seed']},{row['year']},"
-                         f"{row['auroc']!r},{row['auprc']!r}\n")
-
-    with open(os.path.join(out, "malignancy.csv"), "w") as fh:
-        fh.write("task,seed,year,malignancy_accuracy,p_value\n")
-        for cell in report["cells"]:
-            for row in cell.get("robustness", {}).get("per_year", []):
-                mal = row["malignancy_accuracy"]
-                fh.write(f"{cell['task']},{cell['seed']},{row['year']},"
-                         f"{'' if mal is None else repr(mal)},"
-                         f"{row['p_value']!r}\n")
-
-    with open(os.path.join(out, "fairness_by_year.csv"), "w") as fh:
-        fh.write("task,level,mechanism,seed,year,auroc_gap,parity_gap,"
-                 "recall_gap,specificity_gap\n")
-        for cell in report["cells"]:
-            for row in cell.get("fairness", []):
-                if "error" in row:
-                    continue
-                vals = [row[k] for k in ("auroc_gap", "parity_gap",
-                                         "recall_gap", "specificity_gap")]
-                text = ",".join("" if v is None else repr(v) for v in vals)
-                fh.write(f"{cell['task']},{cell['level']},{cell['mechanism']},"
-                         f"{cell['seed']},{row['year']},{text}\n")
+    out, cells = config.out_dir, report["cells"]
+    write_json(os.path.join(out, "report.json"), report)
+    key = ("task", "level", "mechanism", "seed")
+    gaps = ("auroc_gap", "parity_gap", "recall_gap", "specificity_gap")
+    write_table(os.path.join(out, "utility_by_year.csv"),
+                (*key, "year", "auroc", "auprc"),
+                ([*(c[k] for k in key), r["year"], r["auroc"], r["auprc"]]
+                 for c in cells
+                 for r in c.get("utility", {}).get("per_year", [])))
+    write_table(os.path.join(out, "malignancy.csv"),
+                ("task", "seed", *MALIGNANCY_COLUMNS),
+                ([c["task"], c["seed"], *(r[k] for k in MALIGNANCY_COLUMNS)]
+                 for c in cells
+                 for r in c.get("robustness", {}).get("per_year", [])))
+    write_table(os.path.join(out, "fairness_by_year.csv"),
+                (*key, "year", *gaps),
+                ([*(c[k] for k in key), r["year"], *(r[k] for k in gaps)]
+                 for c in cells for r in c.get("fairness", [])
+                 if "error" not in r))
 
     influence_cells = {f"{c['task']}|{c['level']}|{c['seed']}": c["influence"]
-                       for c in report["cells"] if "influence" in c}
+                       for c in cells if "influence" in c}
     if influence_cells:
-        _write_json(os.path.join(out, "influence_summary.json"), influence_cells)
+        write_json(os.path.join(out, "influence_summary.json"), influence_cells)

@@ -188,8 +188,6 @@ def _backprop(spec, theta, X, y):
     R, n = y.shape
     if n == 0:
         raise DomainError("empty subset")
-    if y.min() < 0 or y.max() > 1:
-        raise label_error(spec.family)
     S, layers = _forward(spec, theta, X)
     if spec.family == "lr-binary":
         pc = np.clip(S, _CLAMP, 1.0 - _CLAMP)
@@ -222,17 +220,17 @@ def clipped_grad_sum(spec, theta, features, labels, clip_norms,
     gradients.
 
     spec names the family, h and l2_lambda (a FamilySpec or ModelParams);
-    theta is (R, p), features (R, n, d), labels (R, n) and clip_norms (R,),
-    or None for no clipping. Each model's batch splits into
-    `microbatch_count` equal consecutive units, each with gradient the mean
-    over its records of the regularized loss gradient. Returns, per model,
-    (mean regularized loss (R,), the sum of the unit gradients each
-    rescaled to norm <= its clip norm (R, p), the units' pre-clip norms
-    (R, m)); with clip_norms None nothing is clipped and the norms are
-    None. A model whose clip norm is inf is not clipped and its whole batch
-    is one unit: its sum is the mean gradient, each record weighted 1/n,
-    and its row of norms is not read. Model r's values are those of a stack
-    of r alone, bit for bit.
+    theta is (R, p), features (R, n, d), labels (R, n) of 0 and 1 (the
+    caller checks them) and clip_norms (R,), one clip norm > 0 per model.
+    Each model's batch splits into `microbatch_count` equal consecutive
+    units, each with gradient the mean over its records of the regularized
+    loss gradient. Returns, per model, (mean regularized loss (R,), the sum
+    of the unit gradients each rescaled to norm <= its clip norm (R, p),
+    the units' pre-clip norms (R, m), or None when no model clips). A model
+    whose clip norm is inf is not clipped and its whole batch is one unit:
+    its sum is the mean gradient, each record weighted 1/n, and its row of
+    norms is not read. Model r's values are those of a stack of r alone,
+    bit for bit.
 
     A record's gradient for a layer is delta_i ⊗ [a_i; 1], so per record
     ||g_i||^2 sums ||delta_i||^2 (||a_i||^2 + 1) over layers, plus the ridge
@@ -249,13 +247,11 @@ def clipped_grad_sum(spec, theta, features, labels, clip_norms,
     m = microbatch_count
     if m < 1 or n % m != 0:
         raise ConfigurationError("microbatch_count must divide batch size")
-    clipped = None
-    if clip_norms is not None:
-        clip_norms = np.asarray(clip_norms, dtype=float)
-        if not (clip_norms > 0).all():
-            raise DomainError("clip norm must be > 0")
-        clipped = clip_norms < np.inf
-    any_clipped = clipped is not None and clipped.any()
+    clip_norms = np.asarray(clip_norms, dtype=float)
+    if clip_norms.shape != (R,) or not (clip_norms > 0).all():
+        raise DomainError("clip norm must be > 0, one per model")
+    clipped = clip_norms < np.inf
+    any_clipped = clipped.any()
     loss, layers = _backprop(spec, theta, X, y)
     lam = spec.l2_lambda
     sq_weights = _sq_weights(layers) if lam > 0 else np.zeros(R)
@@ -280,11 +276,10 @@ def clipped_grad_sum(spec, theta, features, labels, clip_norms,
                        Dm.sum(axis=2) / b]
         means = np.concatenate(blocks, axis=2)
         norms = np.sqrt((means * means).sum(axis=2))
-    unit_weights = (np.ones((R, m)) if norms is None
-                    else 1.0 / np.maximum(1.0, norms / clip_norms[:, None]))
-    unit_weights = unit_weights * (m / n)
-    if clipped is not None and not clipped.all():
-        unit_weights = np.where(clipped[:, None], unit_weights, 1.0 / n)
+    unit_weights = (np.full((R, m), 1.0 / n) if norms is None
+                    else 1.0 / np.maximum(1.0, norms / clip_norms[:, None])
+                    * (m / n))
+    unit_weights[~clipped] = 1.0 / n
     weights = np.repeat(unit_weights, n // m, axis=1)
     weight_sums = weights.sum(axis=1)[:, None, None]
     blocks = []

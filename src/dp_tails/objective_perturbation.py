@@ -40,7 +40,7 @@ class ObjPertConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps_p <= 0:
+        if not self.eps_p > 0:
             raise ConfigurationError("eps_p: must be > 0")
         if self.lam <= 0:
             raise ConfigurationError("lam: must be > 0")
@@ -73,15 +73,15 @@ def budget_split(n, config: ObjPertConfig):
     return eps_p / 2.0, max(delta_reg, 0.0), "extra-regularization"
 
 
-def train_objective_perturbation(cohort: Cohort, config: ObjPertConfig,
-                                 force_zero_noise=False) -> TrainedModel:
+def train_objective_perturbation(cohort: Cohort,
+                                 config: ObjPertConfig) -> TrainedModel:
     """Private minimizer of the perturbed regularized logistic objective on
     the training records `cohort`.
 
-    force_zero_noise sets b = 0 and Delta = 0 (the beta -> infinity limit),
-    giving the non-private regularized minimizer, reported as a non-private
-    run with epsilon = inf and eps_p unused; intended for tests and
-    baselines only.
+    eps_p = inf is the beta -> infinity limit: b = 0 and Delta = 0, so the
+    result is the non-private regularized minimizer, reported as a
+    non-private run with epsilon = inf; it reads no seed. The grid's `none`
+    level trains this model.
     """
     y = cohort.labels
     if y.min() < 0 or y.max() > 1:
@@ -99,16 +99,14 @@ def train_objective_perturbation(cohort: Cohort, config: ObjPertConfig,
            "input_norm_bound": math.sqrt(config.record_norm_bound ** 2
                                          + 1.0),
            "smoothness_constant": SMOOTHNESS}
-    if force_zero_noise:
+    if math.isinf(config.eps_p):
         b, delta_reg = np.zeros(d + 1), 0.0
-        spend = accountant.PrivacySpend(epsilon=math.inf, delta=0.0)
         caveat = "non-private run"
     else:
         eps_prime, delta_reg, branch = budget_split(n, config)
         beta = eps_prime / (2.0 * log["input_norm_bound"])
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
         b = sample_noise_vector(d + 1, beta, rng)
-        spend = accountant.PrivacySpend(epsilon=config.eps_p, delta=0.0)
         log.update(eps_p=config.eps_p, eps_prime=eps_prime, beta=beta,
                    branch=branch, extra_regularization=delta_reg)
         caveat = "solver is deterministic; DP holds conditionally on b"
@@ -119,6 +117,7 @@ def train_objective_perturbation(cohort: Cohort, config: ObjPertConfig,
                                   tol=1e-8, max_iter=200, linear=b / n)
     params = models.ModelParams("lr-binary", solved.theta, d,
                                 l2_lambda=config.lam)
+    spend = accountant.PrivacySpend(epsilon=config.eps_p, delta=0.0)
     return TrainedModel(params=params, spend=spend, training_trace=[],
                         steps_taken=0, mechanism="objective-perturbation",
                         accounting_log=log)

@@ -279,14 +279,14 @@ def test_criterion_9_objective_perturbation():
                                  seed=seed)
         split = cohort.split_yearly(cohort.generate_cohort(cc), 2002)
 
-        def run_auroc(eps_p, force_zero_noise=False):
+        def run_auroc(eps_p):
             config = objpert.ObjPertConfig(eps_p=eps_p, lam=0.01, seed=seed)
-            trained = objpert.train_objective_perturbation(
-                split.train, config, force_zero_noise=force_zero_noise)
+            trained = objpert.train_objective_perturbation(split.train,
+                                                           config)
             scores = models.predict(trained.params, split.test.features)[:, 1]
             return metrics.auroc(scores, split.test.labels)
 
-        base = run_auroc(3.5e5, force_zero_noise=True)
+        base = run_auroc(math.inf)
         devs.append(abs(run_auroc(3.5e5) - base))
         degradations.append(base - run_auroc(3.54))
 

@@ -496,14 +496,13 @@ def test_io_header_only(tmp_path):
 
 def test_config_errors_name_field():
     with pytest.raises(ConfigurationError, match="positive_prevalence"):
-        cohort.CohortConfig(n=1000, d=3, positive_prevalence=1.5).validate()
+        cohort.CohortConfig(n=1000, d=3, positive_prevalence=1.5)
     with pytest.raises(ConfigurationError, match="group_prevalences"):
-        cohort.CohortConfig(n=1000, d=3,
-                            group_prevalences=(0.9, 0.3)).validate()
+        cohort.CohortConfig(n=1000, d=3, group_prevalences=(0.9, 0.3))
     with pytest.raises(ConfigurationError, match="yearly_drift"):
-        cohort.CohortConfig(n=1000, d=3, yearly_drift=-1.0).validate()
+        cohort.CohortConfig(n=1000, d=3, yearly_drift=-1.0)
     with pytest.raises(ConfigurationError, match="n:"):
-        cohort.CohortConfig(n=5, d=3).validate()
+        cohort.CohortConfig(n=5, d=3)
 
 
 def test_config_json_round_trip():

@@ -333,9 +333,9 @@ def test_noiseless_objpert_solved_once_per_pivot(tmp_path, monkeypatch):
     levels = []
     real = objective_perturbation.train_objective_perturbation
 
-    def counted(train, op_config, force_zero_noise=False):
-        levels.append("none" if force_zero_noise else "private")
-        return real(train, op_config, force_zero_noise=force_zero_noise)
+    def counted(train, op_config):
+        levels.append("none" if math.isinf(op_config.eps_p) else "private")
+        return real(train, op_config)
     monkeypatch.setattr(objective_perturbation,
                         "train_objective_perturbation", counted)
     cc = cohort.CohortConfig(n=900, d=4, positive_prevalence=0.3,
@@ -811,6 +811,30 @@ _PROBE_BASE = {
     ("audit-fairness", {"params": {**_PARAMS, "dims": {"d": 3, "k": 2,
                                                        "h": 16}}},
      "params.dims: unknown key(s): ['k']"),
+    # Grid values that exited 0 with a wrong report ...
+    ("run", {"cohort": _SMALL_COHORT, "influence_panel": -5},
+     "influence_panel"),
+    ("run", {"cohort": _SMALL_COHORT, "influence_train_cap": -1},
+     "influence_train_cap"),
+    ("run", {"cohort": _SMALL_COHORT, "tasks": [
+        {"name": "outcome"}, {"name": "outcome", "family": "mlp-1"}]},
+     "tasks: duplicate"),
+    ("run", {"cohort": _SMALL_COHORT, "seeds": [3, 3]}, "seeds: duplicate"),
+    ("run", {"cohort": _SMALL_COHORT, "privacy_levels": ["none", "none"]},
+     "privacy_levels: duplicate"),
+    ("run", {"cohort": _SMALL_COHORT, "mechanisms": ["dp-sgd", "dp-sgd"]},
+     "mechanisms: duplicate"),
+    # ... and grid values that failed every cell (exit 3).
+    ("run", {"cohort": _SMALL_COHORT, "epochs": -1}, "epochs"),
+    ("run", {"cohort": _SMALL_COHORT, "learning_rate": 0}, "learning_rate"),
+    ("run", {"cohort": _SMALL_COHORT, "microbatch_count": 7},
+     "microbatch_count"),
+    ("run", {"cohort": _SMALL_COHORT, "objpert_lambda": 0}, "objpert_lambda"),
+    ("run", {"cohort": _SMALL_COHORT, "influence_train_cap": 0},
+     "influence_train_cap"),
+    ("run", {"cohort": _SMALL_COHORT, "influence_test_cap": 0},
+     "influence_test_cap"),
+    ("run", {"cohort": _SMALL_COHORT, "influence_panel": 0}, "influence_panel"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-smoothness-constant", "objpert-missing", "objpert-unread-training",
         "objpert-unread-family-spec", "dp-sgd-unread-objpert",
@@ -832,7 +856,13 @@ _PROBE_BASE = {
         "cohort-group-prevalences-string", "cohort-years-string",
         "run-cohort-years-single", "run-task-unknown-family",
         "family-spec-multinomial", "cohort-num-classes",
-        "run-cohort-num-classes", "run-task-k", "params-dims-k"])
+        "run-cohort-num-classes", "run-task-k", "params-dims-k",
+        "run-panel-negative", "run-train-cap-negative",
+        "run-task-names-repeated", "run-seeds-repeated",
+        "run-levels-repeated", "run-mechanisms-repeated",
+        "run-epochs-negative", "run-learning-rate-zero",
+        "run-microbatches-not-dividing", "run-objpert-lambda-zero",
+        "run-train-cap-zero", "run-test-cap-zero", "run-panel-zero"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":
@@ -855,6 +885,73 @@ def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error: ") and key in err
+
+
+def _old_tables(report, shift_per_year):
+    """The report tables as the per-table f-string formulas wrote them."""
+    utility = ["task,level,mechanism,seed,year,auroc,auprc\n"]
+    malignancy = ["task,seed,year,malignancy_accuracy,p_value\n"]
+    fairness = ["task,level,mechanism,seed,year,auroc_gap,parity_gap,"
+                "recall_gap,specificity_gap\n"]
+    for cell in report["cells"]:
+        for row in cell.get("utility", {}).get("per_year", []):
+            utility.append(f"{cell['task']},{cell['level']},"
+                           f"{cell['mechanism']},{cell['seed']},{row['year']},"
+                           f"{row['auroc']!r},{row['auprc']!r}\n")
+        for row in cell.get("robustness", {}).get("per_year", []):
+            mal = row["malignancy_accuracy"]
+            malignancy.append(f"{cell['task']},{cell['seed']},{row['year']},"
+                              f"{'' if mal is None else repr(mal)},"
+                              f"{row['p_value']!r}\n")
+        for row in cell.get("fairness", []):
+            if "error" in row:
+                continue
+            vals = [row[k] for k in ("auroc_gap", "parity_gap",
+                                     "recall_gap", "specificity_gap")]
+            text = ",".join("" if v is None else repr(v) for v in vals)
+            fairness.append(f"{cell['task']},{cell['level']},"
+                            f"{cell['mechanism']},{cell['seed']},"
+                            f"{row['year']},{text}\n")
+    shift = ["year,malignancy_accuracy,p_value\n"]
+    for r in shift_per_year:
+        mal = r["malignancy_accuracy"]
+        shift.append(f"{r['year']},{'' if mal is None else repr(mal)},"
+                     f"{r['p_value']!r}\n")
+    return {"utility_by_year.csv": "".join(utility),
+            "malignancy.csv": "".join(malignancy),
+            "fairness_by_year.csv": "".join(fairness),
+            "shift.csv": "".join(shift)}
+
+
+def test_tables_keep_the_old_formula_bytes(tmp_path):
+    # One table writer gives each table the bytes of its old formula, with
+    # a None malignancy, None gaps, a failed fairness row and floats whose
+    # repr differs from str (np.float64, -0.0, 1e-300).
+    per_year = [{"year": 2002, "malignancy_accuracy": None,
+                 "p_value": 0.16312268613743},
+                {"year": 2003, "malignancy_accuracy": 0.92,
+                 "p_value": np.float64(6.1e-05)}]
+    report = {"cells": [
+        {"task": "outcome", "level": "none", "mechanism": "dp-sgd",
+         "seed": 7,
+         "utility": {"per_year": [
+             {"year": 2002, "auroc": 0.9123, "auprc": np.float64(0.5)},
+             {"year": 2003, "auroc": -0.0, "auprc": 1e-300}]},
+         "robustness": {"per_year": per_year},
+         "fairness": [{"year": 2002, "error": "no group 1"},
+                      {"year": 2003, "auroc_gap": None, "parity_gap": 0.25,
+                       "recall_gap": None, "specificity_gap": -0.125}]},
+        {"task": "t2", "level": "high", "mechanism": "objective-perturbation",
+         "seed": 0, "error": "DomainError: empty"}]}
+    config = harness.ExperimentConfig(
+        cohort=cohort.CohortConfig(n=600, d=4), out_dir=str(tmp_path))
+    harness._write_reports(config, report)
+    harness.write_table(str(tmp_path / "shift.csv"),
+                        harness.MALIGNANCY_COLUMNS,
+                        ([r[k] for k in harness.MALIGNANCY_COLUMNS]
+                         for r in per_year))
+    for name, text in _old_tables(report, per_year).items():
+        assert (tmp_path / name).read_text() == text, name
 
 
 @pytest.mark.parametrize("mechanism, section", [
@@ -1078,7 +1175,7 @@ def test_write_json_keeps_json_dump_bytes(tmp_path):
     payload = {"b": [0.1, -0.0, 1e-300, 3, None, True, "inf"],
                "a": {"z": {"y": []}, "x": [{"w": 2.5}, {}]}}
     path = tmp_path / "out.json"
-    harness._write_json(str(path), payload)
+    harness.write_json(str(path), payload)
     want = tmp_path / "want.json"
     with open(want, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)

@@ -69,7 +69,7 @@ def _one(params, X, y, clip_norm, m):
     """models.clipped_grad_sum of the stack of params alone."""
     loss, total, norms = models.clipped_grad_sum(
         params, params.theta[None], np.asarray(X, dtype=float)[None],
-        np.asarray(y)[None], None if clip_norm is None else [clip_norm], m)
+        np.asarray(y)[None], [clip_norm], m)
     return loss[0], total[0], None if norms is None else norms[0]
 
 
@@ -77,7 +77,7 @@ def test_loss_ln2_at_zero_theta():
     params = models.init_params("lr-binary", 2)
     X = np.random.default_rng(0).normal(size=(10, 2))
     y = np.array([0, 1] * 5)
-    loss, _, _ = _one(params, X, y, None, 1)
+    loss, _, _ = _one(params, X, y, np.inf, 1)
     assert abs(loss - np.log(2)) < 1e-9
 
 
@@ -123,7 +123,7 @@ def test_ridge_rows_mean_to_full_batch_gradient(rng):
 def test_empty_subset_error():
     params = models.init_params("lr-binary", 3)
     with pytest.raises(DomainError):
-        _one(params, np.empty((0, 3)), np.empty(0, dtype=int), None, 1)
+        _one(params, np.empty((0, 3)), np.empty(0, dtype=int), np.inf, 1)
 
 
 @st.composite
@@ -132,7 +132,7 @@ def _clipping_cases(draw):
     n = draw(st.integers(1, 12))
     m = draw(st.sampled_from([m for m in range(1, n + 1) if n % m == 0]))
     lam = draw(st.sampled_from([0.0, 0.3]))
-    clip_norm = draw(st.one_of(st.none(), st.floats(1e-3, 1e3)))
+    clip_norm = draw(st.one_of(st.just(np.inf), st.floats(1e-3, 1e3)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = int(rng.integers(1, 5))
     params = _random_params(family, d, rng, h=4, l2_lambda=lam)
@@ -145,16 +145,17 @@ def _clipping_cases(draw):
 @given(case=_clipping_cases())
 def test_clipped_grad_sum_matches_per_example_oracle(case):
     # Oracle: the n x |theta| per-record matrix, averaged into microbatches
-    # and clipped row by row with clip_gradient.
+    # and clipped row by row with clip_gradient; at clip norm inf, one
+    # unclipped unit.
     params, X, y, clip_norm, m = case
     loss, total, norms = _one(params, X, y, clip_norm, m)
     ref_loss, G = loss_and_per_example_grads(params, X, y)
-    means = G.reshape(m, X.shape[0] // m, -1).mean(axis=1)
     assert loss == ref_loss
-    if clip_norm is None:
+    if clip_norm == np.inf:
         assert norms is None
-        rows = means
+        rows = G.mean(axis=0)[None]
     else:
+        means = G.reshape(m, X.shape[0] // m, -1).mean(axis=1)
         np.testing.assert_allclose(norms, np.linalg.norm(means, axis=1),
                                    rtol=1e-12, atol=0)
         rows = clip_gradient(means, clip_norm)
@@ -166,7 +167,8 @@ def test_clipped_grad_sum_matches_per_example_oracle(case):
 @given(case=_clipping_cases(), seed=st.integers(0, 2 ** 32 - 1))
 def test_clipped_grad_sum_stack_matches_frozen_per_model(case, seed):
     # Each model of a stack gets, bit for bit, the per-model clipped sum of
-    # the frozen 2-D pass, whatever its companions and their clip norms.
+    # the frozen 2-D pass, whatever its companions and their clip norms; a
+    # model of clip norm inf gets the frozen unclipped sum of one unit.
     params, X, y, clip_norm, m = case
     rng = np.random.default_rng(seed)
     R = 3
@@ -174,18 +176,18 @@ def test_clipped_grad_sum_stack_matches_frozen_per_model(case, seed):
                        rng.normal(scale=0.5, size=(R - 1, params.theta.size))])
     Xs = np.stack([X, *(rng.normal(size=(R - 1, *X.shape)) * 10.0)])
     ys = np.stack([y, *rng.integers(2, size=(R - 1, len(y)))])
-    clips = (None if clip_norm is None
-             else [clip_norm, *rng.uniform(1e-3, 1e3, size=R - 1)])
+    clips = [clip_norm, *rng.uniform(1e-3, 1e3, size=R - 1)]
     loss, total, norms = models.clipped_grad_sum(params, theta, Xs, ys,
                                                  clips, m)
     for r in range(R):
+        clipped = clips[r] < np.inf
         ref = trainer_parent.clipped_grad_sum(
             params.copy_with(theta[r]), Xs[r], ys[r],
-            None if clips is None else clips[r], m)
+            clips[r] if clipped else None, m if clipped else 1)
         assert loss[r] == ref[0]
         assert np.array_equal(total[r], ref[1])
-        assert (norms is None) == (ref[2] is None)
-        assert norms is None or np.array_equal(norms[r], ref[2])
+        assert (ref[2] is None) == (not clipped)
+        assert not clipped or np.array_equal(norms[r], ref[2])
 
 
 @settings(max_examples=30, deadline=None)
@@ -201,7 +203,7 @@ def test_clipped_grad_sum_unclipped_rows_are_one_unit(case, seed):
                        rng.normal(scale=0.5, size=(R - 1, params.theta.size))])
     Xs = np.stack([X, *(rng.normal(size=(R - 1, *X.shape)) * 10.0)])
     ys = np.stack([y, *rng.integers(2, size=(R - 1, len(y)))])
-    clips = [clip_norm or 1.0, np.inf, float(rng.uniform(1e-3, 1e3)), np.inf]
+    clips = [clip_norm, np.inf, float(rng.uniform(1e-3, 1e3)), np.inf]
     loss, total, norms = models.clipped_grad_sum(params, theta, Xs, ys,
                                                  clips, m)
     for r in range(R):
@@ -299,8 +301,10 @@ def test_clipped_grad_sum_errors(rng):
             _one(params, X, y, 1.0, m)
     with pytest.raises(DomainError):
         _one(params, X, y, 0.0, 3)
-    with pytest.raises(DomainError, match="labels"):
-        _one(params, X, np.full(6, 2), 1.0, 3)
+    # inf is the one unclipped form: None is no clip norm.
+    with pytest.raises(DomainError):
+        models.clipped_grad_sum(params, params.theta[None], X[None],
+                                y[None], None, 3)
     with pytest.raises(ShapeError):
         _one(params, X[:, :2], y, 1.0, 3)
 

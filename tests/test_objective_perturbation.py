@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dp_tails import cohort, metrics, models, objective_perturbation as op
+from dp_tails import (cohort, harness, metrics, models,
+                      objective_perturbation as op)
 from dp_tails.errors import (ConfigurationError, DomainError,
                              UnsupportedFamilyError)
 
@@ -135,12 +136,16 @@ def test_output_optimality():
     assert np.linalg.norm(grad) <= 1e-8
 
 
-def test_zero_noise_limit_equals_non_private_minimizer():
-    c = make_cohort(n=600, d=5, prevalence=0.3, years=(2001, 2002), seed=1)
-    split = _split_of(c)
-    config = op.ObjPertConfig(eps_p=1.0, lam=0.1, seed=1)
-    trained = op.train_objective_perturbation(split.train, config,
-                                              force_zero_noise=True)
+def test_zero_noise_limit_equals_non_private_minimizer(tmp_path):
+    # eps_p = inf is the beta -> infinity limit: b = 0 and Delta = 0, so
+    # the model is the unperturbed rescaled minimizer whatever the seed,
+    # logged as a non-private run with no budget split; the grid's `none`
+    # cells report that model.
+    cc = cohort.CohortConfig(n=600, d=5, positive_prevalence=0.3,
+                             years=(2001, 2002), class_separation=2.0, seed=1)
+    split = _split_of(cohort.generate_cohort(cc))
+    config = op.ObjPertConfig(eps_p=math.inf, lam=0.1, seed=1)
+    trained = op.train_objective_perturbation(split.train, config)
 
     # Direct Newton solve of the unperturbed rescaled objective.
     train = split.train
@@ -148,6 +153,33 @@ def test_zero_noise_limit_equals_non_private_minimizer():
     X = train.features / np.maximum(1.0, norms)[:, None]
     theta = models.fit_lr_newton(X, train.labels, l2_lambda=0.1).theta
     assert np.max(np.abs(trained.params.theta - theta)) < 1e-6
+    exact = models.fit_lr_newton(X, train.labels, l2_lambda=0.1, tol=1e-8,
+                                 max_iter=200, linear=np.zeros(train.d + 1))
+    assert np.array_equal(trained.params.theta, exact.theta)
+    assert trained.accounting_log == {
+        "mechanism": "objective-perturbation", "lambda": 0.1,
+        "record_norm_bound": 1.0, "input_norm_bound": math.sqrt(2.0),
+        "smoothness_constant": op.SMOOTHNESS,
+        "caveats": ["non-private run",
+                    "record features rescaled to norm <= C before solving"]}
+    assert trained.spend.to_dict() == {"epsilon": "inf", "delta": 0.0,
+                                       "argmin_order": None}
+    reseeded = op.train_objective_perturbation(
+        split.train, op.ObjPertConfig(eps_p=math.inf, lam=0.1, seed=9))
+    assert reseeded.to_dict() == trained.to_dict()
+
+    # The grid's `none` cell at the same lambda reports this model.
+    grid = harness.ExperimentConfig(
+        cohort=cc, privacy_levels=["none"],
+        mechanisms=["objective-perturbation"], seeds=[3],
+        audits=["utility"], objpert_lambda=0.1, out_dir=str(tmp_path))
+    report, failures = harness.run_experiment(grid)
+    assert failures == 0
+    row, = report["cells"][0]["utility"]["per_year"]
+    assert row["accounting_log"] == trained.accounting_log
+    assert row["spend"] == trained.spend.to_dict()
+    scores = models.predict(trained.params, split.test.features)[:, 1]
+    assert row["auroc"] == metrics.auroc(scores, split.test.labels)
 
 
 def test_huge_epsilon_matches_zero_noise_run():
@@ -156,8 +188,7 @@ def test_huge_epsilon_matches_zero_noise_run():
     noisy = op.train_objective_perturbation(
         split.train, op.ObjPertConfig(eps_p=3.5e5, lam=0.05, seed=2))
     clean = op.train_objective_perturbation(
-        split.train, op.ObjPertConfig(eps_p=3.5e5, lam=0.05, seed=2),
-        force_zero_noise=True)
+        split.train, op.ObjPertConfig(eps_p=math.inf, lam=0.05, seed=2))
     assert np.max(np.abs(noisy.params.theta - clean.params.theta)) < 1e-3
 
 
@@ -199,8 +230,10 @@ def test_utility_degradation_trend():
 
 
 def test_errors():
-    with pytest.raises(ConfigurationError):
-        op.ObjPertConfig(eps_p=0.0, lam=0.1)
+    # inf is the noiseless limit; NaN is no budget at all.
+    for eps_p in (0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="eps_p"):
+            op.ObjPertConfig(eps_p=eps_p, lam=0.1)
     with pytest.raises(ConfigurationError):
         op.ObjPertConfig(eps_p=1.0, lam=0.0)
     c = raw_cohort(np.eye(4), [0, 1, 2, 1], years=[2001, 2001, 2001, 2002])
