@@ -170,10 +170,9 @@ def cmd_audit_fairness(args):
     cohort = _read_cohort(cfg.cohort_csv)
     params = models.ModelParams.from_dict(cfg.params)
     scores = models.predict(params, cohort.features)[:, 1]
-    report = fairness_audit.fairness_gaps(
+    harness.write_json(args.out, fairness_audit.fairness_gaps(
         scores, cohort.labels, cohort.groups, g1=cfg.group_1, g2=cfg.group_2,
-        threshold=cfg.threshold)
-    harness.write_json(args.out, report.to_dict())
+        threshold=cfg.threshold))
     return 0
 
 

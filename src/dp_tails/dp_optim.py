@@ -65,6 +65,9 @@ class DPTrainingConfig:
                 "clip_norm: must be finite and > 0, or absent")
         if self.noise_multiplier < 0:
             raise ConfigurationError("noise_multiplier: must be >= 0")
+        if self.noise_multiplier > 0 and self.clip_norm is None:
+            raise ConfigurationError(
+                "noise_multiplier: > 0 needs a clip_norm to scale the noise")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigurationError("batch_size/epochs: must be positive")
         if (self.microbatch_count < 1

@@ -133,10 +133,6 @@ class InsufficientDataError(DPTailsError):
     """Too few records to run the audit."""
 
 
-class ProcedureOrderError(DPTailsError):
-    """Audit steps invoked out of their required order."""
-
-
 class AssignmentError(DPTailsError):
     """A record id is missing from a required assignment map."""
 

@@ -12,43 +12,10 @@ with a reason, never as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import metrics
 from .errors import DomainError, UndefinedMetricError
-
-
-@dataclass
-class FairnessReport:
-    group_1: int
-    group_2: int
-    threshold: float
-    auroc_gap: float | None
-    parity_gap: float | None
-    recall_gap: float | None
-    specificity_gap: float | None
-    per_group_confusion: dict
-    per_group_auroc: dict
-    undefined_reasons: dict = field(default_factory=dict)
-
-    def gaps(self):
-        return {"auroc_gap": self.auroc_gap, "parity_gap": self.parity_gap,
-                "recall_gap": self.recall_gap,
-                "specificity_gap": self.specificity_gap}
-
-    def to_dict(self):
-        return {
-            "group_1": self.group_1, "group_2": self.group_2,
-            "threshold": self.threshold, **self.gaps(),
-            "per_group_confusion": {
-                g: {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
-                for g, c in self.per_group_confusion.items()},
-            "per_group_auroc": self.per_group_auroc,
-            "undefined_reasons": self.undefined_reasons,
-            "sign_convention": "positive values favor group_1",
-        }
 
 
 def _rates(cm: metrics.ConfusionMatrix):
@@ -59,7 +26,10 @@ def _rates(cm: metrics.ConfusionMatrix):
     return out
 
 
-def fairness_gaps(scores, labels, groups, g1, g2, threshold=0.5) -> FairnessReport:
+def fairness_gaps(scores, labels, groups, g1, g2, threshold=0.5):
+    """The fairness report row of groups g1 and g2: the four gaps, each
+    group's confusion counts and AUROC (keyed by int group id), and why any
+    gap or AUROC is undefined."""
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(labels).ravel().astype(np.int64)
     g = np.asarray(groups).ravel().astype(np.int64)
@@ -94,13 +64,16 @@ def fairness_gaps(scores, labels, groups, g1, g2, threshold=0.5) -> FairnessRepo
     else:
         reasons.setdefault("auroc_gap", "AUROC undefined in one group")
 
-    return FairnessReport(
-        group_1=int(g1), group_2=int(g2), threshold=float(threshold),
-        auroc_gap=auroc_gap,
-        parity_gap=gap("parity"),
-        recall_gap=gap("recall"),
-        specificity_gap=gap("specificity"),
-        per_group_confusion=cms,
-        per_group_auroc=aurocs,
-        undefined_reasons=reasons,
-    )
+    return {
+        "group_1": int(g1), "group_2": int(g2), "threshold": float(threshold),
+        "auroc_gap": auroc_gap,
+        "parity_gap": gap("parity"),
+        "recall_gap": gap("recall"),
+        "specificity_gap": gap("specificity"),
+        "per_group_confusion": {
+            gid: {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
+            for gid, c in cms.items()},
+        "per_group_auroc": aurocs,
+        "undefined_reasons": reasons,
+        "sign_convention": "positive values favor group_1",
+    }

@@ -61,9 +61,10 @@ class ExperimentConfig:
     influence_panel: int = influence.DEFAULT_PANEL
 
     def __post_init__(self):
-        if not self.seeds or not self.tasks or not self.privacy_levels:
-            raise ConfigurationError(
-                "seeds/tasks/privacy_levels: must be nonempty")
+        for name in ("seeds", "tasks", "privacy_levels", "mechanisms",
+                     "audits"):
+            if not getattr(self, name):
+                raise ConfigurationError(f"{name}: must be nonempty")
         for level in self.privacy_levels:
             if not isinstance(level, str):
                 raise ConfigurationError(
@@ -101,9 +102,12 @@ class ExperimentConfig:
 
 def _family_spec(task, where):
     """The models.FamilySpec of a grid task: a string `name` plus any
-    FamilySpec field."""
-    if not isinstance(task, dict) or not isinstance(task.get("name"), str):
-        raise ConfigurationError(f"{where}: needs a string 'name'")
+    FamilySpec field. The name is a CSV cell and part of the
+    task|level|seed keys, so it is nonempty and holds no , " | CR or LF."""
+    name = task.get("name") if isinstance(task, dict) else None
+    if not isinstance(name, str) or not name or set(name) & set(',"|\r\n'):
+        raise ConfigurationError(
+            f"{where}: needs a nonempty string 'name' without , \" | CR or LF")
     return config_from_dict(models.FamilySpec,
                             {k: v for k, v in task.items() if k != "name"},
                             where)
@@ -192,9 +196,8 @@ def _aggregate(rows):
 
 def _fairness_audit(pivot, split, scores):
     try:
-        report = fairness_audit.fairness_gaps(
-            scores, split.test.labels, split.test.groups, g1=0, g2=1)
-        return {"year": int(pivot), **report.to_dict()}
+        return {"year": int(pivot), **fairness_audit.fairness_gaps(
+            scores, split.test.labels, split.test.groups, g1=0, g2=1)}
     except DPTailsError as exc:
         return {"year": int(pivot), "error": str(exc)}
 
@@ -288,14 +291,12 @@ def _run_cells(base, task, mechanism, cells, config):
 
 
 def run_experiment(config: ExperimentConfig):
-    """Execute the full grid; failed cells are recorded, not fatal.
+    """Execute the full grid; failed cells are recorded, not fatal, and a
+    grid on which no audit runs raises ConfigurationError.
 
     Returns (report dict, number of failed cells) and writes report.json
     plus the figure-feeding CSV tables under config.out_dir.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
-    base = cohort_mod.generate_cohort(config.cohort)
-
     cells = []
     by_group = {}
     for (t, task), level, mechanism, seed in itertools.product(
@@ -312,6 +313,11 @@ def run_experiment(config: ExperimentConfig):
         if audits:
             by_group.setdefault((t, mechanism), []).append(
                 _CellAudits(cell, audits))
+    if not by_group:
+        raise ConfigurationError(
+            f"audits: none of {config.audits} runs on {config.mechanisms}")
+    os.makedirs(config.out_dir, exist_ok=True)
+    base = cohort_mod.generate_cohort(config.cohort)
     for (t, mechanism), states in by_group.items():
         _run_cells(base, config.tasks[t], mechanism, states, config)
     failures = sum("error" in cell for cell in cells)

@@ -8,8 +8,9 @@ the model's parameters and g the plain per-record cross-entropy gradients.
 Sign convention (fixed empirically by the leave-one-out retraining
 oracle): removing a training point changes the test loss by approximately
 -value/n, so NEGATIVE values are HELPFUL (their removal raises the test
-loss) and positive values are harmful. Summaries and frequency tables use
-that orientation throughout and every report states it.
+loss) and positive values are harmful. Group summaries and frequency
+tables use that orientation throughout; influence_summary, the report that
+holds them, states it.
 """
 
 from __future__ import annotations
@@ -36,30 +37,6 @@ class InfluenceMatrix:
     test_ids: np.ndarray
 
 
-@dataclass
-class GroupInfluenceSummary:
-    per_group_test: dict     # group -> vector over test points (row sums)
-    group_means: dict
-    group_stds: dict
-    most_helpful_group: int
-    most_harmful_group: int
-    sign_convention: str = SIGN_CONVENTION
-
-    def to_dict(self):
-        return {"means": self.group_means, "stds": self.group_stds,
-                "most_helpful_group": self.most_helpful_group,
-                "most_harmful_group": self.most_harmful_group}
-
-
-@dataclass
-class InfluencerFrequencyTable:
-    direction: str           # "helpful" | "harmful"
-    counts: dict             # train id -> count of test points
-    n_test: int
-    concentration: float     # max count / n_test
-    sign_convention: str = SIGN_CONVENTION
-
-
 class InfluenceEngine:
     """Shared Hessian factorization over a fixed (model, train cohort)."""
 
@@ -74,7 +51,6 @@ class InfluenceEngine:
                 "need l2_lambda + damping > 0 for an invertible Hessian")
         self.params = params
         self.damping = float(damping)
-        self.train_cohort = train_cohort
         self.hessian = models.lr_hessian(params, train_cohort.features,
                                          damping=damping)
         try:
@@ -113,8 +89,10 @@ class InfluenceEngine:
                                test_ids=test_subset.ids.copy())
 
 
-def group_influence(matrix: InfluenceMatrix, assignment) -> GroupInfluenceSummary:
-    """Group influence per test point is the exact sum of member rows."""
+def group_influence(matrix: InfluenceMatrix, assignment):
+    """Per group of training records, the mean and std over test points of
+    the group's influence, the exact sum of its member rows; and the most
+    helpful and most harmful group."""
     ids = matrix.train_ids.tolist()
     missing = [int(i) for i in ids if i not in assignment]
     if missing:
@@ -126,12 +104,9 @@ def group_influence(matrix: InfluenceMatrix, assignment) -> GroupInfluenceSummar
     means = {g: float(v.mean()) for g, v in per_group.items()}
     stds = {g: float(v.std()) for g, v in per_group.items()}
     # Helpful = most negative mean under the LOO-fixed sign convention.
-    most_helpful = min(groups, key=lambda g: (means[g], g))
-    most_harmful = max(groups, key=lambda g: (means[g], -g))
-    return GroupInfluenceSummary(per_group_test=per_group, group_means=means,
-                                 group_stds=stds,
-                                 most_helpful_group=most_helpful,
-                                 most_harmful_group=most_harmful)
+    return {"means": means, "stds": stds,
+            "most_helpful_group": min(groups, key=lambda g: (means[g], g)),
+            "most_harmful_group": max(groups, key=lambda g: (means[g], -g))}
 
 
 def top_variance_test_points(matrix: InfluenceMatrix, k=100):
@@ -143,7 +118,10 @@ def top_variance_test_points(matrix: InfluenceMatrix, k=100):
     return [int(matrix.test_ids[j]) for j in order[:k]]
 
 
-def influencer_frequency(matrix: InfluenceMatrix, direction) -> InfluencerFrequencyTable:
+def influencer_frequency(matrix: InfluenceMatrix, direction):
+    """How often each training record is a test point's most helpful (or
+    most harmful) one: `counts` by str train id in id order, and
+    `concentration`, the largest count over the number of test points."""
     if matrix.values.size == 0:
         raise DomainError("empty influence matrix")
     if direction not in ("helpful", "harmful"):
@@ -158,10 +136,9 @@ def influencer_frequency(matrix: InfluenceMatrix, direction) -> InfluencerFreque
     for col in range(vals.shape[1]):
         tid = int(sorted_ids[pick[col]])
         counts[tid] = counts.get(tid, 0) + 1
-    n_test = vals.shape[1]
-    concentration = max(counts.values()) / n_test
-    return InfluencerFrequencyTable(direction=direction, counts=counts,
-                                    n_test=n_test, concentration=concentration)
+    # Str keys, so json's sort_keys keeps the id order.
+    return {"concentration": max(counts.values()) / vals.shape[1],
+            "counts": {str(k): v for k, v in sorted(counts.items())}}
 
 
 def influence_summary(matrix: InfluenceMatrix, train_cohort,
@@ -185,14 +162,11 @@ def influence_summary(matrix: InfluenceMatrix, train_cohort,
         panel, dict(zip(ids, train_cohort.labels.tolist())))
     by_group = group_influence(
         panel, dict(zip(ids, train_cohort.groups.tolist())))
-    freq = influencer_frequency(panel, "helpful")
     return {
         "sign_convention": SIGN_CONVENTION,
         "panel_size": panel_k,
         "max_abs_influence": float(np.abs(panel.values).max()),
-        "by_label": by_label.to_dict(),
-        "by_group": by_group.to_dict(),
-        "helpful_frequency": {
-            "concentration": freq.concentration,
-            "counts": {str(k): v for k, v in sorted(freq.counts.items())}},
+        "by_label": by_label,
+        "by_group": by_group,
+        "helpful_frequency": influencer_frequency(panel, "helpful"),
     }

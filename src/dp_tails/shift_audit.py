@@ -13,47 +13,19 @@ report through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import metrics, models
 from .cohort import Cohort, CohortSplit, stable_seed
-from .errors import DPTailsError, InsufficientDataError, ProcedureOrderError
+from .errors import DPTailsError, InsufficientDataError
 
 ALPHA = 0.05
 
 
-@dataclass
-class ShiftReport:
-    year: int
-    domain_accuracy: float
-    n_eval: int
-    p_value: float
-    significant: bool
-    malignancy_accuracy: float | None = None
-    notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "year": self.year,
-            "domain_accuracy": self.domain_accuracy,
-            "n_eval": self.n_eval,
-            "p_value": self.p_value,
-            "significant": self.significant,
-            "malignancy_accuracy": self.malignancy_accuracy,
-            "notes": self.notes,
-        }
-
-
-def _default_domain_fit(X, y, seed):
-    params = models.fit_lr_newton(X, y, l2_lambda=1e-2)
-    return lambda feats: models.predict(params, feats)[:, 1]
-
-
 def domain_classifier_significance(train_cohort: Cohort, test_cohort: Cohort,
-                                   seed=0, year=0, fit_fn=None):
-    """Returns (ShiftReport without malignancy, domain scorer callable)."""
+                                   seed=0, year=0):
+    """(row, domain): the year's shift-report row, its malignancy_accuracy
+    None, and the domain classifier's ModelParams (class 1 = test)."""
     if train_cohort.n < 10 or test_cohort.n < 10:
         raise InsufficientDataError(
             "need at least 10 records on each side of the shift test")
@@ -82,42 +54,36 @@ def domain_classifier_significance(train_cohort: Cohort, test_cohort: Cohort,
     fit_rows = np.concatenate(fit_rows)
     eval_rows = np.concatenate(eval_rows)
 
-    fit_fn = fit_fn or _default_domain_fit
-    scorer = fit_fn(X[fit_rows], origin[fit_rows], seed)
-
-    eval_scores = np.asarray(scorer(X[eval_rows]), dtype=float)
+    domain = models.fit_lr_newton(X[fit_rows], origin[fit_rows],
+                                  l2_lambda=1e-2)
+    eval_scores = models.predict(domain, X[eval_rows])[:, 1]
     correct = int(np.sum((eval_scores >= 0.5).astype(int) == origin[eval_rows]))
     n_eval = len(eval_rows)
-    accuracy = correct / n_eval
     result = metrics.binomial_test(correct, n_eval, 0.5)
-    report = ShiftReport(
-        year=int(year),
-        domain_accuracy=accuracy,
-        n_eval=n_eval,
-        p_value=result.p_value,
-        significant=result.p_value < ALPHA,
-        notes=["balanced mixture, stratified 70/30 fit/eval split"],
-    )
-    return report, scorer
+    row = {
+        "year": int(year),
+        "domain_accuracy": correct / n_eval,
+        "n_eval": n_eval,
+        "p_value": result.p_value,
+        "significant": result.p_value < ALPHA,
+        "malignancy_accuracy": None,
+        "notes": ["balanced mixture, stratified 70/30 fit/eval split"],
+    }
+    return row, domain
 
 
-def shift_malignancy(report: ShiftReport, test_cohort: Cohort, domain_scorer,
-                     task_params: models.ModelParams, top_k=100) -> float:
-    """Task accuracy on the test records most confidently flagged as
-    test-distribution; requires a significant report first."""
-    if not report.significant:
-        raise ProcedureOrderError(
-            "malignancy is only diagnosed after a significant shift test")
-    scores = np.asarray(domain_scorer(test_cohort.features), dtype=float)
+def shift_malignancy(test_cohort: Cohort, domain: models.ModelParams,
+                     task_params: models.ModelParams, top_k=100):
+    """(accuracy, k): the task model's accuracy on the k = min(top_k, n)
+    test records the domain classifier most confidently places in the test
+    distribution, ties broken by id."""
+    scores = models.predict(domain, test_cohort.features)[:, 1]
     k = min(top_k, test_cohort.n)
     order = np.lexsort((test_cohort.ids, -scores))
     chosen = order[:k]
     probs = models.predict(task_params, test_cohort.features[chosen])[:, 1]
     preds = (probs >= 0.5).astype(int)
-    acc = float(np.mean(preds == test_cohort.labels[chosen]))
-    report.malignancy_accuracy = acc
-    report.notes.append(f"malignancy over top {k} most-confident test records")
-    return acc
+    return float(np.mean(preds == test_cohort.labels[chosen])), k
 
 
 def robustness_correlation(generalization_gaps, malignancies) -> metrics.TestResult:
@@ -153,7 +119,7 @@ class RobustnessAudit:
             test_scores=None):
         """Audit one pivot; test_scores, when given, are the task model's
         P(y = 1) on split.test, which it then does not score again."""
-        report, scorer = domain_classifier_significance(
+        row, domain = domain_classifier_significance(
             split.train, split.test,
             seed=stable_seed(self.seed, "shift", pivot), year=pivot)
         half = split.train.n // 2
@@ -166,9 +132,12 @@ class RobustnessAudit:
                    - metrics.auroc(out_scores, split.test.labels))
         except DPTailsError:
             gap = None
-        if report.significant:
-            shift_malignancy(report, split.test, scorer, task_params)
-        self._shifts.append((report.to_dict(), gap))
+        if row["significant"]:
+            row["malignancy_accuracy"], k = shift_malignancy(
+                split.test, domain, task_params)
+            row["notes"].append(
+                f"malignancy over top {k} most-confident test records")
+        self._shifts.append((row, gap))
 
     def report(self):
         pairs = [(gap, row["malignancy_accuracy"])

@@ -195,8 +195,8 @@ def test_criterion_6_group_influence_flip():
             by_group = influence.group_influence(
                 panels[level],
                 {int(i): int(g) for i, g in zip(sub.ids, sub.groups)})
-            helpful_label[level] = by_label.most_helpful_group
-            helpful_attr[level] = by_group.most_helpful_group
+            helpful_label[level] = by_label["most_helpful_group"]
+            helpful_attr[level] = by_group["most_helpful_group"]
         # Minority label (1, prevalence 0.1) most helpful without privacy;
         # majority label (0) takes over under high privacy. Same direction
         # for the label-associated attribute group.
@@ -213,9 +213,8 @@ def test_criterion_7_shift_calibration_power_malignancy():
     for trial in range(100):
         a = make_cohort(n=400, d=5, seed=2 * trial)
         b = make_cohort(n=400, d=5, seed=2 * trial + 1)
-        report, _ = shift_audit.domain_classifier_significance(
-            a, b, seed=trial)
-        false_hits += report.significant
+        row, _ = shift_audit.domain_classifier_significance(a, b, seed=trial)
+        false_hits += row["significant"]
     detections = 0
     direction = np.zeros(5)
     direction[0] = 1.0
@@ -223,21 +222,20 @@ def test_criterion_7_shift_calibration_power_malignancy():
         a = make_cohort(n=1000, d=5, seed=trial)
         b = test_shift_audit._shifted_copy(
             make_cohort(n=1000, d=5, seed=1000 + trial), direction, 2.0)
-        report, _ = shift_audit.domain_classifier_significance(
-            a, b, seed=trial)
-        detections += report.significant
+        row, _ = shift_audit.domain_classifier_significance(a, b, seed=trial)
+        detections += row["significant"]
 
     split, params, _, ortho = test_shift_audit._task_setup()
     baseline = test_shift_audit._baseline_accuracy(params, split.test)
     malignant = test_shift_audit._shifted_copy(split.test, ortho, 2.0)
     malignant.labels[:] = 1 - malignant.labels
-    report, scorer = shift_audit.domain_classifier_significance(
+    _, domain = shift_audit.domain_classifier_significance(
         split.train, malignant, seed=0, year=2002)
-    mal_acc = shift_audit.shift_malignancy(report, malignant, scorer, params)
+    mal_acc, _ = shift_audit.shift_malignancy(malignant, domain, params)
     benign = test_shift_audit._shifted_copy(split.test, ortho, 2.0)
-    report, scorer = shift_audit.domain_classifier_significance(
+    _, domain = shift_audit.domain_classifier_significance(
         split.train, benign, seed=0, year=2002)
-    ben_acc = shift_audit.shift_malignancy(report, benign, scorer, params)
+    ben_acc, _ = shift_audit.shift_malignancy(benign, domain, params)
 
     ok = (false_hits <= 10 and detections >= 95 and mal_acc < 0.5
           and abs(ben_acc - baseline) <= 0.1)
@@ -247,21 +245,20 @@ def test_criterion_7_shift_calibration_power_malignancy():
 
 
 def test_criterion_8_fairness_exactness():
-    from test_fairness_audit import _from_confusions
+    from test_fairness_audit import GAPS, _from_confusions
     scores, labels, groups = _from_confusions({1: (4, 1, 1, 4),
                                                2: (2, 2, 2, 4)})
     fwd = fairness_audit.fairness_gaps(scores, labels, groups, 1, 2)
     rev = fairness_audit.fairness_gaps(scores, labels, groups, 2, 1)
-    exact = (abs(fwd.parity_gap - 0.1) <= 1e-12
-             and abs(fwd.recall_gap - 0.3) <= 1e-12
-             and abs(fwd.specificity_gap - (4 / 5 - 4 / 6)) <= 1e-12)
-    antisym = all(rev.gaps()[k] == -v for k, v in fwd.gaps().items()
-                  if v is not None)
+    exact = (abs(fwd["parity_gap"] - 0.1) <= 1e-12
+             and abs(fwd["recall_gap"] - 0.3) <= 1e-12
+             and abs(fwd["specificity_gap"] - (4 / 5 - 4 / 6)) <= 1e-12)
+    antisym = all(rev[k] == -fwd[k] for k in GAPS if fwd[k] is not None)
     same_scores, same_labels, same_groups = _from_confusions(
         {0: (3, 2, 1, 4), 1: (3, 2, 1, 4)})
     zero = fairness_audit.fairness_gaps(same_scores, same_labels,
                                         same_groups, 0, 1)
-    zeros = all(v == 0.0 for v in zero.gaps().values())
+    zeros = all(zero[k] == 0.0 for k in GAPS)
     r_pos = metrics.pearson([1, 2, 3], [2, 4, 6]).statistic == 1.0
     r_neg = metrics.pearson([1, 2, 3], [6, 4, 2]).statistic == -1.0
     r_mid = abs(metrics.pearson([1, 2, 3, 4], [1, 3, 2, 4]).statistic

@@ -83,6 +83,13 @@ def test_config_level_binding():
         dp_optim.DPTrainingConfig.from_level("medium")
 
 
+def test_config_refuses_noise_without_clip_norm():
+    with pytest.raises(ConfigurationError, match="noise_multiplier"):
+        dp_optim.DPTrainingConfig(noise_multiplier=1.0)
+    none = dp_optim.DPTrainingConfig.from_level("none")
+    assert (none.clip_norm, none.noise_multiplier) == (None, 0.0)
+
+
 def test_config_microbatch_divisibility():
     with pytest.raises(ConfigurationError):
         dp_optim.DPTrainingConfig(batch_size=64, microbatch_count=13)

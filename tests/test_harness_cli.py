@@ -56,6 +56,15 @@ def test_experiment_config_validation(tmp_path):
         _small_config(tmp_path, audits=["vibes"])
 
 
+def test_task_names_that_would_corrupt_tables_refused(tmp_path):
+    # A name is a cell of the CSV tables and part of the task|level|seed
+    # keys of influence_summary.json.
+    for name in ("", "a,b", 'a"b', "a|b", "a\rb", "a\nb"):
+        with pytest.raises(ConfigurationError, match="'name'"):
+            _small_config(tmp_path, tasks=[{"name": name}])
+    assert _small_config(tmp_path, tasks=[{"name": "30-day outcome"}])
+
+
 def test_config_from_dict_rejects_unknown_key(tmp_path):
     raw = {"cohort": json.loads(_small_config(tmp_path).cohort.to_json()),
            "bogus": 1}
@@ -835,6 +844,13 @@ _PROBE_BASE = {
     ("run", {"cohort": _SMALL_COHORT, "influence_test_cap": 0},
      "influence_test_cap"),
     ("run", {"cohort": _SMALL_COHORT, "influence_panel": 0}, "influence_panel"),
+    # Configs that exited 0 having trained nothing, audited nothing or
+    # dropped the noise they asked for.
+    ("run", {"cohort": _SMALL_COHORT, "mechanisms": []}, "mechanisms"),
+    ("run", {"cohort": _SMALL_COHORT, "audits": []}, "audits"),
+    ("run", {"cohort": _SMALL_COHORT, "audits": ["robustness"],
+             "mechanisms": ["objective-perturbation"]}, "audits"),
+    ("train", {"training": {"noise_multiplier": 1.0}}, "noise_multiplier"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-smoothness-constant", "objpert-missing", "objpert-unread-training",
         "objpert-unread-family-spec", "dp-sgd-unread-objpert",
@@ -862,7 +878,9 @@ _PROBE_BASE = {
         "run-levels-repeated", "run-mechanisms-repeated",
         "run-epochs-negative", "run-learning-rate-zero",
         "run-microbatches-not-dividing", "run-objpert-lambda-zero",
-        "run-train-cap-zero", "run-test-cap-zero", "run-panel-zero"])
+        "run-train-cap-zero", "run-test-cap-zero", "run-panel-zero",
+        "run-mechanisms-empty", "run-audits-empty", "run-no-cell-audited",
+        "train-noise-without-clip-norm"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dp_tails import cohort, metrics, models, shift_audit
-from dp_tails.errors import (InsufficientDataError, ProcedureOrderError,
-                             UndefinedCorrelationError)
+from dp_tails.errors import InsufficientDataError, UndefinedCorrelationError
 
 from conftest import make_cohort
 
@@ -19,9 +18,8 @@ def test_no_shift_calibration():
     for trial in range(100):
         a = make_cohort(n=400, d=5, seed=2 * trial)
         b = make_cohort(n=400, d=5, seed=2 * trial + 1)
-        report, _ = shift_audit.domain_classifier_significance(
-            a, b, seed=trial)
-        false_hits += report.significant
+        row, _ = shift_audit.domain_classifier_significance(a, b, seed=trial)
+        false_hits += row["significant"]
     assert false_hits <= 10
 
 
@@ -32,30 +30,18 @@ def test_power_two_unit_shift():
         direction = np.zeros(5)
         direction[0] = 1.0
         b = _shifted_copy(b, direction, 2.0)
-        report, _ = shift_audit.domain_classifier_significance(
-            a, b, seed=trial)
-        assert report.significant
+        row, _ = shift_audit.domain_classifier_significance(a, b, seed=trial)
+        assert row["significant"]
 
 
 def test_large_shift_strong_detection():
     a = make_cohort(n=1000, d=5, seed=0)
     b = _shifted_copy(make_cohort(n=1000, d=5, seed=1),
                       np.ones(5) / np.sqrt(5), 5.0)
-    report, _ = shift_audit.domain_classifier_significance(a, b, seed=0)
-    assert report.domain_accuracy >= 0.95
-    assert report.p_value < 1e-6
-    assert report.significant
-
-
-def test_constant_scorer_chance_report():
-    a = make_cohort(n=500, d=4, seed=0)
-    b = make_cohort(n=500, d=4, seed=1)
-    fit_fn = lambda X, y, seed: (lambda feats: np.full(len(feats), 0.5))
-    report, _ = shift_audit.domain_classifier_significance(
-        a, b, seed=0, fit_fn=fit_fn)
-    assert report.domain_accuracy == 0.5
-    assert report.p_value == 1.0
-    assert not report.significant
+    row, _ = shift_audit.domain_classifier_significance(a, b, seed=0)
+    assert row["domain_accuracy"] >= 0.95
+    assert row["p_value"] < 1e-6
+    assert row["significant"]
 
 
 def test_insufficient_data_error():
@@ -63,17 +49,6 @@ def test_insufficient_data_error():
     b = a.subset(np.arange(5))
     with pytest.raises(InsufficientDataError):
         shift_audit.domain_classifier_significance(a, b)
-
-
-def test_malignancy_requires_significance():
-    report = shift_audit.ShiftReport(year=2002, domain_accuracy=0.5,
-                                     n_eval=100, p_value=0.9,
-                                     significant=False)
-    c = make_cohort(n=200, d=3, seed=0)
-    params = models.fit_lr_newton(c.features, c.labels)
-    with pytest.raises(ProcedureOrderError):
-        shift_audit.shift_malignancy(report, c, lambda X: np.zeros(len(X)),
-                                     params)
 
 
 def _task_setup(seed=0, d=6):
@@ -102,15 +77,43 @@ def _baseline_accuracy(params, test):
 def test_malignancy_identity_shift_matches_overall_accuracy():
     split, params, _, _ = _task_setup()
     baseline = _baseline_accuracy(params, split.test)
-    # Forced-significant override with an exchangeable (random) scorer.
-    report = shift_audit.ShiftReport(year=2002, domain_accuracy=0.5,
-                                     n_eval=100, p_value=0.01,
-                                     significant=True)
-    r = np.random.default_rng(5)
-    acc = shift_audit.shift_malignancy(
-        report, split.test, lambda X: r.random(len(X)), params)
+    # A zero-theta domain model scores every record 0.5, so the tie-break
+    # picks the k lowest ids: an exchangeable draw of the test year.
+    domain = models.init_params("lr-binary", split.test.d)
+    acc, k = shift_audit.shift_malignancy(split.test, domain, params)
+    lowest = split.test.subset(np.argsort(split.test.ids)[:100])
+    assert k == 100
+    assert acc == _baseline_accuracy(params, lowest)
     assert abs(acc - baseline) <= 0.1
-    assert report.malignancy_accuracy == acc
+
+
+def test_robustness_audit_diagnoses_malignancy_only_after_significance(
+        monkeypatch):
+    split, params, _, ortho = _task_setup()
+    shifted = cohort.CohortSplit(train=split.train, pivot_year=2002,
+                                 test=_shifted_copy(split.test, ortho, 2.0))
+    calls = []
+    malignancy = shift_audit.shift_malignancy
+    monkeypatch.setattr(shift_audit, "shift_malignancy",
+                        lambda *args: calls.append(args) or malignancy(*args))
+    audit = shift_audit.RobustnessAudit(seed=0)
+    audit.add(2002, split, params)
+    audit.add(2002, shifted, params)
+    calm, moved = audit.report()["per_year"]
+    split_note = "balanced mixture, stratified 70/30 fit/eval split"
+
+    assert not calm["significant"]
+    assert calm["malignancy_accuracy"] is None
+    assert calm["notes"] == [split_note]
+
+    assert moved["significant"] and len(calls) == 1
+    _, domain = shift_audit.domain_classifier_significance(
+        shifted.train, shifted.test,
+        seed=cohort.stable_seed(0, "shift", 2002), year=2002)
+    acc, k = malignancy(shifted.test, domain, params)
+    assert moved["malignancy_accuracy"] == acc
+    assert moved["notes"] == [
+        split_note, f"malignancy over top {k} most-confident test records"]
 
 
 def test_malignancy_label_flipping_shift_is_malignant():
@@ -120,10 +123,10 @@ def test_malignancy_label_flipping_shift_is_malignant():
     split, params, _, ortho = _task_setup()
     shifted = _shifted_copy(split.test, ortho, 2.0)
     shifted.labels[:] = 1 - shifted.labels
-    report, scorer = shift_audit.domain_classifier_significance(
+    row, domain = shift_audit.domain_classifier_significance(
         split.train, shifted, seed=0, year=2002)
-    assert report.significant
-    acc = shift_audit.shift_malignancy(report, shifted, scorer, params)
+    assert row["significant"]
+    acc, _ = shift_audit.shift_malignancy(shifted, domain, params)
     assert acc < 0.5
 
 
@@ -131,10 +134,10 @@ def test_malignancy_benign_orthogonal_shift():
     split, params, _, ortho = _task_setup()
     baseline = _baseline_accuracy(params, split.test)
     shifted = _shifted_copy(split.test, ortho, 2.0)
-    report, scorer = shift_audit.domain_classifier_significance(
+    row, domain = shift_audit.domain_classifier_significance(
         split.train, shifted, seed=0, year=2002)
-    assert report.significant
-    acc = shift_audit.shift_malignancy(report, shifted, scorer, params)
+    assert row["significant"]
+    acc, _ = shift_audit.shift_malignancy(shifted, domain, params)
     assert abs(acc - baseline) <= 0.1
 
 
@@ -148,11 +151,10 @@ def test_malignancy_ordering_with_disruption():
         r = np.random.default_rng(9)
         flip = r.random(shifted.n) < flip_fraction
         shifted.labels[flip] = 1 - shifted.labels[flip]
-        report, scorer = shift_audit.domain_classifier_significance(
+        row, domain = shift_audit.domain_classifier_significance(
             split.train, shifted, seed=0, year=2002)
-        assert report.significant
-        accs.append(shift_audit.shift_malignancy(report, shifted, scorer,
-                                                 params))
+        assert row["significant"]
+        accs.append(shift_audit.shift_malignancy(shifted, domain, params)[0])
     assert accs[0] >= accs[1] >= accs[2]
 
 
@@ -177,13 +179,3 @@ def test_robustness_correlation_matches_pearson_oracle(rng):
     assert result.statistic == oracle.statistic
     assert result.p_value == oracle.p_value
 
-
-def test_report_round_trip_dict():
-    report = shift_audit.ShiftReport(year=2004, domain_accuracy=0.8,
-                                     n_eval=60, p_value=0.001,
-                                     significant=True,
-                                     malignancy_accuracy=0.4)
-    d = report.to_dict()
-    assert d["year"] == 2004
-    assert d["significant"] is True
-    assert d["malignancy_accuracy"] == 0.4
