@@ -293,9 +293,11 @@ def _bulk_parse(fh):
     _READ_CHARS characters completed to a line end, or None wherever the
     row parser might decide otherwise (see _parse_chunk; also a file
     without a data line), so both accept the same files and _parse_rows
-    raises every error."""
+    raises every error. A file whose header ends in CRLF has each CRLF of
+    a chunk read as LF; a CR left over is refused."""
     header = fh.readline()
-    names = header.removesuffix("\n").split(",")
+    crlf = header.endswith("\r\n")
+    names = header.removesuffix("\r\n" if crlf else "\n").split(",")
     d = len(names) - 4
     if (not header.endswith("\n")
             or names != _META + [f"f{j}" for j in range(d)]):
@@ -304,6 +306,8 @@ def _bulk_parse(fh):
     while chunk := fh.read(_READ_CHARS):
         if not chunk.endswith("\n"):
             chunk += fh.readline()
+        if crlf:
+            chunk = chunk.replace("\r\n", "\n")
         piece = _parse_chunk(chunk, d)
         if piece is None:
             return None

@@ -133,10 +133,6 @@ class InsufficientDataError(DPTailsError):
     """Too few records to run the audit."""
 
 
-class AssignmentError(DPTailsError):
-    """A record id is missing from a required assignment map."""
-
-
 class UndefinedMetricError(DPTailsError):
     """Metric undefined for the given label composition."""
 

@@ -290,9 +290,22 @@ def _run_cells(base, task, mechanism, cells, config):
             state.cell.update(out)
 
 
+def _skip_rule(audit, mechanism, level, config):
+    """The rule that keeps `audit` from a cell of this mechanism and level,
+    or None if the audit runs there."""
+    if audit in ("robustness", "influence") and mechanism != "dp-sgd":
+        return f"{audit} audits only dp-sgd cells"
+    if audit == "robustness" and level != config.privacy_levels[0]:
+        return (f"robustness audits only privacy_levels[0] "
+                f"({config.privacy_levels[0]})")
+    return None
+
+
 def run_experiment(config: ExperimentConfig):
     """Execute the full grid; failed cells are recorded, not fatal, and a
-    grid on which no audit runs raises ConfigurationError.
+    grid on which no audit runs raises ConfigurationError. A cell that gets
+    none of its requested audits records the rules that skip it under
+    `skipped`.
 
     Returns (report dict, number of failed cells) and writes report.json
     plus the figure-feeding CSV tables under config.out_dir.
@@ -305,14 +318,14 @@ def run_experiment(config: ExperimentConfig):
         cell = {"task": task["name"], "level": level,
                 "mechanism": mechanism, "seed": seed}
         cells.append(cell)
-        audits = [a for a in config.audits
-                  if a in ("utility", "fairness")
-                  or (mechanism == "dp-sgd" and a == "influence")
-                  or (mechanism == "dp-sgd" and a == "robustness"
-                      and level == config.privacy_levels[0])]
+        rules = {a: _skip_rule(a, mechanism, level, config)
+                 for a in config.audits}
+        audits = [a for a, rule in rules.items() if rule is None]
         if audits:
             by_group.setdefault((t, mechanism), []).append(
                 _CellAudits(cell, audits))
+        else:
+            cell["skipped"] = "; ".join(rules.values())
     if not by_group:
         raise ConfigurationError(
             f"audits: none of {config.audits} runs on {config.mechanisms}")

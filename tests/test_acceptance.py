@@ -189,12 +189,8 @@ def test_criterion_6_group_influence_flip():
         helpful_label, helpful_attr = {}, {}
         for level in ("none", "high"):
             sub = subs[level]
-            by_label = influence.group_influence(
-                panels[level],
-                {int(i): int(l) for i, l in zip(sub.ids, sub.labels)})
-            by_group = influence.group_influence(
-                panels[level],
-                {int(i): int(g) for i, g in zip(sub.ids, sub.groups)})
+            by_label = influence.group_influence(panels[level], sub.labels)
+            by_group = influence.group_influence(panels[level], sub.groups)
             helpful_label[level] = by_label["most_helpful_group"]
             helpful_attr[level] = by_group["most_helpful_group"]
         # Minority label (1, prevalence 0.1) most helpful without privacy;

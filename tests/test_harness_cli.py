@@ -220,6 +220,25 @@ def test_run_experiment_grid_completeness(tmp_path):
     assert len(report["aggregates"]) == 2
 
 
+def test_cells_without_an_audit_say_why(tmp_path):
+    config = _small_config(tmp_path, privacy_levels=["none", "high"],
+                           mechanisms=["dp-sgd", "objective-perturbation"],
+                           audits=["robustness"])
+    report, failures = harness.run_experiment(config)
+    assert failures == 0
+    cells = {(c["level"], c["mechanism"]): c for c in report["cells"]}
+    assert "robustness" in cells["none", "dp-sgd"]
+    assert "skipped" not in cells["none", "dp-sgd"]
+    assert cells["high", "dp-sgd"]["skipped"] == (
+        "robustness audits only privacy_levels[0] (none)")
+    for level in ("none", "high"):
+        cell = cells[level, "objective-perturbation"]
+        assert cell["skipped"] == "robustness audits only dp-sgd cells"
+        assert "robustness" not in cell
+    with open(os.path.join(config.out_dir, "report.json")) as fh:
+        assert json.load(fh)["cells"] == report["cells"]
+
+
 def test_run_experiment_partial_failure_recorded(tmp_path):
     config = _small_config(tmp_path, privacy_levels=["none", "nonsense"])
     report, failures = harness.run_experiment(config)

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from dp_tails import cohort, dp_optim, influence, models
-from dp_tails.errors import (AssignmentError, ConditioningError, DomainError,
+from dp_tails.errors import (ConditioningError, DomainError,
                              UnsupportedFamilyError)
 
 from conftest import make_cohort, raw_cohort
@@ -38,12 +38,22 @@ def test_default_damping_applied_only_when_unregularized():
     assert influence.InfluenceEngine(reg, c).damping == 0.0
 
 
+def _direct(engine, hess_cohort, train, test):
+    """-G_test H^{-1} G_train^T from the frozen per-record gradients and
+    the undamped Hessian of hess_cohort, as a |train| x |test| array."""
+    H = models.lr_hessian(engine.params, hess_cohort.features)
+    _, G_tr = loss_and_per_example_grads(
+        engine.params, train.features, train.labels, include_ridge=False)
+    _, G_te = loss_and_per_example_grads(
+        engine.params, test.features, test.labels, include_ridge=False)
+    return -(G_tr @ np.linalg.solve(H, G_te.T))
+
+
 def test_self_influence_negative():
     engine, c = _fitted_engine()
     for i in (0, 3, 7):
-        z = (c.features[i], int(c.labels[i]))
-        value = engine.pair(z, z)
-        assert value < 0
+        z = c.subset([i])
+        assert engine.matrix(z, z).values[0, 0] < 0
 
 
 def test_confident_correct_test_point_near_zero():
@@ -54,49 +64,31 @@ def test_confident_correct_test_point_near_zero():
     x = 50.0 * w / np.linalg.norm(w)
     margin = x @ w + engine.params.theta[-1]
     assert margin > 30
-    value = engine.pair((c.features[0], int(c.labels[0])), (x, 1))
-    assert abs(value) < 1e-6
+    matrix = engine.matrix(c.subset([0]), raw_cohort([x], [1]))
+    assert abs(matrix.values[0, 0]) < 1e-6
 
 
-def test_pair_matches_direct_formula(rng):
+def test_matrix_1x1_matches_direct_formula(rng):
     engine, c = _fitted_engine()
-    H = models.lr_hessian(engine.params, c.features)
     for _ in range(10):
         i, j = rng.integers(c.n, size=2)
-        _, Gi = loss_and_per_example_grads(
-            engine.params, c.features[[i]], [c.labels[i]], include_ridge=False)
-        _, Gj = loss_and_per_example_grads(
-            engine.params, c.features[[j]], [c.labels[j]], include_ridge=False)
-        expected = float(-Gj[0] @ np.linalg.solve(H, Gi[0]))
-        got = engine.pair((c.features[i], int(c.labels[i])),
-                          (c.features[j], int(c.labels[j])))
-        assert abs(got - expected) < 1e-10
+        train, test = c.subset([i]), c.subset([j])
+        matrix = engine.matrix(train, test)
+        assert matrix.values.shape == (1, 1)
+        expected = _direct(engine, c, train, test)[0, 0]
+        assert abs(matrix.values[0, 0] - expected) < 1e-10
 
 
-def test_matrix_matches_pairwise_200x100():
+def test_matrix_matches_direct_formula_200x100():
     c = make_cohort(n=300, d=4, seed=5)
     params = models.fit_lr_newton(c.features, c.labels, l2_lambda=0.05)
     engine = influence.InfluenceEngine(params, c)
     train_sub = c.subset(np.arange(200))
     test_sub = c.subset(np.arange(200, 300))
     matrix = engine.matrix(train_sub, test_sub)
-    for i in (0, 57, 199):
-        for j in (0, 42, 99):
-            pair = engine.pair(
-                (train_sub.features[i], int(train_sub.labels[i])),
-                (test_sub.features[j], int(test_sub.labels[j])))
-            assert abs(matrix.values[i, j] - pair) < 1e-10
-
-
-def test_matrix_1x1_equals_pair():
-    engine, c = _fitted_engine()
-    train_sub = c.subset([3])
-    test_sub = c.subset([9])
-    matrix = engine.matrix(train_sub, test_sub)
-    pair = engine.pair((c.features[3], int(c.labels[3])),
-                       (c.features[9], int(c.labels[9])))
-    assert matrix.values.shape == (1, 1)
-    assert abs(matrix.values[0, 0] - pair) < 1e-12
+    expected = _direct(engine, c, train_sub, test_sub)
+    assert matrix.values.shape == (200, 100)
+    assert np.max(np.abs(matrix.values - expected)) < 1e-10
 
 
 def test_matrix_duplicate_train_rows_identical():
@@ -117,9 +109,8 @@ def test_bilinearity_via_gradient_scaling():
     w, bias = theta[:-1], theta[-1]
     x = -bias * w / float(w @ w)
     assert abs(x @ w + bias) < 1e-12
-    z_train = (c.features[1], int(c.labels[1]))
-    v0 = engine.pair(z_train, (x, 0))
-    v1 = engine.pair(z_train, (x, 1))
+    v0, v1 = (engine.matrix(c.subset([1]), raw_cohort([x], [y])).values[0, 0]
+              for y in (0, 1))
     assert abs(v0 + v1) < 1e-10
 
 
@@ -161,11 +152,10 @@ def test_group_influence_additivity_and_summary():
     train_sub = c.subset(np.arange(20))
     test_sub = c.subset(np.arange(20, 40))
     matrix = engine.matrix(train_sub, test_sub)
-    assignment = {int(i): int(i) % 3 for i in train_sub.ids}
-    summary = influence.group_influence(matrix, assignment)
+    group_of = train_sub.ids % 3
+    summary = influence.group_influence(matrix, group_of)
     for g in (0, 1, 2):
-        rows = np.array([assignment[int(i)] == g for i in matrix.train_ids])
-        expected = matrix.values[rows].sum(axis=0)
+        expected = matrix.values[group_of == g].sum(axis=0)
         assert summary["means"][g] == float(expected.mean())
         assert summary["stds"][g] == float(expected.std())
     means = summary["means"]
@@ -180,8 +170,7 @@ def test_group_influence_single_group_is_column_sum():
     train_sub = c.subset(np.arange(15))
     test_sub = c.subset(np.arange(15, 25))
     matrix = engine.matrix(train_sub, test_sub)
-    summary = influence.group_influence(
-        matrix, {int(i): 0 for i in train_sub.ids})
+    summary = influence.group_influence(matrix, np.zeros(15, dtype=np.int64))
     column_sums = matrix.values.sum(axis=0)
     assert summary["means"] == {0: float(column_sums.mean())}
     assert summary["stds"] == {0: float(column_sums.std())}
@@ -191,17 +180,18 @@ def test_group_influence_zero_rows_group():
     matrix = influence.InfluenceMatrix(
         values=np.array([[0.0, 0.0], [1.0, -2.0]]),
         train_ids=np.array([0, 1]), test_ids=np.array([10, 11]))
-    summary = influence.group_influence(matrix, {0: 0, 1: 1})
+    summary = influence.group_influence(matrix, np.array([0, 1]))
     assert summary["means"][0] == 0.0
     assert summary["stds"][0] == 0.0
 
 
-def test_group_influence_unassigned_id_error():
+def test_group_influence_length_mismatch_error():
     matrix = influence.InfluenceMatrix(
         values=np.ones((2, 2)), train_ids=np.array([0, 1]),
         test_ids=np.array([5, 6]))
-    with pytest.raises(AssignmentError):
-        influence.group_influence(matrix, {0: 0})
+    for group_of in ([0], [0, 1, 1], [[0, 1]]):
+        with pytest.raises(DomainError):
+            influence.group_influence(matrix, group_of)
 
 
 def _toy_matrix(values, test_ids=None):
@@ -244,7 +234,7 @@ def test_top_variance_k_too_large():
 def test_influencer_frequency_dominating_row():
     values = np.zeros((5, 8))
     values[2] = -1.0  # most negative everywhere = most helpful
-    table = influence.influencer_frequency(_toy_matrix(values), "helpful")
+    table = influence.influencer_frequency(_toy_matrix(values))
     assert table == {"counts": {"2": 8}, "concentration": 1.0}
 
 
@@ -252,25 +242,16 @@ def test_influencer_frequency_distinct_winners():
     values = np.zeros((4, 4))
     for j in range(4):
         values[j, j] = -5.0
-    table = influence.influencer_frequency(_toy_matrix(values), "helpful")
+    table = influence.influencer_frequency(_toy_matrix(values))
     assert table == {"counts": {"0": 1, "1": 1, "2": 1, "3": 1},
                      "concentration": 0.25}
 
 
-def test_influencer_frequency_harmful_direction():
-    values = np.zeros((3, 5))
-    values[1] = 4.0
-    table = influence.influencer_frequency(_toy_matrix(values), "harmful")
-    assert table["counts"] == {"1": 5}
-
-
 def test_influencer_frequency_errors():
     with pytest.raises(DomainError):
-        influence.influencer_frequency(_toy_matrix(np.empty((0, 0))),
-                                       "helpful")
+        influence.influencer_frequency(_toy_matrix(np.empty((0, 0))))
     with pytest.raises(DomainError):
-        influence.influencer_frequency(_toy_matrix(np.ones((2, 2))),
-                                       "sideways")
+        influence.influencer_frequency(_toy_matrix(np.empty((3, 0))))
 
 
 def _panel(matrix, k=100):
@@ -308,8 +289,8 @@ def test_concentration_larger_without_privacy():
                                        hessian_on_full_train=True)
         high_panel, _ = _trained_panel(seed, "high", 5, 0.05,
                                        hessian_on_full_train=True)
-        none_c = influence.influencer_frequency(none_panel, "helpful")
-        high_c = influence.influencer_frequency(high_panel, "helpful")
+        none_c = influence.influencer_frequency(none_panel)
+        high_c = influence.influencer_frequency(high_panel)
         wins += none_c["concentration"] > high_c["concentration"]
     assert wins >= 3
 
