@@ -68,15 +68,24 @@ def test_confident_correct_test_point_near_zero():
     assert abs(matrix.values[0, 0]) < 1e-6
 
 
-def test_matrix_1x1_matches_direct_formula(rng):
+def test_pair_matches_direct_formula(rng):
     engine, c = _fitted_engine()
     for _ in range(10):
         i, j = rng.integers(c.n, size=2)
         train, test = c.subset([i]), c.subset([j])
         matrix = engine.matrix(train, test)
-        assert matrix.values.shape == (1, 1)
         expected = _direct(engine, c, train, test)[0, 0]
         assert abs(matrix.values[0, 0] - expected) < 1e-10
+
+
+def test_matrix_1x1_equals_pair():
+    engine, c = _fitted_engine()
+    train_sub = c.subset([3])
+    test_sub = c.subset([9])
+    matrix = engine.matrix(train_sub, test_sub)
+    pair = _direct(engine, c, train_sub, test_sub)[0, 0]
+    assert matrix.values.shape == (1, 1)
+    assert abs(matrix.values[0, 0] - pair) < 1e-12
 
 
 def test_matrix_matches_direct_formula_200x100():
