@@ -150,13 +150,15 @@ def cmd_audit_shift(args):
     ridge-LR task model fitted per pivot year in place of a trained one."""
     cfg = _load_config(ShiftAuditFile, args.config)
     cohort = _read_cohort(cfg.cohort_csv)
-    audit = shift_audit.RobustnessAudit(
-        args.seed if args.seed is not None else cfg.seed)
+    seed = args.seed if args.seed is not None else cfg.seed
+    rows = []
     for pivot, split in cohort_mod.yearly_splits(cohort):
-        audit.add(pivot, split, models.fit_lr_newton(
-            split.train.features, split.train.labels,
-            l2_lambda=cfg.l2_lambda))
-    report = audit.report()
+        params = models.fit_lr_newton(
+            split.train.features, split.train.labels, l2_lambda=cfg.l2_lambda)
+        rows.append(shift_audit.robustness_row(
+            seed, pivot, split, params,
+            models.predict(params, split.test.features)[:, 1]))
+    report = shift_audit.robustness_report(rows)
     harness.write_json(args.out, report)
     if args.csv:
         harness.write_table(args.csv, harness.MALIGNANCY_COLUMNS,

@@ -66,6 +66,8 @@ class CohortConfig:
             raise ConfigurationError("n: need at least 10 records per class")
         if self.d < 1:
             raise ConfigurationError("d: need at least one feature")
+        if self.seed < 0:
+            raise ConfigurationError("seed: must be >= 0")
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)

@@ -78,6 +78,8 @@ class DPTrainingConfig:
             raise ConfigurationError("learning_rate: must be > 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigurationError("optimizer: must be sgd or adam")
+        if self.seed < 0:
+            raise ConfigurationError("seed: must be >= 0")
 
     @classmethod
     def from_level(cls, name, **kwargs):

@@ -188,12 +188,6 @@ def _utility_row(pivot, split, trained, scores):
     }
 
 
-def _aggregate(rows):
-    aurocs = [r["auroc"] for r in rows]
-    return {"auroc_mean": float(np.mean(aurocs)),
-            "auroc_std": float(np.std(aurocs))}
-
-
 def _fairness_audit(pivot, split, scores):
     try:
         return {"year": int(pivot), **fairness_audit.fairness_gaps(
@@ -212,89 +206,86 @@ def _influence_audit(split, trained, config):
             "spend": trained.spend.to_dict()}
 
 
-class _CellAudits:
-    """The audits of one grid cell, fed one pivot model at a time."""
+def _pivot_rows(seed, audits, pivot, split, trained):
+    """A cell's rows of one pivot by audit name, all reading one scoring of
+    the test year by the pivot's model."""
+    if {"utility", "robustness", "fairness"}.isdisjoint(audits):
+        return {}
+    scores = models.predict(trained.params, split.test.features)[:, 1]
+    rows = {}
+    if "utility" in audits:
+        rows["utility"] = _utility_row(pivot, split, trained, scores)
+    if "robustness" in audits:
+        rows["robustness"] = shift_audit.robustness_row(
+            seed, pivot, split, trained.params, scores)
+    if "fairness" in audits:
+        rows["fairness"] = _fairness_audit(pivot, split, scores)
+    return rows
 
-    def __init__(self, cell, audits):
-        self.cell, self.audits = cell, audits
-        self.rows, self.fairness = [], []
-        self.robustness = shift_audit.RobustnessAudit(cell["seed"])
-        self.trained = None
 
-    def add(self, pivot, split, trained):
-        """Audit one pivot's model; the model scores the test year once,
-        and the utility, robustness and fairness audits read those
-        scores."""
-        self.trained = trained
-        if {"utility", "robustness", "fairness"}.isdisjoint(self.audits):
-            return
-        scores = models.predict(trained.params, split.test.features)[:, 1]
-        if "utility" in self.audits:
-            self.rows.append(_utility_row(pivot, split, trained, scores))
-        if "robustness" in self.audits:
-            self.robustness.add(pivot, split, trained.params, scores)
-        if "fairness" in self.audits:
-            self.fairness.append(_fairness_audit(pivot, split, scores))
-
-    def finish(self, split, config):
-        """The cell's audit results by name; influence reads the last
-        pivot's model and split."""
-        out = {}
-        if "utility" in self.audits:
-            out["utility"] = {"per_year": self.rows, **_aggregate(self.rows)}
-        if "robustness" in self.audits:
-            out["robustness"] = self.robustness.report()
-        if "fairness" in self.audits:
-            out["fairness"] = self.fairness
-        if "influence" in self.audits:
-            out["influence"] = _influence_audit(split, self.trained, config)
-        return out
+def _cell_results(audits, rows, split, trained, config):
+    """A cell's results by audit name from its pivot rows; influence reads
+    the last pivot's model and split."""
+    out = {a: [r[a] for r in rows] for a in audits if a != "influence"}
+    if "utility" in out:
+        aurocs = [r["auroc"] for r in out["utility"]]
+        out["utility"] = {"per_year": out["utility"],
+                          "auroc_mean": float(np.mean(aurocs)),
+                          "auroc_std": float(np.std(aurocs))}
+    if "robustness" in out:
+        out["robustness"] = shift_audit.robustness_report(out["robustness"])
+    if "influence" in audits:
+        out["influence"] = _influence_audit(split, trained, config)
+    return out
 
 
 def _run_cells(base, task, mechanism, cells, config):
-    """Train and audit the cells of one (task, mechanism): every pivot's
-    models train first (_train_models), then feed their cells' audits
-    pivot by pivot, one pivot's split held at a time.
-    A cell whose training or audit raises records only its first error, in
-    pivot order, and is audited no further; the other cells are
-    unaffected."""
-    live = list(cells)
+    """Train and audit the (cell, audits) pairs of one (task, mechanism):
+    every pivot's models train first (_train_models), then each pivot's
+    split is built in turn and its models audited. A cell whose training
+    or audit raises records its first error, in pivot order, and no
+    result, and is audited no further; the other cells are unaffected."""
+    def settle(cell, result, keep=None):
+        if isinstance(result, DPTailsError):
+            cell.setdefault("error", f"{type(result).__name__}: {result}")
+        else:
+            keep(result)
 
-    def fail(state, exc):
-        state.cell["error"] = f"{type(exc).__name__}: {exc}"
-        live.remove(state)
-
-    split = None
-    jobs = [(c.cell["level"], c.cell["seed"]) for c in cells]
+    rows = [[] for _ in cells]
     try:
         pivots = cohort_mod.pivot_years(base)
-        trained = _train_models(base, task, mechanism, jobs, pivots, config)
+        trained = _train_models(base, task, mechanism,
+                                [(c["level"], c["seed"]) for c, _ in cells],
+                                pivots, config)
         for pivot, models_of_pivot in zip(pivots, trained):
             split = cohort_mod.split_yearly(base, pivot)
-            for state, result in zip(cells, models_of_pivot):
-                if state not in live:
+            for (cell, audits), cell_rows, result in zip(
+                    cells, rows, models_of_pivot):
+                if "error" in cell:
                     continue
                 if not isinstance(result, DPTailsError):
-                    result = _caught(state.add, pivot, split, result)
-                if result is not None:
-                    fail(state, result)
+                    result = _caught(_pivot_rows, cell["seed"], audits,
+                                     pivot, split, result)
+                settle(cell, result, cell_rows.append)
     except DPTailsError as exc:
-        for state in list(live):
-            fail(state, exc)
+        for cell, _ in cells:
+            settle(cell, exc)
+        return
     # The loop leaves the last pivot's split bound.
-    for state in list(live):
-        out = _caught(state.finish, split, config)
-        if isinstance(out, DPTailsError):
-            fail(state, out)
-        else:
-            state.cell.update(out)
+    for (cell, audits), cell_rows, model in zip(cells, rows, trained[-1]):
+        if "error" not in cell:
+            settle(cell, _caught(_cell_results, audits, cell_rows, split,
+                                 model, config), cell.update)
 
 
-def _skip_rule(audit, mechanism, level, config):
-    """The rule that keeps `audit` from a cell of this mechanism and level,
-    or None if the audit runs there."""
+def _skip_rule(audit, task, mechanism, level, config):
+    """The rule that keeps `audit` from a cell of this task, mechanism and
+    level, or None if the audit runs there."""
     if audit in ("robustness", "influence") and mechanism != "dp-sgd":
         return f"{audit} audits only dp-sgd cells"
+    if (audit == "influence"
+            and _family_spec(task, "task").family != "lr-binary"):
+        return "influence audits only lr-binary tasks"
     if audit == "robustness" and level != config.privacy_levels[0]:
         return (f"robustness audits only privacy_levels[0] "
                 f"({config.privacy_levels[0]})")
@@ -318,21 +309,21 @@ def run_experiment(config: ExperimentConfig):
         cell = {"task": task["name"], "level": level,
                 "mechanism": mechanism, "seed": seed}
         cells.append(cell)
-        rules = {a: _skip_rule(a, mechanism, level, config)
+        rules = {a: _skip_rule(a, task, mechanism, level, config)
                  for a in config.audits}
         audits = [a for a, rule in rules.items() if rule is None]
         if audits:
-            by_group.setdefault((t, mechanism), []).append(
-                _CellAudits(cell, audits))
+            by_group.setdefault((t, mechanism), []).append((cell, audits))
         else:
             cell["skipped"] = "; ".join(rules.values())
     if not by_group:
         raise ConfigurationError(
-            f"audits: none of {config.audits} runs on {config.mechanisms}")
+            f"audits: none of {config.audits} runs on any cell "
+            f"({cells[0]['skipped']})")
     os.makedirs(config.out_dir, exist_ok=True)
     base = cohort_mod.generate_cohort(config.cohort)
-    for (t, mechanism), states in by_group.items():
-        _run_cells(base, config.tasks[t], mechanism, states, config)
+    for (t, mechanism), group in by_group.items():
+        _run_cells(base, config.tasks[t], mechanism, group, config)
     failures = sum("error" in cell for cell in cells)
 
     aggregates = _table_blocks(config, cells)

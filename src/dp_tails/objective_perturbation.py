@@ -46,6 +46,8 @@ class ObjPertConfig:
             raise ConfigurationError("lam: must be > 0")
         if self.record_norm_bound <= 0:
             raise ConfigurationError("record_norm_bound: must be > 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed: must be >= 0")
 
 
 def sample_noise_vector(dim, beta, rng):

@@ -6,9 +6,9 @@ evaluation accuracy is tested against chance with the exact binomial test.
 Only when the shift is significant is malignancy diagnosed: the task
 model's accuracy on the test records the domain classifier most
 confidently places in the test distribution (lower = more malignant).
-RobustnessAudit runs both per pivot year and correlates malignancy with
-the task model's AUROC gap across years; the grid and `audit-shift` both
-report through it.
+robustness_row runs both on one pivot year and robustness_report
+correlates malignancy with the task model's AUROC gap across years; the
+grid and `audit-shift` both report through them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics, models
 from .cohort import Cohort, CohortSplit, stable_seed
-from .errors import DPTailsError, InsufficientDataError
+from .errors import DomainError, DPTailsError, InsufficientDataError
 
 ALPHA = 0.05
 
@@ -25,7 +25,10 @@ ALPHA = 0.05
 def domain_classifier_significance(train_cohort: Cohort, test_cohort: Cohort,
                                    seed=0, year=0):
     """(row, domain): the year's shift-report row, its malignancy_accuracy
-    None, and the domain classifier's ModelParams (class 1 = test)."""
+    None, and the domain classifier's ModelParams (class 1 = test). The
+    seed and year seed its draws, so both must be >= 0."""
+    if seed < 0 or year < 0:
+        raise DomainError(f"seed and year must be >= 0, got {seed}, {year}")
     if train_cohort.n < 10 or test_cohort.n < 10:
         raise InsufficientDataError(
             "need at least 10 records on each side of the shift test")
@@ -97,61 +100,51 @@ def robustness_correlation(generalization_gaps, malignancies) -> metrics.TestRes
                                "means a lack of robustness")
 
 
-class RobustnessAudit:
-    """The robustness report of one task model per pivot year.
+def robustness_row(seed, pivot, split: CohortSplit,
+                   task_params: models.ModelParams, test_scores):
+    """(row, gap): a pivot's shift-report row and the task model's AUROC
+    gap, given test_scores, the model's P(y = 1) on split.test.
 
-    add() runs the domain-classifier test on a pivot's cumulative split,
-    seeded with stable_seed(seed, "shift", pivot), and diagnoses
-    malignancy with the pivot's task model when the shift is significant.
-    It also records the model's AUROC gap: the AUROC on the second half of
-    split.train minus the AUROC on split.test. The model was trained on all
-    of split.train, so the gap compares records it saw with the pivot year,
-    not held-out training years with it. report() gives the per-year shift
-    reports and, over at least three years with both values, the Pearson
-    correlation of gap with malignancy.
+    The domain-classifier test runs on the pivot's cumulative split, seeded
+    with stable_seed(seed, "shift", pivot); malignancy is diagnosed with
+    the task model only when the shift is significant. The gap is the AUROC
+    on the second half of split.train minus the AUROC on split.test, or
+    None where either is undefined. The model was trained on all of
+    split.train, so the gap compares records it saw with the pivot year,
+    not held-out training years with it.
     """
+    row, domain = domain_classifier_significance(
+        split.train, split.test, seed=stable_seed(seed, "shift", pivot),
+        year=pivot)
+    half = split.train.n // 2
+    in_scores = models.predict(task_params, split.train.features[half:])[:, 1]
+    try:
+        gap = (metrics.auroc(in_scores, split.train.labels[half:])
+               - metrics.auroc(test_scores, split.test.labels))
+    except DPTailsError:
+        gap = None
+    if row["significant"]:
+        row["malignancy_accuracy"], k = shift_malignancy(
+            split.test, domain, task_params)
+        row["notes"].append(
+            f"malignancy over top {k} most-confident test records")
+    return row, gap
 
-    def __init__(self, seed):
-        self.seed = seed
-        self._shifts = []
 
-    def add(self, pivot, split: CohortSplit, task_params: models.ModelParams,
-            test_scores=None):
-        """Audit one pivot; test_scores, when given, are the task model's
-        P(y = 1) on split.test, which it then does not score again."""
-        row, domain = domain_classifier_significance(
-            split.train, split.test,
-            seed=stable_seed(self.seed, "shift", pivot), year=pivot)
-        half = split.train.n // 2
-        in_scores = models.predict(task_params,
-                                   split.train.features[half:])[:, 1]
-        out_scores = (models.predict(task_params, split.test.features)[:, 1]
-                      if test_scores is None else test_scores)
+def robustness_report(rows):
+    """The robustness report of robustness_row's (row, gap) pairs, one per
+    pivot year: the per-year rows and, over at least three years with both
+    a gap and a malignancy, the Pearson correlation of gap with
+    malignancy."""
+    pairs = [(gap, row["malignancy_accuracy"]) for row, gap in rows
+             if gap is not None and row["malignancy_accuracy"] is not None]
+    correlation = None
+    if len(pairs) >= 3:
         try:
-            gap = (metrics.auroc(in_scores, split.train.labels[half:])
-                   - metrics.auroc(out_scores, split.test.labels))
-        except DPTailsError:
-            gap = None
-        if row["significant"]:
-            row["malignancy_accuracy"], k = shift_malignancy(
-                split.test, domain, task_params)
-            row["notes"].append(
-                f"malignancy over top {k} most-confident test records")
-        self._shifts.append((row, gap))
-
-    def report(self):
-        pairs = [(gap, row["malignancy_accuracy"])
-                 for row, gap in self._shifts
-                 if gap is not None and row["malignancy_accuracy"] is not None]
-        correlation = None
-        if len(pairs) >= 3:
-            gaps, malignancies = zip(*pairs)
-            try:
-                result = robustness_correlation(list(gaps), list(malignancies))
-                correlation = {"r": result.statistic,
-                               "p_value": result.p_value,
-                               "method": result.method}
-            except DPTailsError as exc:
-                correlation = {"error": str(exc)}
-        return {"per_year": [row for row, _ in self._shifts],
-                "gap_malignancy_correlation": correlation}
+            result = robustness_correlation(*zip(*pairs))
+            correlation = {"r": result.statistic, "p_value": result.p_value,
+                           "method": result.method}
+        except DPTailsError as exc:
+            correlation = {"error": str(exc)}
+    return {"per_year": [row for row, _ in rows],
+            "gap_malignancy_correlation": correlation}

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dp_tails import (accountant, cli, cohort, dp_optim, harness, influence,
-                      models, objective_perturbation)
-from dp_tails.errors import (ConfigurationError, TrainingError,
+                      metrics, models, objective_perturbation)
+from dp_tails.errors import (ConfigurationError, DomainError, TrainingError,
                              config_from_dict)
 from oracles import trainer_parent
 
@@ -512,6 +512,86 @@ def test_emptied_stack_fails_each_of_its_cells(tmp_path, monkeypatch):
             assert after == before
 
 
+@pytest.mark.parametrize("where", ["auprc", "influence"])
+def test_audit_failure_fails_only_its_cell(tmp_path, monkeypatch, where):
+    # An audit that raises fails only the cell it audits. The utility audit
+    # of the second cell at the middle pivot, or the influence audit of the
+    # second cell, raises: that cell records only the error, none of the
+    # rows its earlier pivots gave, and every other cell equals its cell in
+    # a run without the fault.
+    cc = cohort.CohortConfig(n=900, d=4, positive_prevalence=0.3,
+                             years=(2001, 2004), class_separation=2.0, seed=0)
+    config = harness.ExperimentConfig(
+        cohort=cc, privacy_levels=["none", "high"], seeds=[0, 1],
+        audits=["utility", "robustness", "fairness", "influence"], epochs=1,
+        influence_train_cap=200, influence_test_cap=50, influence_panel=10,
+        out_dir=str(tmp_path / "clean"))
+    clean, failures = harness.run_experiment(config)
+    assert failures == 0
+
+    # Audits run pivot by pivot, the cells in grid order within a pivot:
+    # call 4 + 1 of auprc is the second cell's at the second of 3 pivots.
+    module, name, fault = ((metrics, "auprc", 4 + 1) if where == "auprc"
+                           else (influence.InfluenceEngine, "matrix", 1))
+    calls = []
+    real = getattr(module, name)
+
+    def faulty_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fault + 1:
+            raise DomainError("injected audit fault")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, faulty_call)
+    faulty, failures = harness.run_experiment(
+        dataclasses.replace(config, out_dir=str(tmp_path / "faulty")))
+    assert failures == 1
+    for before, after in zip(clean["cells"], faulty["cells"]):
+        if (after["level"], after["seed"]) == ("none", 1):
+            assert after == {"task": "outcome", "level": "none",
+                             "mechanism": "dp-sgd", "seed": 1,
+                             "error": "DomainError: injected audit fault"}
+        else:
+            assert after == before
+
+
+def test_negative_years_fail_only_the_robustness_cell(tmp_path):
+    # The shift test seeds its draws with the pivot year, so a negative
+    # year fails the one cell that audits robustness; the other cell, and
+    # a negative grid seed (hashed into every cell seed), run.
+    config = _small_config(
+        tmp_path, privacy_levels=["none", "high"], seeds=[-1],
+        audits=["utility", "robustness"],
+        cohort=dataclasses.replace(_small_config(tmp_path).cohort,
+                                   years=(-3, -1)))
+    report, failures = harness.run_experiment(config)
+    assert failures == 1
+    failed, kept = report["cells"]
+    assert failed["level"] == "none"
+    assert failed["error"].startswith("DomainError: seed and year must be")
+    assert "utility" not in failed
+    assert [r["year"] for r in kept["utility"]["per_year"]] == [-2, -1]
+
+
+def test_influence_skips_non_lr_binary_tasks(tmp_path):
+    # The influence engine holds only lr-binary models: an mlp-1 task's
+    # cells keep their utility results and say nothing of influence, and a
+    # grid left with no audit is refused.
+    tasks = [{"name": "outcome"}, {"name": "mlp", "family": "mlp-1", "h": 4}]
+    config = _small_config(tmp_path, tasks=tasks,
+                           audits=["utility", "influence"],
+                           influence_train_cap=100, influence_test_cap=20)
+    report, failures = harness.run_experiment(config)
+    assert failures == 0
+    lr, mlp = report["cells"]
+    assert set(lr) >= {"utility", "influence"}
+    assert "utility" in mlp and "influence" not in mlp
+    assert "skipped" not in mlp
+    with pytest.raises(ConfigurationError,
+                       match="influence audits only lr-binary tasks"):
+        harness.run_experiment(dataclasses.replace(
+            config, tasks=tasks[1:], audits=["influence"]))
+
+
 def test_utility_csv_matches_report(tmp_path):
     config = _small_config(tmp_path)
     report, _ = harness.run_experiment(config)
@@ -666,6 +746,44 @@ def test_cli_train(tmp_path):
     assert payload["mechanism"] == "dp-sgd"
     assert payload["spend"]["epsilon"] > 0
     assert payload["accounting_log"]["sigma"] == 1.0
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("generate-data", None),
+    ("train", {}),
+    ("train", {"mechanism": "objective-perturbation",
+               "objpert": {"eps_p": 1.0, "lam": 0.1}}),
+], ids=["generate-data", "train-dp-sgd", "train-objective-perturbation"])
+def test_cli_negative_seed_exit_code(tmp_path, capsys, command, raw):
+    _, config_path = _write_cohort_config(tmp_path)
+    if raw is not None:
+        csv_path = tmp_path / "cohort.csv"
+        assert cli.main(["generate-data", "--config", str(config_path),
+                         "--out", str(csv_path)]) == 0
+        config_path = tmp_path / "train.json"
+        config_path.write_text(json.dumps(
+            {"cohort_csv": str(csv_path), "pivot_year": 2002, **raw}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config_path), "--seed", "-1",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: seed: must be >= 0\n"
+    assert not out.exists()
+
+
+def test_cli_audit_shift_negative_years_exit_code(tmp_path, capsys):
+    cc, config_path = _write_cohort_config(tmp_path)
+    config_path.write_text(dataclasses.replace(cc, years=(-3, -1)).to_json())
+    csv_path = tmp_path / "cohort.csv"
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--out", str(csv_path)]) == 0
+    audit_config = tmp_path / "shift.json"
+    audit_config.write_text(json.dumps({"cohort_csv": str(csv_path)}))
+    capsys.readouterr()
+    assert cli.main(["audit-shift", "--config", str(audit_config),
+                     "--out", str(tmp_path / "shift.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: seed and year must be >= 0")
 
 
 def test_cli_run_and_rerun_exit_codes(tmp_path):

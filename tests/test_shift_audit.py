@@ -96,10 +96,10 @@ def test_robustness_audit_diagnoses_malignancy_only_after_significance(
     malignancy = shift_audit.shift_malignancy
     monkeypatch.setattr(shift_audit, "shift_malignancy",
                         lambda *args: calls.append(args) or malignancy(*args))
-    audit = shift_audit.RobustnessAudit(seed=0)
-    audit.add(2002, split, params)
-    audit.add(2002, shifted, params)
-    calm, moved = audit.report()["per_year"]
+    rows = [shift_audit.robustness_row(
+        0, 2002, s, params, models.predict(params, s.test.features)[:, 1])
+        for s in (split, shifted)]
+    calm, moved = shift_audit.robustness_report(rows)["per_year"]
     split_note = "balanced mixture, stratified 70/30 fit/eval split"
 
     assert not calm["significant"]
