@@ -11,15 +11,16 @@ Per-step RDP at order alpha:
 The log-sum-exp is scipy.special.logsumexp's arithmetic (scipy 1.17.1)
 without its array-API dispatch, so curves keep scipy's bits.
 
-Memo: what depends on the orders alone is kept between calls, for the
-last _MEMO_SIZE orders tuples: the sorted, checked orders with their array
-and integer mask, the fractional orders' binomial coefficients (and
-their logs) for the series chunks up to _MEMO_SERIES_TERMS terms, and, per
-largest integer order, the log k! table and its q-independent window views
-(about 6 KB at the default orders). Nothing that depends on
-(q, sigma) is kept, nor the orders x k log-term matrix: queries rarely
-repeat a (q, sigma), and a kept 0.5 MB matrix per program import raised a
-benchmark's peak RSS by 4-7 MB. The memo fills on first use, not at import.
+Every curve is computed at one order grid, DEFAULT_ORDERS, so curves add
+up order by order. What depends on the grid alone is kept between calls
+and filled on first use, not at import: the orders' array, integer mask
+and integer and fractional orders, the log k! table and its
+q-independent window views (about 6 KB), and the fractional orders'
+binomial coefficients (and their logs) for the series chunks up to
+_MEMO_SERIES_TERMS terms. Nothing that depends on (q, sigma) is kept, nor
+the orders x k log-term matrix: queries rarely repeat a (q, sigma), and a
+kept 0.5 MB matrix per program import raised a benchmark's peak RSS by
+4-7 MB.
 Composition over T steps is linear; conversion to (eps, delta) takes the
 minimum of eps(alpha) + log(1/delta)/(alpha-1) over the curve's orders.
 
@@ -42,16 +43,11 @@ from scipy import special
 from .errors import ConfigurationError, DomainError, InfinitePrivacyLossError
 
 DEFAULT_DELTA = 1e-5
-DEFAULT_ORDERS = (1.25, 1.5, 1.75) + tuple(range(2, 257))
-# The integer log-term matrix is (integer orders) x (largest order + 1):
-# at most about 8 MB at this cap, hundreds of MB for orders in the thousands.
-MAX_INT_ORDER = 1024
+DEFAULT_ORDERS = (1.25, 1.5, 1.75) + tuple(map(float, range(2, 257)))
 # Longest fractional-order series computed (64 * 4**6 terms): q = 0.5 with
 # sigma = 1e5 needs all of it at order 1.25; a NaN term never stops one.
 MAX_SERIES_TERMS = 262144
-# Distinct orders tuples memoized (see the module docstring), and the
-# longest fractional-order series whose coefficients the memo keeps.
-_MEMO_SIZE = 8
+# Longest fractional-order series whose coefficients the memo keeps.
 _MEMO_SERIES_TERMS = 1024
 
 STANDARD_CAVEATS = (
@@ -160,12 +156,13 @@ def _log_a_int(q, sigma, alphas):
     return log_a
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@functools.lru_cache(maxsize=1)
 def _int_order_tables(size):
     """For integer orders up to size - 1: log k! for k < size, and the
     windows of length `size` over the reversed log-factorials (padded past
     the table, where k > alpha) and over the k > alpha mask, which
-    _log_a_int reads. Memoized on the largest order alone; read-only."""
+    _log_a_int reads. Memoized on the largest order alone, which is the
+    grid's; read-only."""
     log_fact = special.gammaln(np.arange(1, size + 1))
     log_fact.flags.writeable = False
     padded = np.concatenate((log_fact[::-1], np.zeros(size - 1)))
@@ -174,43 +171,30 @@ def _int_order_tables(size):
             sliding_window_view(masked, size))
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _checked_orders(orders):
-    """The orders of a query as sorted floats, checked, with their array and
-    its integer mask. Memoized on the orders alone, which the caller sorts
-    so that every arrangement of them shares one entry; a refused tuple
-    raises on every call, as exceptions are not kept."""
-    orders = tuple(sorted(float(a) for a in orders))
-    if any(a <= 1.0 for a in orders):
-        raise DomainError("all orders must exceed 1")
-    if not all(map(math.isfinite, orders)):
-        raise DomainError("all orders must be finite")
-    if any(a == math.floor(a) and a > MAX_INT_ORDER for a in orders):
-        raise DomainError(f"integer orders above {MAX_INT_ORDER} are not "
-                          f"supported")
-    alphas = np.array(orders)
+@functools.cache
+def _order_grid():
+    """DEFAULT_ORDERS as a read-only array, with its integer mask, its
+    integer orders and the tuple of its fractional orders."""
+    alphas = np.array(DEFAULT_ORDERS)
     is_int = alphas == np.floor(alphas)
-    alphas.flags.writeable = is_int.flags.writeable = False
-    return orders, alphas, is_int
+    ints = alphas[is_int].astype(int)
+    for a in (alphas, is_int, ints):
+        a.flags.writeable = False
+    return alphas, is_int, ints, tuple(alphas[~is_int].tolist())
 
 
 def _series_coefs(alphas, lo, n):
     """special.binom(alpha, i) and log|binom(alpha, i)| for i in [lo, n),
     one row per fractional order of the tuple `alphas`."""
     coef = special.binom(np.array(alphas)[:, None], np.arange(lo, n))
-    # An order within rounding of an integer has coefficients of exactly
-    # 0; their log-terms are -inf, and the sum drops them (sign 0).
-    with np.errstate(divide="ignore"):
-        log_coef = np.log(np.abs(coef))
+    log_coef = np.log(np.abs(coef))
     coef.flags.writeable = log_coef.flags.writeable = False
     return coef, log_coef
 
 
-# Up to _MEMO_SERIES_TERMS, an orders tuple's series has three chunks:
-# [0, 64), [64, 256) and [256, 1024). Longer series are rare, and their
-# chunks large.
-_memo_series_coefs = functools.lru_cache(maxsize=3 * _MEMO_SIZE)(
-    _series_coefs)
+# Up to _MEMO_SERIES_TERMS, the grid's series has three chunks: [0, 64),
+# [64, 256) and [256, 1024). Longer series are rare, and their chunks large.
+_memo_series_coefs = functools.lru_cache(maxsize=3)(_series_coefs)
 
 
 def _log_a_frac(q, sigma, alphas):
@@ -254,7 +238,9 @@ def _log_a_frac(q, sigma, alphas):
                       axis=(0, 2), b=np.sign(coef))
 
 
-def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
+def rdp_subsampled_gaussian(q, sigma, steps) -> RdpCurve:
+    """The RDP curve at DEFAULT_ORDERS of `steps` steps at sampling rate q
+    and noise multiplier sigma."""
     if not 0.0 <= q <= 1.0:
         raise DomainError("sampling rate q must lie in [0,1]")
     if not math.isfinite(sigma):
@@ -272,7 +258,8 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
         raise DomainError(f"step count must be an integer, not {steps!r}")
     if steps < 0:
         raise DomainError("step count must be >= 0")
-    orders, alphas, is_int = _checked_orders(tuple(sorted(orders)))
+    orders = DEFAULT_ORDERS
+    alphas, is_int, ints, fracs = _order_grid()
     if steps == 0:
         return RdpCurve(orders, np.zeros(len(orders)), q, sigma, 0)
     if sigma <= 0.0:
@@ -298,12 +285,8 @@ def rdp_subsampled_gaussian(q, sigma, steps, orders=DEFAULT_ORDERS) -> RdpCurve:
             per_step = alphas / (2.0 * sigma ** 2)
         else:
             log_a = np.empty(len(orders))
-            if is_int.any():
-                log_a[is_int] = _log_a_int(q, sigma,
-                                           alphas[is_int].astype(int))
-            if not is_int.all():
-                log_a[~is_int] = _log_a_frac(
-                    q, sigma, tuple(alphas[~is_int].tolist()))
+            log_a[is_int] = _log_a_int(q, sigma, ints)
+            log_a[~is_int] = _log_a_frac(q, sigma, fracs)
             per_step = np.maximum(log_a / (alphas - 1.0), 0.0)
         eps_rdp = steps * per_step
     return RdpCurve(orders, eps_rdp, q, sigma, steps)
@@ -321,13 +304,12 @@ def rdp_to_dp(curve: RdpCurve, delta=DEFAULT_DELTA) -> PrivacySpend:
                         argmin_order=float(orders[idx]))
 
 
-def spend_for_training(q, sigma, steps, delta=DEFAULT_DELTA,
-                       orders=DEFAULT_ORDERS):
+def spend_for_training(q, sigma, steps, delta=DEFAULT_DELTA):
     """Accountant entry point used by the trainers; returns the spend plus
     the (q, sigma, T, delta) log line that makes it recomputable. Zero
     steps release nothing, so they spend epsilon = 0 (after the same input
     checks) rather than the conversion term alone."""
-    curve = rdp_subsampled_gaussian(q, sigma, steps, orders)
+    curve = rdp_subsampled_gaussian(q, sigma, steps)
     spend = rdp_to_dp(curve, delta)
     if steps == 0:
         spend = PrivacySpend(epsilon=0.0, delta=delta)

@@ -39,6 +39,9 @@ from .errors import ConfigurationError, DPTailsError, config_from_dict
 # Objective-perturbation budgets matched to the named privacy levels; "none"
 # trains the noiseless minimizer, reported as a non-private run.
 OBJPERT_LEVEL_EPS = {"none": math.inf, "low": 3.5e5, "high": 3.54}
+# The privacy level names each mechanism trains.
+MECHANISM_LEVELS = {"dp-sgd": dp_optim.PRIVACY_LEVELS,
+                    "objective-perturbation": OBJPERT_LEVEL_EPS}
 
 
 @dataclass
@@ -65,15 +68,17 @@ class ExperimentConfig:
                      "audits"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name}: must be nonempty")
-        for level in self.privacy_levels:
-            if not isinstance(level, str):
-                raise ConfigurationError(
-                    f"privacy_levels: {level!r} is not a level name")
         for i, task in enumerate(self.tasks):
             _family_spec(task, f"tasks[{i}]")
         for mech in self.mechanisms:
-            if mech not in ("dp-sgd", "objective-perturbation"):
+            if not isinstance(mech, str) or mech not in MECHANISM_LEVELS:
                 raise ConfigurationError(f"mechanisms: unknown {mech!r}")
+            for level in self.privacy_levels:
+                if (not isinstance(level, str)
+                        or level not in MECHANISM_LEVELS[mech]):
+                    raise ConfigurationError(
+                        f"privacy_levels: {level!r} is not a {mech} level "
+                        f"({', '.join(MECHANISM_LEVELS[mech])})")
         for audit in self.audits:
             if audit not in ("utility", "robustness", "fairness", "influence"):
                 raise ConfigurationError(f"audits: unknown {audit!r}")
@@ -127,8 +132,6 @@ def _caught(fn, *args, **kwargs):
 
 
 def _train_objpert(train, level, seed, config):
-    if level not in OBJPERT_LEVEL_EPS:
-        raise ConfigurationError(f"unknown privacy level {level!r}")
     op_config = objective_perturbation.ObjPertConfig(
         eps_p=OBJPERT_LEVEL_EPS[level], lam=config.objpert_lambda, seed=seed)
     return objective_perturbation.train_objective_perturbation(
@@ -148,21 +151,16 @@ def _train_models(cohort, task, mechanism, jobs, pivots, config):
                                         mechanism, pivot))
              for pivot in pivots for level, seed in jobs]
     if mechanism == "dp-sgd":
-        results = [_caught(dp_optim.DPTrainingConfig.from_level, level,
-                           batch_size=config.batch_size,
-                           microbatch_count=config.microbatch_count,
-                           learning_rate=config.learning_rate,
-                           epochs=config.epochs, seed=cell_seed)
-                   for _, level, cell_seed in slots]
         rows = {pivot: cohort_mod.train_rows(cohort, pivot)
                 for pivot in pivots}
-        valid = [i for i, result in enumerate(results)
-                 if not isinstance(result, DPTailsError)]
-        trained = dp_optim.train_stack(
-            _family_spec(task, "task"), cohort, [results[i] for i in valid],
-            [rows[slots[i][0]] for i in valid])
-        for i, result in zip(valid, trained):
-            results[i] = result
+        results = dp_optim.train_stack(
+            _family_spec(task, "task"), cohort,
+            [dp_optim.DPTrainingConfig.from_level(
+                level, batch_size=config.batch_size,
+                microbatch_count=config.microbatch_count,
+                learning_rate=config.learning_rate, epochs=config.epochs,
+                seed=cell_seed) for _, level, cell_seed in slots],
+            [rows[pivot] for pivot, _, _ in slots])
     else:
         results = []
         for p, pivot in enumerate(pivots):
@@ -281,10 +279,12 @@ def _run_cells(base, task, mechanism, cells, config):
 def _skip_rule(audit, task, mechanism, level, config):
     """The rule that keeps `audit` from a cell of this task, mechanism and
     level, or None if the audit runs there."""
+    family = _family_spec(task, "task").family
+    if mechanism == "objective-perturbation" and family != "lr-binary":
+        return "objective-perturbation trains only lr-binary tasks"
     if audit in ("robustness", "influence") and mechanism != "dp-sgd":
         return f"{audit} audits only dp-sgd cells"
-    if (audit == "influence"
-            and _family_spec(task, "task").family != "lr-binary"):
+    if audit == "influence" and family != "lr-binary":
         return "influence audits only lr-binary tasks"
     if audit == "robustness" and level != config.privacy_levels[0]:
         return (f"robustness audits only privacy_levels[0] "
@@ -315,7 +315,7 @@ def run_experiment(config: ExperimentConfig):
         if audits:
             by_group.setdefault((t, mechanism), []).append((cell, audits))
         else:
-            cell["skipped"] = "; ".join(rules.values())
+            cell["skipped"] = "; ".join(dict.fromkeys(rules.values()))
     if not by_group:
         raise ConfigurationError(
             f"audits: none of {config.audits} runs on any cell "

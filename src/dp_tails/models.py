@@ -62,6 +62,8 @@ class FamilySpec:
                 f"family: unknown {self.family!r}, must be one of {FAMILIES}")
         if self.h < 1:
             raise ConfigurationError("h: need h >= 1 units")
+        if self.l2_lambda < 0:
+            raise ConfigurationError("l2_lambda: must be >= 0")
 
 
 @dataclass

@@ -240,24 +240,21 @@ def test_cells_without_an_audit_say_why(tmp_path):
 
 
 def test_run_experiment_partial_failure_recorded(tmp_path):
-    config = _small_config(tmp_path, privacy_levels=["none", "nonsense"])
+    # The shift test refuses negative years, so on such a cohort the one
+    # cell that audits robustness fails.
+    config = _small_config(
+        tmp_path, privacy_levels=["none", "high"],
+        audits=["utility", "robustness"],
+        cohort=dataclasses.replace(_small_config(tmp_path).cohort,
+                                   years=(-3, -1)))
     report, failures = harness.run_experiment(config)
     assert failures == 1
     failed = [c for c in report["cells"] if "error" in c]
     assert len(failed) == 1
-    assert failed[0]["level"] == "nonsense"
+    assert failed[0]["level"] == "none"
     # Healthy cells are unaffected.
     assert len(report["cells"]) == 2
     assert len(report["aggregates"]) == 1
-
-
-def test_objective_perturbation_unknown_level_fails_its_cell(tmp_path):
-    config = _small_config(tmp_path, privacy_levels=["none", "nonsense"],
-                           mechanisms=["objective-perturbation"])
-    report, failures = harness.run_experiment(config)
-    assert failures == 1
-    assert [c["level"] for c in report["cells"] if "error" in c] == \
-        ["nonsense"]
 
 
 def test_run_experiment_byte_identical_rerun(tmp_path):
@@ -592,6 +589,27 @@ def test_influence_skips_non_lr_binary_tasks(tmp_path):
             config, tasks=tasks[1:], audits=["influence"]))
 
 
+def test_objective_perturbation_skips_non_lr_binary_tasks(tmp_path):
+    # The mechanism solves ridge LR: an mlp-1 task's cells record that once
+    # under `skipped` instead of a ridge-LR model's results, and a grid left
+    # with no audit is refused.
+    tasks = [{"name": "outcome"}, {"name": "mlp", "family": "mlp-1", "h": 4}]
+    config = _small_config(tmp_path, tasks=tasks,
+                           mechanisms=["objective-perturbation"],
+                           audits=["utility", "fairness"])
+    report, failures = harness.run_experiment(config)
+    assert failures == 0
+    lr, mlp = report["cells"]
+    assert set(lr) >= {"utility", "fairness"}
+    assert mlp == {"task": "mlp", "level": "none",
+                   "mechanism": "objective-perturbation", "seed": 0,
+                   "skipped": "objective-perturbation trains only lr-binary "
+                              "tasks"}
+    with pytest.raises(ConfigurationError,
+                       match="objective-perturbation trains only lr-binary"):
+        harness.run_experiment(dataclasses.replace(config, tasks=tasks[1:]))
+
+
 def test_utility_csv_matches_report(tmp_path):
     config = _small_config(tmp_path)
     report, _ = harness.run_experiment(config)
@@ -801,11 +819,14 @@ def test_cli_run_and_rerun_exit_codes(tmp_path):
 
 
 def test_cli_run_partial_failure_exit_code(tmp_path):
+    # The robustness cell fails on negative years; the other cell runs.
     cc, _ = _write_cohort_config(tmp_path)
+    cc = dataclasses.replace(cc, years=(-3, -1))
     run_config = tmp_path / "run.json"
     run_config.write_text(json.dumps({
         "cohort": json.loads(cc.to_json()),
-        "privacy_levels": ["nonsense"], "seeds": [0], "epochs": 1,
+        "privacy_levels": ["none", "high"], "seeds": [0], "epochs": 1,
+        "audits": ["utility", "robustness"],
         "out_dir": str(tmp_path / "runs"),
     }))
     assert cli.main(["run", "--config", str(run_config)]) == 3
@@ -981,6 +1002,14 @@ _PROBE_BASE = {
     ("run", {"cohort": _SMALL_COHORT, "influence_test_cap": 0},
      "influence_test_cap"),
     ("run", {"cohort": _SMALL_COHORT, "influence_panel": 0}, "influence_panel"),
+    ("run", {"cohort": _SMALL_COHORT, "epochs": 1, "seeds": [0],
+             "tasks": [{"name": "o", "l2_lambda": -0.1}]}, "l2_lambda"),
+    # Unknown levels failed only their own cells (exit 3).
+    ("run", {"cohort": _SMALL_COHORT, "epochs": 1, "seeds": [0],
+             "privacy_levels": ["none", "medium"]}, "privacy_levels"),
+    ("run", {"cohort": _SMALL_COHORT, "epochs": 1, "seeds": [0],
+             "privacy_levels": ["none", "medium"],
+             "mechanisms": ["objective-perturbation"]}, "privacy_levels"),
     # Configs that exited 0 having trained nothing, audited nothing or
     # dropped the noise they asked for.
     ("run", {"cohort": _SMALL_COHORT, "mechanisms": []}, "mechanisms"),
@@ -1016,6 +1045,8 @@ _PROBE_BASE = {
         "run-epochs-negative", "run-learning-rate-zero",
         "run-microbatches-not-dividing", "run-objpert-lambda-zero",
         "run-train-cap-zero", "run-test-cap-zero", "run-panel-zero",
+        "run-task-l2-lambda-negative", "run-level-unknown",
+        "run-objpert-level-unknown",
         "run-mechanisms-empty", "run-audits-empty", "run-no-cell-audited",
         "train-noise-without-clip-norm"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
