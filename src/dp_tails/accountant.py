@@ -10,6 +10,7 @@ Per-step RDP at order alpha:
             its signed terms summed by one signed log-sum-exp.
 The log-sum-exp is scipy.special.logsumexp's arithmetic (scipy 1.17.1)
 without its array-API dispatch, so curves keep scipy's bits.
+scipy.special is imported on the first query, not with this module.
 
 Every curve is computed at one order grid, DEFAULT_ORDERS, so curves add
 up order by order. What depends on the grid alone is kept between calls
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from .errors import ConfigurationError, DomainError, InfinitePrivacyLossError
 
@@ -163,6 +163,7 @@ def _int_order_tables(size):
     the table, where k > alpha) and over the k > alpha mask, which
     _log_a_int reads. Memoized on the largest order alone, which is the
     grid's; read-only."""
+    from scipy import special
     log_fact = special.gammaln(np.arange(1, size + 1))
     log_fact.flags.writeable = False
     padded = np.concatenate((log_fact[::-1], np.zeros(size - 1)))
@@ -186,6 +187,7 @@ def _order_grid():
 def _series_coefs(alphas, lo, n):
     """special.binom(alpha, i) and log|binom(alpha, i)| for i in [lo, n),
     one row per fractional order of the tuple `alphas`."""
+    from scipy import special
     coef = special.binom(np.array(alphas)[:, None], np.arange(lo, n))
     log_coef = np.log(np.abs(coef))
     coef.flags.writeable = log_coef.flags.writeable = False
@@ -205,6 +207,7 @@ def _log_a_frac(q, sigma, alphas):
     new term computed once, until every order's series has stopped; past
     MAX_SERIES_TERMS it raises DomainError, as the terms then no longer
     fall (a NaN or infinite term never does)."""
+    from scipy import special
     z0 = sigma ** 2 * math.log(1.0 / q - 1.0) + 0.5
     chunks = []
     stopped = np.zeros(len(alphas), dtype=bool)

@@ -14,6 +14,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
                harness, influence, models, objective_perturbation,
                shift_audit)
@@ -171,7 +173,10 @@ def cmd_audit_fairness(args):
     cfg = _load_config(FairnessAuditFile, args.config)
     cohort = _read_cohort(cfg.cohort_csv)
     params = models.ModelParams.from_dict(cfg.params)
-    scores = models.predict(params, cohort.features)[:, 1]
+    # Parameters that overflow the scores are refused by fairness_gaps,
+    # which counts the non-finite scores.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = models.predict(params, cohort.features)[:, 1]
     harness.write_json(args.out, fairness_audit.fairness_gaps(
         scores, cohort.labels, cohort.groups, g1=cfg.group_1, g2=cfg.group_2,
         threshold=cfg.threshold))

@@ -7,7 +7,7 @@ values indicate a bias towards group 1:
   specificity gap TN1/(TN1+FP1) - TN2/(TN2+FP2)
   auroc gap       AUROC1 - AUROC2
 A gap whose denominator is zero in either group is reported as undefined
-with a reason, never as 0.
+with a reason, never as 0. Non-finite scores are refused.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ def fairness_gaps(scores, labels, groups, g1, g2, threshold=0.5):
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(labels).ravel().astype(np.int64)
     g = np.asarray(groups).ravel().astype(np.int64)
+    bad = int(np.count_nonzero(~np.isfinite(s)))
+    if bad:
+        raise DomainError(f"{bad} of {s.size} scores are not finite")
 
     masks = {g1: g == g1, g2: g == g2}
     for gid, mask in masks.items():

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import models
 from .errors import ConditioningError, DomainError, UnsupportedFamilyError
@@ -49,10 +48,18 @@ class InfluenceEngine:
         if params.l2_lambda + damping <= 0:
             raise ConditioningError(
                 "need l2_lambda + damping > 0 for an invertible Hessian")
+        from scipy.linalg import cho_factor
         self.params = params
         self.damping = float(damping)
-        self.hessian = models.lr_hessian(params, train_cohort.features,
-                                         damping=damping)
+        # Parameters large enough to overflow the log-odds make the Hessian
+        # non-finite; it is refused below, not factored.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.hessian = models.lr_hessian(params, train_cohort.features,
+                                             damping=damping)
+        bad = int(np.count_nonzero(~np.isfinite(self.hessian)))
+        if bad:
+            raise ConditioningError(f"Hessian has {bad} non-finite entries "
+                                    f"of {self.hessian.size}")
         try:
             self._cho = cho_factor(self.hessian)
         except np.linalg.LinAlgError as exc:
@@ -69,6 +76,7 @@ class InfluenceEngine:
         return np.column_stack([resid[:, None] * subset.features, resid])
 
     def matrix(self, train_subset, test_subset) -> InfluenceMatrix:
+        from scipy.linalg import cho_solve
         G_tr = self._grads(train_subset)
         G_te = self._grads(test_subset)
         # One solve block shared across all pairs.

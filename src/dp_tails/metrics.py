@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, stdtr
 
 from .errors import UndefinedCorrelationError, UndefinedMetricError
 
@@ -103,6 +102,7 @@ def confusion(scores, labels, threshold=0.5) -> ConfusionMatrix:
 def binomial_test(successes, trials, p0=0.5) -> TestResult:
     """Exact two-sided binomial test: sum the probability of every
     outcome no more likely than the observed one."""
+    from scipy.special import gammaln
     k, n = int(successes), int(trials)
     if n < 1 or not 0 <= k <= n:
         raise UndefinedMetricError("need 0 <= successes <= trials, trials >= 1")
@@ -120,6 +120,7 @@ def binomial_test(successes, trials, p0=0.5) -> TestResult:
 
 
 def pearson(x, y) -> TestResult:
+    from scipy.special import stdtr
     xa = np.asarray(x, dtype=float).ravel()
     ya = np.asarray(y, dtype=float).ravel()
     n = len(xa)

@@ -142,3 +142,12 @@ def test_yearly_variance_smaller_under_high_privacy():
                 wins[key] += 1
     for key, count in wins.items():
         assert count >= 4, f"{key}: high-privacy std smaller in {count}/5"
+
+
+def test_non_finite_scores_refused_with_their_count():
+    # NaN scores made a NaN AUROC and AUROC gap, which json writes as the
+    # non-standard NaN.
+    scores = [0.9, np.nan, 0.2, np.inf, 0.4, -np.inf]
+    with pytest.raises(DomainError, match="^3 of 6 scores are not finite$"):
+        fairness_audit.fairness_gaps(scores, [1, 0, 1, 0, 1, 0],
+                                     [0, 0, 0, 1, 1, 1], g1=0, g2=1)

@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1292,6 +1295,81 @@ def test_cli_audit_influence(tmp_path):
     assert [int(r[0]) for r in rows[1:]] == matrix.train_ids.tolist()
     assert ([[float(c) for c in r[1:]] for r in rows[1:]]
             == matrix.values.tolist())
+
+
+@pytest.mark.parametrize("command, message", [
+    ("audit-influence", "error: Hessian has 25 non-finite entries of 25"),
+    ("audit-fairness", "error: 3 of 200 scores are not finite"),
+], ids=["audit-influence", "audit-fairness"])
+def test_cli_audit_overflowing_params_exit_code(tmp_path, capsys, command,
+                                                message):
+    # Finite parameters whose log-odds overflow: the influence audit's
+    # Cholesky factorization raised scipy's ValueError with a traceback, and
+    # the fairness audit wrote NaN gaps and AUROCs with exit 0.
+    base = cohort.generate_cohort(cohort.CohortConfig(n=400, d=4, seed=1))
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    cohort.write_cohort(base.subset(slice(0, 200)), str(train_csv))
+    cohort.write_cohort(base.subset(slice(200, 400)), str(test_csv))
+    params = models.ModelParams("lr-binary", np.array([1e308] * 4 + [-1e308]),
+                                d=4, h=0, l2_lambda=0.0).to_dict()
+    audit_config = tmp_path / "audit.json"
+    audit_config.write_text(json.dumps(
+        {"train_csv": str(train_csv), "test_csv": str(test_csv),
+         "params": params} if command == "audit-influence"
+        else {"cohort_csv": str(train_csv), "params": params}))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(audit_config),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_cli_commands_load_scipy_on_first_use(tmp_path):
+    # A fresh interpreter: this one already holds scipy. Importing the CLI,
+    # generate-data and audit-fairness load no scipy submodule; account
+    # loads scipy.special alone and writes the in-process epsilon's bits.
+    _, cohort_config = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    base = cohort.generate_cohort(cohort.CohortConfig.from_dict(
+        json.loads(cohort_config.read_text())))
+    params = models.fit_lr_newton(base.features, base.labels, l2_lambda=0.01)
+    fairness_config = tmp_path / "fairness.json"
+    fairness_config.write_text(json.dumps(
+        {"cohort_csv": str(csv_path), "params": params.to_dict()}))
+    eps_path = tmp_path / "eps.json"
+    commands = [
+        ["generate-data", "--config", str(cohort_config), "--out",
+         str(csv_path)],
+        ["audit-fairness", "--config", str(fairness_config), "--out",
+         str(tmp_path / "fairness_report.json")],
+        ["account", "--q", "0.01", "--sigma", "1.1", "--steps", "700",
+         "--out", str(eps_path)],
+    ]
+    code = ("import json, sys\n"
+            "from dp_tails import cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith(\n"
+            "        ('scipy.special', 'scipy.linalg', 'scipy.stats')))\n"
+            "seen = {'import': loaded()}\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    seen[argv[0]] = loaded()\n"
+            "print(json.dumps(seen))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+        capture_output=True, text=True).stdout
+    seen = json.loads(out)
+    assert seen["import"] == seen["generate-data"] == \
+        seen["audit-fairness"] == []
+    assert "scipy.special" in seen["account"]
+    assert not [m for m in seen["account"]
+                if m.startswith(("scipy.linalg", "scipy.stats"))]
+    spend, _ = accountant.spend_for_training(q=0.01, sigma=1.1, steps=700)
+    assert float.hex(json.loads(eps_path.read_text())["epsilon"]) == \
+        float.hex(spend.epsilon)
 
 
 def test_cli_audits_match_grid(tmp_path):
