@@ -4,7 +4,10 @@ Entry (train, test) of a matrix is the bilinear form
 -g_test^T H^{-1} g_train, i.e. the first-order change of the test loss
 per unit upweight of the training point, with H the damped Hessian of the
 regularized mean training loss at the model's parameters and g the plain
-per-record cross-entropy gradients.
+per-record cross-entropy gradients. The engine checks H positive definite
+once, by numpy's Cholesky factorization, and each matrix solves it with
+numpy.linalg.solve, so the module loads no scipy. A non-finite Hessian,
+matrix or summary statistic is refused with the count of its bad entries.
 
 Sign convention (fixed empirically by the leave-one-out retraining
 oracle): removing a training point changes the test loss by approximately
@@ -21,12 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import ConditioningError, DomainError, UnsupportedFamilyError
+from .errors import (ConditioningError, DomainError, NumericError,
+                     UnsupportedFamilyError)
 
 SIGN_CONVENTION = ("negative = helpful (removal raises test loss), "
                    "positive = harmful")
 DEFAULT_DAMPING = 1e-3
 DEFAULT_PANEL = 100
+
+
+def _refuse_non_finite(what, values, error=NumericError):
+    """Raise `error` counting the non-finite entries of `values`, if any."""
+    bad = np.size(values) - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise error(f"{what} has {bad} non-finite entries of "
+                    f"{np.size(values)}")
 
 
 @dataclass
@@ -37,7 +49,8 @@ class InfluenceMatrix:
 
 
 class InfluenceEngine:
-    """Shared Hessian factorization over a fixed (model, train cohort)."""
+    """The damped Hessian of a fixed (model, train cohort), checked positive
+    definite once and shared by every matrix it solves."""
 
     def __init__(self, params: models.ModelParams, train_cohort, damping=None):
         if params.family != "lr-binary":
@@ -48,20 +61,16 @@ class InfluenceEngine:
         if params.l2_lambda + damping <= 0:
             raise ConditioningError(
                 "need l2_lambda + damping > 0 for an invertible Hessian")
-        from scipy.linalg import cho_factor
         self.params = params
         self.damping = float(damping)
         # Parameters large enough to overflow the log-odds make the Hessian
-        # non-finite; it is refused below, not factored.
+        # non-finite; it is refused below, not solved.
         with np.errstate(over="ignore", invalid="ignore"):
             self.hessian = models.lr_hessian(params, train_cohort.features,
                                              damping=damping)
-        bad = int(np.count_nonzero(~np.isfinite(self.hessian)))
-        if bad:
-            raise ConditioningError(f"Hessian has {bad} non-finite entries "
-                                    f"of {self.hessian.size}")
+        _refuse_non_finite("Hessian", self.hessian, ConditioningError)
         try:
-            self._cho = cho_factor(self.hessian)
+            np.linalg.cholesky(self.hessian)
         except np.linalg.LinAlgError as exc:
             raise ConditioningError(f"Hessian factorization failed: {exc}")
 
@@ -76,12 +85,14 @@ class InfluenceEngine:
         return np.column_stack([resid[:, None] * subset.features, resid])
 
     def matrix(self, train_subset, test_subset) -> InfluenceMatrix:
-        from scipy.linalg import cho_solve
         G_tr = self._grads(train_subset)
         G_te = self._grads(test_subset)
-        # One solve block shared across all pairs.
-        solved = cho_solve(self._cho, G_te.T)       # p x n_test
-        values = -(G_tr @ solved)
+        # One solve block (p x n_test) shared across all pairs. Features or
+        # parameters that overflow the product are refused, not written.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = G_tr @ np.linalg.solve(self.hessian, G_te.T)
+        np.negative(values, out=values)
+        _refuse_non_finite("influence matrix", values)
         return InfluenceMatrix(values=values,
                                train_ids=train_subset.ids.copy(),
                                test_ids=test_subset.ids.copy())
@@ -97,9 +108,12 @@ def group_influence(matrix: InfluenceMatrix, group_of):
         raise DomainError(f"need one group per matrix row: shape "
                           f"{group_of.shape} for {len(matrix.values)} rows")
     groups = np.unique(group_of).tolist()
-    per_group = {g: matrix.values[group_of == g].sum(axis=0) for g in groups}
-    means = {g: float(v.mean()) for g, v in per_group.items()}
-    stds = {g: float(v.std()) for g, v in per_group.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_group = {g: matrix.values[group_of == g].sum(axis=0)
+                     for g in groups}
+        means = {g: float(v.mean()) for g, v in per_group.items()}
+        stds = {g: float(v.std()) for g, v in per_group.items()}
+    _refuse_non_finite("group influence", [*means.values(), *stds.values()])
     # Helpful = most negative mean under the LOO-fixed sign convention.
     return {"means": means, "stds": stds,
             "most_helpful_group": min(groups, key=lambda g: (means[g], g)),
@@ -110,7 +124,9 @@ def top_variance_test_points(matrix: InfluenceMatrix, k=100):
     """Test ids ranked by influence-column variance, ties broken by id."""
     if k > len(matrix.test_ids):
         raise DomainError("k exceeds the number of test points")
-    variances = matrix.values.var(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variances = matrix.values.var(axis=0)
+    _refuse_non_finite("influence variance", variances)
     order = np.lexsort((matrix.test_ids, -variances))
     return [int(matrix.test_ids[j]) for j in order[:k]]
 

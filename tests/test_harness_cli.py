@@ -1297,38 +1297,52 @@ def test_cli_audit_influence(tmp_path):
             == matrix.values.tolist())
 
 
-@pytest.mark.parametrize("command, message", [
-    ("audit-influence", "error: Hessian has 25 non-finite entries of 25"),
-    ("audit-fairness", "error: 3 of 200 scores are not finite"),
-], ids=["audit-influence", "audit-fairness"])
+@pytest.mark.parametrize("command, scale, theta, message", [
+    ("audit-influence", 1.0, [1e308] * 4 + [-1e308],
+     "error: Hessian has 25 non-finite entries of 25"),
+    ("audit-fairness", 1.0, [1e308] * 4 + [-1e308],
+     "error: 3 of 200 scores are not finite"),
+    ("audit-influence", 1e150, [1e-100, 0.0, 0.0, 0.0, 0.5],
+     "error: influence variance has 76 non-finite entries of 200"),
+    ("audit-influence", 1e200, [1e-160] * 4 + [0.0],
+     "error: influence matrix has 8370 non-finite entries of 40000"),
+], ids=["audit-influence", "audit-fairness", "audit-influence-summary",
+        "audit-influence-matrix"])
 def test_cli_audit_overflowing_params_exit_code(tmp_path, capsys, command,
-                                                message):
+                                                scale, theta, message):
     # Finite parameters whose log-odds overflow: the influence audit's
     # Cholesky factorization raised scipy's ValueError with a traceback, and
-    # the fairness audit wrote NaN gaps and AUROCs with exit 0.
+    # the fairness audit wrote NaN gaps and AUROCs with exit 0. Features
+    # scaled so that a finite Hessian gives overflowing influence: the
+    # influence audit wrote Infinity for every group std, or inf cells to
+    # its CSV, with exit 0.
     base = cohort.generate_cohort(cohort.CohortConfig(n=400, d=4, seed=1))
+    base = dataclasses.replace(base, features=base.features * scale)
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
     cohort.write_cohort(base.subset(slice(0, 200)), str(train_csv))
     cohort.write_cohort(base.subset(slice(200, 400)), str(test_csv))
-    params = models.ModelParams("lr-binary", np.array([1e308] * 4 + [-1e308]),
-                                d=4, h=0, l2_lambda=0.0).to_dict()
+    params = models.ModelParams("lr-binary", np.array(theta), d=4, h=0,
+                                l2_lambda=0.0).to_dict()
     audit_config = tmp_path / "audit.json"
     audit_config.write_text(json.dumps(
         {"train_csv": str(train_csv), "test_csv": str(test_csv),
          "params": params} if command == "audit-influence"
         else {"cohort_csv": str(train_csv), "params": params}))
-    out = tmp_path / "report.json"
+    out, csv_out = tmp_path / "report.json", tmp_path / "influence.csv"
     capsys.readouterr()
     assert cli.main([command, "--config", str(audit_config),
-                     "--out", str(out)]) == 2
+                     "--out", str(out)]
+                    + (["--csv", str(csv_out)]
+                       if command == "audit-influence" else [])) == 2
     assert capsys.readouterr().err == message + "\n"
-    assert not out.exists()
+    assert not out.exists() and not csv_out.exists()
 
 
 def test_cli_commands_load_scipy_on_first_use(tmp_path):
     # A fresh interpreter: this one already holds scipy. Importing the CLI,
-    # generate-data and audit-fairness load no scipy submodule; account
-    # loads scipy.special alone and writes the in-process epsilon's bits.
+    # generate-data, audit-fairness and audit-influence load no scipy
+    # submodule; account loads scipy.special alone and writes the
+    # in-process epsilon's bits. No command loads scipy.linalg.
     _, cohort_config = _write_cohort_config(tmp_path)
     csv_path = tmp_path / "cohort.csv"
     base = cohort.generate_cohort(cohort.CohortConfig.from_dict(
@@ -1337,12 +1351,18 @@ def test_cli_commands_load_scipy_on_first_use(tmp_path):
     fairness_config = tmp_path / "fairness.json"
     fairness_config.write_text(json.dumps(
         {"cohort_csv": str(csv_path), "params": params.to_dict()}))
+    influence_config = tmp_path / "influence.json"
+    influence_config.write_text(json.dumps(
+        {"train_csv": str(csv_path), "test_csv": str(csv_path),
+         "params": params.to_dict()}))
     eps_path = tmp_path / "eps.json"
     commands = [
         ["generate-data", "--config", str(cohort_config), "--out",
          str(csv_path)],
         ["audit-fairness", "--config", str(fairness_config), "--out",
          str(tmp_path / "fairness_report.json")],
+        ["audit-influence", "--config", str(influence_config), "--out",
+         str(tmp_path / "influence_report.json")],
         ["account", "--q", "0.01", "--sigma", "1.1", "--steps", "700",
          "--out", str(eps_path)],
     ]
@@ -1363,10 +1383,12 @@ def test_cli_commands_load_scipy_on_first_use(tmp_path):
         capture_output=True, text=True).stdout
     seen = json.loads(out)
     assert seen["import"] == seen["generate-data"] == \
-        seen["audit-fairness"] == []
+        seen["audit-fairness"] == seen["audit-influence"] == []
     assert "scipy.special" in seen["account"]
     assert not [m for m in seen["account"]
                 if m.startswith(("scipy.linalg", "scipy.stats"))]
+    assert not [m for loaded in seen.values() for m in loaded
+                if m.startswith("scipy.linalg")]
     spend, _ = accountant.spend_for_training(q=0.01, sigma=1.1, steps=700)
     assert float.hex(json.loads(eps_path.read_text())["epsilon"]) == \
         float.hex(spend.epsilon)

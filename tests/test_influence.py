@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from dp_tails import cohort, dp_optim, influence, models
-from dp_tails.errors import (ConditioningError, DomainError,
+from dp_tails.errors import (ConditioningError, DomainError, NumericError,
                              UnsupportedFamilyError)
 
 from conftest import make_cohort, raw_cohort
@@ -261,6 +261,18 @@ def test_influencer_frequency_errors():
         influence.influencer_frequency(_toy_matrix(np.empty((0, 0))))
     with pytest.raises(DomainError):
         influence.influencer_frequency(_toy_matrix(np.empty((3, 0))))
+
+
+def test_overflowing_statistics_refused_with_their_count():
+    # Finite values whose column variance and group spread overflow: both
+    # were returned as inf, and json wrote them as Infinity.
+    matrix = _toy_matrix([[1e300, -1e300], [1e300, 1e300]])
+    with pytest.raises(NumericError, match="^influence variance has 1 "
+                       "non-finite entries of 2$"):
+        influence.top_variance_test_points(matrix, k=1)
+    with pytest.raises(NumericError, match="^group influence has 1 "
+                       "non-finite entries of 2$"):
+        influence.group_influence(matrix, [0, 0])
 
 
 def _panel(matrix, k=100):
