@@ -159,7 +159,7 @@ def cmd_audit_shift(args):
             split.train.features, split.train.labels, l2_lambda=cfg.l2_lambda)
         rows.append(shift_audit.robustness_row(
             seed, pivot, split, params,
-            models.predict(params, split.test.features)[:, 1]))
+            models.predict(params, split.test.features)))
     report = shift_audit.robustness_report(rows)
     harness.write_json(args.out, report)
     if args.csv:
@@ -176,7 +176,7 @@ def cmd_audit_fairness(args):
     # Parameters that overflow the scores are refused by fairness_gaps,
     # which counts the non-finite scores.
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = models.predict(params, cohort.features)[:, 1]
+        scores = models.predict(params, cohort.features)
     harness.write_json(args.out, fairness_audit.fairness_gaps(
         scores, cohort.labels, cohort.groups, g1=cfg.group_1, g2=cfg.group_2,
         threshold=cfg.threshold))
@@ -226,26 +226,27 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="dp-tails")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_config=True):
+    def add(name, fn, needs_config=True, seeded=True):
         p = sub.add_parser(name)
         if needs_config:
             p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
         return p
 
     add("generate-data", cmd_generate_data)
     add("train", cmd_train)
-    p = add("account", cmd_account, needs_config=False)
+    p = add("account", cmd_account, needs_config=False, seeded=False)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--delta", type=float, default=accountant.DEFAULT_DELTA)
     p = add("audit-shift", cmd_audit_shift)
     p.add_argument("--csv", default=None)
-    add("audit-fairness", cmd_audit_fairness)
-    p = add("audit-influence", cmd_audit_influence)
+    add("audit-fairness", cmd_audit_fairness, seeded=False)
+    p = add("audit-influence", cmd_audit_influence, seeded=False)
     p.add_argument("--csv", default=None)
     add("run", cmd_run)
     return parser

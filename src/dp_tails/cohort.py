@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, ParseError, SplitError,
-                     config_from_dict)
+from .errors import (ConfigurationError, DomainError, ParseError,
+                     SplitError, config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,17 @@ class CohortConfig:
 
 @dataclass
 class Cohort:
+    """Records of binary-labelled data. Every label is 0 or 1, checked
+    here once, so no code that reads a cohort checks again."""
     features: np.ndarray   # n x d, float64
-    labels: np.ndarray     # n, int
+    labels: np.ndarray     # n, int, 0 or 1
     groups: np.ndarray     # n, int
     years: np.ndarray      # n, int
     ids: np.ndarray        # n, int, unique
+
+    def __post_init__(self):
+        if not ((self.labels == 0) | (self.labels == 1)).all():
+            raise DomainError("labels must lie in [0,2)")
 
     @property
     def n(self):
@@ -278,7 +284,9 @@ def write_cohort(cohort: Cohort, path):
 
 def read_cohort(path) -> Cohort:
     """The cohort in a cohort CSV; every label must be 0 or 1. Raises
-    ParseError, naming the row and column where it can."""
+    ParseError, naming the row and column where it can, or
+    UnicodeDecodeError for a file that is not UTF-8, which the CLI reports
+    as a `not UTF-8` ParseError."""
     with open(path, newline="") as fh:
         try:
             cohort = _bulk_parse(fh)

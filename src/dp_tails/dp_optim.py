@@ -7,7 +7,8 @@ and divides by the microbatch count. microbatch_count = batch_size gives
 true per-example clipping. `models.clipped_grad_sum` returns the clipped
 sum straight from per-layer matmuls, so no step forms the batch's
 per-example gradient matrix. The last partial batch of every epoch is
-dropped so the accountant's sampling rate q = L/n is exact.
+dropped so the accountant's sampling rate q = L/n is exact. Every label is
+0 or 1, as `cohort.Cohort` guarantees, so no step checks them.
 
 `train_stack` trains any list of models of one family, each on its own
 records of one cohort (the grid's models of every level, seed and pivot
@@ -80,6 +81,8 @@ class DPTrainingConfig:
             raise ConfigurationError("optimizer: must be sgd or adam")
         if self.seed < 0:
             raise ConfigurationError("seed: must be >= 0")
+        if not 0 < self.delta < 1:
+            raise ConfigurationError("delta: must lie in (0,1)")
 
     @classmethod
     def from_level(cls, name, **kwargs):
@@ -179,15 +182,10 @@ class _Stack:
             self.errors[r], self.final[r] = error, self.theta[row]
         keep = ~leaving
         self.index, self.theta, self.clip, self.units = (
-            _rows(a, keep)
-            for a in (self.index, self.theta, self.clip, self.units))
+            a[keep] for a in (self.index, self.theta, self.clip, self.units))
         if self.adam is not None:
             self.adam.m, self.adam.v = self.adam.m[keep], self.adam.v[keep]
-        return [_rows(a, keep) for a in arrays]
-
-
-def _rows(a, keep):
-    return None if a is None else a[keep]
+        return [a[keep] for a in arrays]
 
 
 def _step(stack, family_spec, X, y, config, epochs):
@@ -239,10 +237,11 @@ def train_stack(family_spec, cohort: Cohort, configs, rows=None):
     n_r // L steps per epoch, and leaves its stack when its epochs are done.
     Each model keeps its own init and generator (SeedSequence([seed, 2])),
     permutation per epoch and noise draw per step, so it gets the bits it
-    would get alone. An error of one model (a bad label, a non-finite loss
-    or gradient, its accounting) leaves the others untouched; an error that
-    stops a whole stack (an empty row set, a microbatch count that does not
-    divide the reduced batch) is every member's result.
+    would get alone. An error of one model (a non-finite loss or gradient,
+    its accounting) leaves the others untouched; an error that stops a
+    whole stack (an empty row set, a microbatch count that does not divide
+    the reduced batch) is every member's result. The labels are not checked
+    here: `cohort.Cohort` holds only 0 and 1.
 
     family_spec: a models.FamilySpec, or a JSON object of its fields
     (family, h, l2_lambda), loaded and checked by config_from_dict; the
@@ -297,9 +296,6 @@ def _train_lockstep(family_spec, cohort, configs, rows):
     # shuffle, and batches[r, i] the L of them from position i on.
     order = np.zeros((len(configs), n.max()), dtype=np.intp)
     batches = sliding_window_view(order, L, axis=1)
-    # A model leaves the stack at the first batch holding a label other
-    # than 0 or 1; batches need checking only if the cohort has one.
-    check_labels = y.min() < 0 or y.max() > 1
     finish = set(steps.tolist())
 
     # A model leaves the stack when its steps are done, or earlier at its
@@ -314,17 +310,8 @@ def _train_lockstep(family_spec, cohort, configs, rows):
             order[r, :n[r]] = rows[r][stack.rngs[r].permutation(n[r])]
             stack.losses[r] = []
         idx = batches[stack.index, b * L]
-        Xb, yb = np.take(X, idx, axis=0), y[idx]
-        if check_labels:
-            failed = (yb.min(axis=1) < 0) | (yb.max(axis=1) > 1)
-            if failed.any():
-                Xb, yb, epochs = stack.drop(
-                    failed, itertools.repeat(
-                        models.label_error(family_spec.family)),
-                    Xb, yb, epochs)
-                if not len(stack.index):
-                    break
-        _step(stack, family_spec, Xb, yb, config, epochs)
+        _step(stack, family_spec, np.take(X, idx, axis=0), y[idx], config,
+              epochs)
         for r in stack.index[(t + 1) % steps_per_epoch[stack.index] == 0]:
             stack.traces[r].append(float(np.mean(stack.losses[r])))
 

@@ -7,7 +7,8 @@ values indicate a bias towards group 1:
   specificity gap TN1/(TN1+FP1) - TN2/(TN2+FP2)
   auroc gap       AUROC1 - AUROC2
 A gap whose denominator is zero in either group is reported as undefined
-with a reason, never as 0. Non-finite scores are refused.
+with a reason, never as 0. Non-finite scores, and a group compared with
+itself, are refused.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ def _rates(cm: metrics.ConfusionMatrix):
 def fairness_gaps(scores, labels, groups, g1, g2, threshold=0.5):
     """The fairness report row of groups g1 and g2: the four gaps, each
     group's confusion counts and AUROC (keyed by int group id), and why any
-    gap or AUROC is undefined."""
+    gap or AUROC is undefined. A group compared with itself is refused, as
+    its gaps would all read 0."""
+    if g1 == g2:
+        raise DomainError(f"group {g1} compared with itself")
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(labels).ravel().astype(np.int64)
     g = np.asarray(groups).ravel().astype(np.int64)

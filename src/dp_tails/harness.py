@@ -209,7 +209,7 @@ def _pivot_rows(seed, audits, pivot, split, trained):
     the test year by the pivot's model."""
     if {"utility", "robustness", "fairness"}.isdisjoint(audits):
         return {}
-    scores = models.predict(trained.params, split.test.features)[:, 1]
+    scores = models.predict(trained.params, split.test.features)
     rows = {}
     if "utility" in audits:
         rows["utility"] = _utility_row(pivot, split, trained, scores)

@@ -78,10 +78,7 @@ class InfluenceEngine:
         """Per-record cross-entropy gradients, (p - y) [x; 1] for LR."""
         if subset.n == 0:
             raise DomainError("empty subset")
-        y = subset.labels
-        if y.min() < 0 or y.max() > 1:
-            raise models.label_error(self.params.family)
-        resid = models.predict(self.params, subset.features)[:, 1] - y
+        resid = models.predict(self.params, subset.features) - subset.labels
         return np.column_stack([resid[:, None] * subset.features, resid])
 
     def matrix(self, train_subset, test_subset) -> InfluenceMatrix:

@@ -4,7 +4,8 @@ gradient sums and (for LR) the exact Hessian of the regularized mean loss.
 Every family runs one forward/backward pass over a stack of R models, theta
 (R, p) and one batch per model (R, n, d), that yields, per layer, the
 pre-activation gradient delta and the input a, so each record's gradient
-is a per-layer outer product. `predict` is that pass at R = 1.
+is a per-layer outer product. `predict` is that pass at R = 1, and
+returns P(y = 1) alone.
 
 Parameter layouts (flat theta):
   lr-binary: [w(d), b]
@@ -167,17 +168,12 @@ def _forward(spec, theta, X):
 
 
 def predict(params: ModelParams, features) -> np.ndarray:
-    """Class probability matrix, one row per record, 2 columns."""
+    """P(y = 1) of each record, shape (n,)."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     if X.shape[1] != params.d:
         raise ShapeError(f"feature width {X.shape[1]} != d={params.d}")
     S = _forward(params, params.theta[None], X[None])[0][0]
-    return np.column_stack([1.0 - S, S]) if S.ndim == 1 else S
-
-
-def label_error(family):
-    """The error of a batch whose labels are not all 0 or 1."""
-    return DomainError(f"labels must lie in [0,2) for {family}")
+    return S if S.ndim == 1 else S[:, 1]
 
 
 def _backprop(spec, theta, X, y):
@@ -222,8 +218,9 @@ def clipped_grad_sum(spec, theta, features, labels, clip_norms,
     gradients.
 
     spec names the family, h and l2_lambda (a FamilySpec or ModelParams);
-    theta is (R, p), features (R, n, d), labels (R, n) of 0 and 1 (the
-    caller checks them) and clip_norms (R,), one clip norm > 0 per model.
+    theta is (R, p), features (R, n, d), labels (R, n) of 0 and 1 (unchecked
+    here: `cohort.Cohort` guarantees them) and clip_norms (R,), one clip
+    norm > 0 per model.
     Each model's batch splits into `microbatch_count` equal consecutive
     units, each with gradient the mean over its records of the regularized
     loss gradient. Returns, per model, (mean regularized loss (R,), the sum

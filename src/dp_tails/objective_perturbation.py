@@ -25,7 +25,7 @@ import numpy as np
 from . import accountant, models
 from .cohort import Cohort
 from .dp_optim import TrainedModel
-from .errors import ConfigurationError, DomainError, UnsupportedFamilyError
+from .errors import ConfigurationError, DomainError
 
 # The smoothness constant c of the logistic loss at unit input norm; a
 # smaller value would understate epsilon.
@@ -85,10 +85,6 @@ def train_objective_perturbation(cohort: Cohort,
     non-private run with epsilon = inf; it reads no seed. The grid's `none`
     level trains this model.
     """
-    y = cohort.labels
-    if y.min() < 0 or y.max() > 1:
-        raise UnsupportedFamilyError(
-            "objective perturbation requires binary labels")
     n, d = cohort.n, cohort.d
 
     # Per-record rescale so every feature vector has norm <= C.
@@ -115,7 +111,8 @@ def train_objective_perturbation(cohort: Cohort,
     log["caveats"] = [caveat,
                       "record features rescaled to norm <= C before solving"]
 
-    solved = models.fit_lr_newton(X, y, l2_lambda=config.lam + delta_reg,
+    solved = models.fit_lr_newton(X, cohort.labels,
+                                  l2_lambda=config.lam + delta_reg,
                                   tol=1e-8, max_iter=200, linear=b / n)
     params = models.ModelParams("lr-binary", solved.theta, d,
                                 l2_lambda=config.lam)

@@ -59,7 +59,7 @@ def domain_classifier_significance(train_cohort: Cohort, test_cohort: Cohort,
 
     domain = models.fit_lr_newton(X[fit_rows], origin[fit_rows],
                                   l2_lambda=1e-2)
-    eval_scores = models.predict(domain, X[eval_rows])[:, 1]
+    eval_scores = models.predict(domain, X[eval_rows])
     correct = int(np.sum((eval_scores >= 0.5).astype(int) == origin[eval_rows]))
     n_eval = len(eval_rows)
     result = metrics.binomial_test(correct, n_eval, 0.5)
@@ -80,11 +80,11 @@ def shift_malignancy(test_cohort: Cohort, domain: models.ModelParams,
     """(accuracy, k): the task model's accuracy on the k = min(top_k, n)
     test records the domain classifier most confidently places in the test
     distribution, ties broken by id."""
-    scores = models.predict(domain, test_cohort.features)[:, 1]
+    scores = models.predict(domain, test_cohort.features)
     k = min(top_k, test_cohort.n)
     order = np.lexsort((test_cohort.ids, -scores))
     chosen = order[:k]
-    probs = models.predict(task_params, test_cohort.features[chosen])[:, 1]
+    probs = models.predict(task_params, test_cohort.features[chosen])
     preds = (probs >= 0.5).astype(int)
     return float(np.mean(preds == test_cohort.labels[chosen])), k
 
@@ -117,7 +117,7 @@ def robustness_row(seed, pivot, split: CohortSplit,
         split.train, split.test, seed=stable_seed(seed, "shift", pivot),
         year=pivot)
     half = split.train.n // 2
-    in_scores = models.predict(task_params, split.train.features[half:])[:, 1]
+    in_scores = models.predict(task_params, split.train.features[half:])
     try:
         gap = (metrics.auroc(in_scores, split.train.labels[half:])
                - metrics.auroc(test_scores, split.test.labels))

@@ -117,7 +117,7 @@ def test_criterion_3_influence_loo_fidelity():
     matrix = engine.matrix(raw_cohort(X, y), raw_cohort(X_test, y_test))
 
     def test_losses(p):
-        probs = np.clip(models.predict(p, X_test)[:, 1], 1e-12, 1 - 1e-12)
+        probs = np.clip(models.predict(p, X_test), 1e-12, 1 - 1e-12)
         return -(y_test * np.log(probs) + (1 - y_test) * np.log(1 - probs))
 
     base = test_losses(params)
@@ -141,7 +141,7 @@ def _trained_auroc(level, cc, seed, epochs=5, lr=0.5):
         level, epochs=epochs, learning_rate=lr, seed=seed)
     trained = dp_optim.train({"family": "lr-binary", "l2_lambda": 0.01},
                              split, config)
-    scores = models.predict(trained.params, split.test.features)[:, 1]
+    scores = models.predict(trained.params, split.test.features)
     return metrics.auroc(scores, split.test.labels)
 
 
@@ -276,7 +276,7 @@ def test_criterion_9_objective_perturbation():
             config = objpert.ObjPertConfig(eps_p=eps_p, lam=0.01, seed=seed)
             trained = objpert.train_objective_perturbation(split.train,
                                                            config)
-            scores = models.predict(trained.params, split.test.features)[:, 1]
+            scores = models.predict(trained.params, split.test.features)
             return metrics.auroc(scores, split.test.labels)
 
         base = run_auroc(math.inf)

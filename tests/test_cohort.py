@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dp_tails import cli, cohort, influence
-from dp_tails.errors import ConfigurationError, ParseError, SplitError
+from dp_tails.errors import (ConfigurationError, DomainError, ParseError,
+                             SplitError)
 
 from conftest import make_cohort, raw_cohort
 from oracles.cohort_reader_oracle import read_cohort as oracle_read_cohort
@@ -92,6 +93,24 @@ def test_split_errors():
         cohort.split_yearly(c, 1999)
     with pytest.raises(SplitError):
         cohort.split_yearly(c, 2001)  # no prior year
+
+
+def test_cohort_refuses_labels_outside_0_1():
+    # Every label is 0 or 1 from construction on, so no trainer or audit
+    # checks again; raw_cohort and subset build through the same check.
+    c = raw_cohort(np.zeros((4, 2)), [0, 1, 1, 0])
+    for bad in (2, 0.5):
+        with pytest.raises(DomainError, match=r"labels must lie in \[0,2\)"):
+            cohort.Cohort(c.features, np.array([0, 1, bad, 0]), c.groups,
+                          c.years, c.ids)
+    with pytest.raises(DomainError, match=r"labels must lie in \[0,2\)"):
+        raw_cohort(np.zeros((4, 2)), [0, 1, 2, 0])
+    c.labels[2] = 2
+    with pytest.raises(DomainError, match=r"labels must lie in \[0,2\)"):
+        c.subset(np.arange(4))
+    assert c.subset([0, 1, 3]).n == 3
+    empty = raw_cohort(np.zeros((0, 2)), [])
+    assert empty.n == 0 and empty.subset(np.arange(0)).n == 0
 
 
 def test_io_round_trip(tmp_path):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dp_tails import accountant, cohort, dp_optim, metrics, models
-from dp_tails.errors import (ConfigurationError, DomainError, NumericError,
-                             TrainingError)
+from dp_tails.errors import ConfigurationError, NumericError, TrainingError
 from oracles import trainer_parent
 from oracles.trainer_parent import clip_gradient, loss_and_per_example_grads
 
@@ -245,7 +244,7 @@ def test_train_separable_auroc():
     config = dp_optim.DPTrainingConfig.from_level(
         "none", learning_rate=0.5, epochs=20, seed=0)
     trained = dp_optim.train({"family": "lr-binary"}, split, config)
-    scores = models.predict(trained.params, split.train.features)[:, 1]
+    scores = models.predict(trained.params, split.train.features)
     assert metrics.auroc(scores, split.train.labels) >= 0.95
 
 
@@ -355,7 +354,7 @@ def test_monotone_utility_trend():
                 level, learning_rate=0.5, epochs=3, seed=seed)
             trained = dp_optim.train(
                 {"family": "lr-binary", "l2_lambda": 0.01}, split, config)
-            scores = models.predict(trained.params, split.test.features)[:, 1]
+            scores = models.predict(trained.params, split.test.features)
             vals.append(metrics.auroc(scores, split.test.labels))
         means[level] = float(np.mean(vals))
     assert means["none"] >= means["low"] >= means["high"]
@@ -427,35 +426,6 @@ def test_mixed_level_stack_equals_frozen_per_model_trainer(family, optimizer,
         oracle = trainer_parent.train(spec, split, config)
         assert model.steps_taken == per_model > 2
         assert _same_model(model, oracle)
-
-
-def test_train_stack_failure_leaves_companions_untouched():
-    # A label outside {0, 1} stops exactly the models whose batch meets it,
-    # with the error the per-model trainer raises; the others, whose
-    # shuffles drop that record with the partial batch, equal their
-    # training alone.
-    c = make_cohort(n=240, d=3, years=(2001, 2002), seed=1)
-    first = int(np.flatnonzero(c.years == 2001)[0])
-    c.labels[first] = 2
-    split = _split_of(c)
-    configs = [dp_optim.DPTrainingConfig.from_level(
-        "high", batch_size=64, microbatch_count=16, epochs=1, seed=s)
-        for s in range(8)]
-    assert split.train.n % 64 > 32
-    stacked = dp_optim.train_stack({"family": "lr-binary"}, split.train,
-                                   configs)
-    failed = 0
-    for config, model in zip(configs, stacked):
-        try:
-            oracle = trainer_parent.train({"family": "lr-binary"}, split,
-                                          config)
-        except DomainError as exc:
-            failed += 1
-            assert isinstance(model, DomainError)
-            assert str(model) == str(exc)
-            continue
-        assert _same_model(model, oracle)
-    assert 0 < failed < len(configs)
 
 
 def test_train_stack_forms_its_own_stacks():

@@ -33,6 +33,17 @@ def test_identical_groups_zero_gaps():
     assert all(report[key] == 0.0 for key in GAPS)
 
 
+def test_group_against_itself_refused():
+    # A group compared with itself would read as "no disparity" on every
+    # gap; it is refused instead.
+    scores, labels, groups = _from_confusions({0: (3, 2, 1, 4),
+                                               1: (3, 2, 1, 4)})
+    for g in (0, 1):
+        with pytest.raises(DomainError, match=f"group {g} compared with "
+                                              "itself"):
+            fairness_audit.fairness_gaps(scores, labels, groups, g, g)
+
+
 def test_worked_confusion_example():
     scores, labels, groups = _from_confusions({1: (4, 1, 1, 4),
                                                2: (2, 2, 2, 4)})
@@ -128,7 +139,7 @@ def test_yearly_variance_smaller_under_high_privacy():
                     {"family": "lr-binary", "l2_lambda": 0.1}, split,
                     train_config)
                 scores = models.predict(trained.params,
-                                        split.test.features)[:, 1]
+                                        split.test.features)
                 report = fairness_audit.fairness_gaps(
                     scores, split.test.labels, split.test.groups, 0, 1)
                 for key in GAPS:

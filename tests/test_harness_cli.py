@@ -792,6 +792,46 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("level", ["none", "high"])
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5])
+def test_cli_train_delta_outside_unit_interval_exit_code(tmp_path, capsys,
+                                                         level, delta):
+    # A DP-SGD delta outside (0, 1) is refused when the config loads, before
+    # any training, whether or not the level is private.
+    _, config_path = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--out", str(csv_path)]) == 0
+    train_config = tmp_path / "train.json"
+    train_config.write_text(json.dumps({
+        "cohort_csv": str(csv_path), "pivot_year": 2002,
+        "training": {"privacy_level": level, "epochs": 1, "delta": delta}}))
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(train_config),
+                     "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "configuration error: delta: must lie in (0,1)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["account", "--q", "0.01", "--sigma", "1", "--steps", "100"],
+    ["audit-fairness", "--config", "fairness.json"],
+    ["audit-influence", "--config", "influence.json"],
+], ids=["account", "audit-fairness", "audit-influence"])
+def test_cli_unseeded_commands_refuse_seed(tmp_path, capsys, argv):
+    # Only the commands that read --seed take it; the others refuse it as
+    # an unknown argument, before reading any file.
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, "--seed", "4", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_audit_shift_negative_years_exit_code(tmp_path, capsys):
     cc, config_path = _write_cohort_config(tmp_path)
     config_path.write_text(dataclasses.replace(cc, years=(-3, -1)).to_json())
@@ -1191,6 +1231,25 @@ def test_cli_audit_fairness(tmp_path):
     assert "per_group_confusion" in payload
 
 
+def test_cli_audit_fairness_same_group_exit_code(tmp_path, capsys):
+    _, config_path = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--out", str(csv_path)]) == 0
+    base = cohort.read_cohort(str(csv_path))
+    params = models.fit_lr_newton(base.features, base.labels, l2_lambda=0.01)
+    audit_config = tmp_path / "fairness.json"
+    audit_config.write_text(json.dumps({
+        "cohort_csv": str(csv_path), "params": params.to_dict(),
+        "group_1": 1, "group_2": 1}))
+    out = tmp_path / "fairness_report.json"
+    capsys.readouterr()
+    assert cli.main(["audit-fairness", "--config", str(audit_config),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: group 1 compared with itself\n"
+    assert not out.exists()
+
+
 def test_cli_audit_shift(tmp_path):
     _, config_path = _write_cohort_config(tmp_path)
     csv_path = tmp_path / "cohort.csv"
@@ -1418,11 +1477,11 @@ def test_cli_audits_match_grid(tmp_path):
         base, config.tasks[0], "dp-sgd", [("high", seed)], [pivot], config)
     params = trained.params.to_dict()
 
-    def run(command, name, payload):
+    def run(command, name, payload, *args):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         out = tmp_path / f"{name}_out.json"
-        assert cli.main([command, "--config", str(path), "--seed", str(seed),
+        assert cli.main([command, "--config", str(path), *args,
                          "--out", str(out)]) == 0
         return json.loads(out.read_text())
 
@@ -1446,7 +1505,8 @@ def test_cli_audits_match_grid(tmp_path):
     row, = [r for r in cell["fairness"] if r["year"] == pivot]
     assert got == {k: v for k, v in row.items() if k != "year"}
 
-    got = run("audit-shift", "shift", {"cohort_csv": paths["cohort"]})
+    got = run("audit-shift", "shift", {"cohort_csv": paths["cohort"]},
+              "--seed", str(seed))
     grid = cell["robustness"]
     assert set(got) == set(grid)
     keys = ("year", "domain_accuracy", "n_eval", "p_value", "significant")

@@ -138,7 +138,7 @@ def test_loo_retraining_fidelity():
     matrix = engine.matrix(raw_cohort(X, y), raw_cohort(X_test, y_test))
 
     def test_losses(p):
-        probs = np.clip(models.predict(p, X_test)[:, 1], 1e-12, 1 - 1e-12)
+        probs = np.clip(models.predict(p, X_test), 1e-12, 1 - 1e-12)
         return -(y_test * np.log(probs) + (1 - y_test) * np.log(1 - probs))
 
     base = test_losses(params)

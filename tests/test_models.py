@@ -37,18 +37,18 @@ def test_predict_zero_theta_binary():
     assert np.allclose(scores, 0.5)
 
 
-def test_predict_rows_sum_to_one(rng):
+def test_predict_returns_one_probability_per_record(rng):
     for family in models.FAMILIES:
         params = _random_params(family, 4, rng)
         X = rng.normal(size=(20, 4))
         scores = models.predict(params, X)
+        assert scores.shape == (20,)
         assert np.all(scores >= 0) and np.all(scores <= 1)
-        assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_predict_equals_frozen_2d_pass(rng):
-    # predict runs the stacked forward pass at R = 1; its probabilities
-    # are the frozen 2-D pass's, bit for bit.
+    # predict runs the stacked forward pass at R = 1; its P(y = 1) is
+    # column 1 of the frozen 2-D pass's, bit for bit.
     for family in models.FAMILIES:
         for scale in (0.1, 1.0, 30.0):
             params = models.ModelParams(
@@ -56,7 +56,7 @@ def test_predict_equals_frozen_2d_pass(rng):
                     family, 7, 5)), 7, 5)
             X = rng.normal(size=(300, 7))
             assert np.array_equal(models.predict(params, X),
-                                  trainer_parent.predict(params, X))
+                                  trainer_parent.predict(params, X)[:, 1])
 
 
 def test_predict_shape_error():
@@ -96,7 +96,7 @@ def test_gradient_matches_finite_differences(rng):
 def test_single_record_closed_form(rng):
     params = _random_params("lr-binary", 4, rng, l2_lambda=0.0)
     x = rng.normal(size=4)
-    p = models.predict(params, [x])[0, 1]
+    p = models.predict(params, [x])[0]
     for y in (0, 1):
         _, G = loss_and_per_example_grads(params, [x], [y])
         expected = (p - y) * np.append(x, 1.0)
@@ -410,7 +410,7 @@ def test_fit_lr_newton_recovers_signal(rng):
     w = np.array([2.0, -1.0, 0.5])
     y = (rng.random(n) < models._sigmoid(X @ w)).astype(int)
     params = models.fit_lr_newton(X, y, l2_lambda=1e-3)
-    p = models.predict(params, X)[:, 1]
+    p = models.predict(params, X)
     acc = float(np.mean((p >= 0.5) == y))
     assert acc >= 0.75
     # Optimality: gradient of the fitted objective is ~0.

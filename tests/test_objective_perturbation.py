@@ -6,8 +6,7 @@ from scipy import stats
 
 from dp_tails import (cohort, harness, metrics, models,
                       objective_perturbation as op)
-from dp_tails.errors import (ConfigurationError, DomainError,
-                             UnsupportedFamilyError)
+from dp_tails.errors import ConfigurationError, DomainError
 
 from conftest import make_cohort, raw_cohort
 
@@ -178,7 +177,7 @@ def test_zero_noise_limit_equals_non_private_minimizer(tmp_path):
     row, = report["cells"][0]["utility"]["per_year"]
     assert row["accounting_log"] == trained.accounting_log
     assert row["spend"] == trained.spend.to_dict()
-    scores = models.predict(trained.params, split.test.features)[:, 1]
+    scores = models.predict(trained.params, split.test.features)
     assert row["auroc"] == metrics.auroc(scores, split.test.labels)
 
 
@@ -223,7 +222,7 @@ def test_utility_degradation_trend():
             trained = op.train_objective_perturbation(
                 split.train,
                 op.ObjPertConfig(eps_p=eps_p, lam=0.01, seed=seed))
-            scores = models.predict(trained.params, split.test.features)[:, 1]
+            scores = models.predict(trained.params, split.test.features)
             vals.append(metrics.auroc(scores, split.test.labels))
         means[eps_p] = float(np.mean(vals))
     assert means[3.5e5] > means[3.54]
@@ -236,8 +235,7 @@ def test_errors():
             op.ObjPertConfig(eps_p=eps_p, lam=0.1)
     with pytest.raises(ConfigurationError):
         op.ObjPertConfig(eps_p=1.0, lam=0.0)
-    c = raw_cohort(np.eye(4), [0, 1, 2, 1], years=[2001, 2001, 2001, 2002])
-    split = _split_of(c)
-    with pytest.raises(UnsupportedFamilyError):
-        op.train_objective_perturbation(
-            split.train, op.ObjPertConfig(eps_p=1.0, lam=0.1, seed=0))
+    # A label outside {0, 1} is refused when its cohort is built, before
+    # any training could read it.
+    with pytest.raises(DomainError, match=r"labels must lie in \[0,2\)"):
+        raw_cohort(np.eye(4), [0, 1, 2, 1], years=[2001, 2001, 2001, 2002])

@@ -70,7 +70,7 @@ def _task_setup(seed=0, d=6):
 
 
 def _baseline_accuracy(params, test):
-    probs = models.predict(params, test.features)[:, 1]
+    probs = models.predict(params, test.features)
     return float(np.mean((probs >= 0.5) == test.labels))
 
 
@@ -97,7 +97,7 @@ def test_robustness_audit_diagnoses_malignancy_only_after_significance(
     monkeypatch.setattr(shift_audit, "shift_malignancy",
                         lambda *args: calls.append(args) or malignancy(*args))
     rows = [shift_audit.robustness_row(
-        0, 2002, s, params, models.predict(params, s.test.features)[:, 1])
+        0, 2002, s, params, models.predict(params, s.test.features))
         for s in (split, shifted)]
     calm, moved = shift_audit.robustness_report(rows)["per_year"]
     split_note = "balanced mixture, stratified 70/30 fit/eval split"
