@@ -84,7 +84,8 @@ class CohortConfig:
 @dataclass
 class Cohort:
     """Records of binary-labelled data. Every label is 0 or 1, checked
-    here once, so no code that reads a cohort checks again."""
+    here once, so no code that reads a cohort checks again. The arrays are
+    then read-only: a changed cohort is a new one (`dataclasses.replace`)."""
     features: np.ndarray   # n x d, float64
     labels: np.ndarray     # n, int, 0 or 1
     groups: np.ndarray     # n, int
@@ -94,6 +95,8 @@ class Cohort:
     def __post_init__(self):
         if not ((self.labels == 0) | (self.labels == 1)).all():
             raise DomainError("labels must lie in [0,2)")
+        for array in vars(self).values():
+            array.flags.writeable = False
 
     @property
     def n(self):

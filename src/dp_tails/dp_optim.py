@@ -1,4 +1,4 @@
-"""Non-private SGD/Adam and differentially private training with
+"""Non-private and differentially private SGD training with
 per-microbatch clipping and Gaussian noise.
 
 A step splits the minibatch into `microbatch_count` equal microbatches,
@@ -13,9 +13,9 @@ dropped so the accountant's sampling rate q = L/n is exact. Every label is
 `train_stack` trains any list of models of one family, each on its own
 records of one cohort (the grid's models of every level, seed and pivot
 year together). It alone decides which models share a lockstep stack:
-those equal in the optimizer settings and in the batch size L, private or
-not. In a stack of R models theta is (R, p), a step's batch (R, L, d), and
-every numpy call of the step covers the whole stack, while each model
+those equal in the fields of `_SHARED` and in the batch size L, private
+or not. In a stack of R models theta is (R, p), a step's batch (R, L, d),
+and every numpy call of the step covers the whole stack, while each model
 keeps its own seed-derived generator, permutations and noise draws; one
 with fewer records (fewer steps) leaves the stack when it is done. A
 non-private model in a stack is one unclipped unit per batch (each record
@@ -55,7 +55,6 @@ class DPTrainingConfig:
     microbatch_count: int = 16
     learning_rate: float = 0.1
     epochs: int = 10
-    optimizer: str = "sgd"
     seed: int = 0
     delta: float = accountant.DEFAULT_DELTA
 
@@ -69,16 +68,16 @@ class DPTrainingConfig:
         if self.noise_multiplier > 0 and self.clip_norm is None:
             raise ConfigurationError(
                 "noise_multiplier: > 0 needs a clip_norm to scale the noise")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigurationError("batch_size/epochs: must be positive")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size: must be >= 1")
+        if self.epochs < 0:
+            raise ConfigurationError("epochs: must be >= 0")
         if (self.microbatch_count < 1
                 or self.batch_size % self.microbatch_count != 0):
             raise ConfigurationError(
                 "microbatch_count: must be >= 1 and divide batch_size")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate: must be > 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigurationError("optimizer: must be sgd or adam")
         if self.seed < 0:
             raise ConfigurationError("seed: must be >= 0")
         if not 0 < self.delta < 1:
@@ -124,27 +123,10 @@ class TrainedModel:
         }
 
 
-class _AdamState:
-    def __init__(self, shape, beta1=0.9, beta2=0.999, eps_hat=1e-8):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
-        self.beta1, self.beta2, self.eps_hat = beta1, beta2, eps_hat
-
-    def direction(self, g):
-        self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        mhat = self.m / (1 - self.beta1 ** self.t)
-        vhat = self.v / (1 - self.beta2 ** self.t)
-        return mhat / (np.sqrt(vhat) + self.eps_hat)
-
-
 # DPTrainingConfig fields every model of a lockstep stack shares, with the
 # batch size L; seed, clip_norm, noise_multiplier and delta may differ, so
 # private and non-private models share a stack.
-_SHARED = ("batch_size", "microbatch_count", "learning_rate", "epochs",
-           "optimizer")
+_SHARED = ("batch_size", "microbatch_count", "learning_rate", "epochs")
 
 
 class _Stack:
@@ -160,8 +142,6 @@ class _Stack:
                               for c in configs])
         self.units = np.array([c.microbatch_count if c.private else 1
                                for c in configs], dtype=float)
-        self.adam = (_AdamState(theta.shape)
-                     if configs[0].optimizer == "adam" else None)
         self.rngs = [np.random.default_rng(np.random.SeedSequence([c.seed, 2]))
                      for c in configs]
         self.noise = [c.noise_multiplier * c.clip_norm
@@ -183,8 +163,6 @@ class _Stack:
         keep = ~leaving
         self.index, self.theta, self.clip, self.units = (
             a[keep] for a in (self.index, self.theta, self.clip, self.units))
-        if self.adam is not None:
-            self.adam.m, self.adam.v = self.adam.m[keep], self.adam.v[keep]
         return [a[keep] for a in arrays]
 
 
@@ -217,10 +195,8 @@ def _step(stack, family_spec, X, y, config, epochs):
                                               size=total.shape[1]))
     if noisy:
         total[noisy] += draws
-    g = total / stack.units[:, None]
-    if stack.adam is not None:
-        g = stack.adam.direction(g)
-    stack.theta = stack.theta - config.learning_rate * g
+    stack.theta = stack.theta - config.learning_rate * (
+        total / stack.units[:, None])
 
 
 def train_stack(family_spec, cohort: Cohort, configs, rows=None):

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,13 @@ def raw_cohort(features, labels, groups=None, years=None, ids=None):
         ids=np.arange(n, dtype=np.int64) if ids is None
         else np.asarray(ids, dtype=np.int64),
     )
+
+
+def oracle_config(config):
+    """A DPTrainingConfig as the frozen trainer oracle reads it: its fields,
+    `private`, and the one update rule the package keeps, `optimizer="sgd"`."""
+    return SimpleNamespace(**dataclasses.asdict(config),
+                           private=config.private, optimizer="sgd")
 
 
 @pytest.fixture

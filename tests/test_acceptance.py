@@ -6,12 +6,14 @@ red test always corresponds to a FAIL line. Statistical criteria run on
 fixed seeds and are therefore deterministic.
 """
 
+import dataclasses
 import json
 import math
 import os
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
@@ -224,7 +226,7 @@ def test_criterion_7_shift_calibration_power_malignancy():
     split, params, _, ortho = test_shift_audit._task_setup()
     baseline = test_shift_audit._baseline_accuracy(params, split.test)
     malignant = test_shift_audit._shifted_copy(split.test, ortho, 2.0)
-    malignant.labels[:] = 1 - malignant.labels
+    malignant = dataclasses.replace(malignant, labels=1 - malignant.labels)
     _, domain = shift_audit.domain_classifier_significance(
         split.train, malignant, seed=0, year=2002)
     mal_acc, _ = shift_audit.shift_malignancy(malignant, domain, params)
@@ -336,6 +338,5 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
         _, failures = harness.run_experiment(config)
         assert failures == 0
         payloads.append({
-            name: open(os.path.join(config.out_dir, name), "rb").read()
-            for name in names})
+            name: Path(config.out_dir, name).read_bytes() for name in names})
     _report(11, payloads[0] == payloads[1], "byte-identical reports")

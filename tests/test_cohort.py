@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -97,7 +98,8 @@ def test_split_errors():
 
 def test_cohort_refuses_labels_outside_0_1():
     # Every label is 0 or 1 from construction on, so no trainer or audit
-    # checks again; raw_cohort and subset build through the same check.
+    # checks again; raw_cohort, subset and dataclasses.replace build
+    # through the same check, and the arrays refuse a write after it.
     c = raw_cohort(np.zeros((4, 2)), [0, 1, 1, 0])
     for bad in (2, 0.5):
         with pytest.raises(DomainError, match=r"labels must lie in \[0,2\)"):
@@ -105,9 +107,12 @@ def test_cohort_refuses_labels_outside_0_1():
                           c.years, c.ids)
     with pytest.raises(DomainError, match=r"labels must lie in \[0,2\)"):
         raw_cohort(np.zeros((4, 2)), [0, 1, 2, 0])
-    c.labels[2] = 2
     with pytest.raises(DomainError, match=r"labels must lie in \[0,2\)"):
-        c.subset(np.arange(4))
+        dataclasses.replace(c, labels=np.array([0, 1, 2, 0]))
+    for array in (c.features, c.labels, c.groups, c.years, c.ids):
+        with pytest.raises(ValueError, match="read-only"):
+            array[2] = 2
+    assert np.array_equal(c.labels, [0, 1, 1, 0])
     assert c.subset([0, 1, 3]).n == 3
     empty = raw_cohort(np.zeros((0, 2)), [])
     assert empty.n == 0 and empty.subset(np.arange(0)).n == 0

@@ -12,7 +12,7 @@ from dp_tails.errors import ConfigurationError, NumericError, TrainingError
 from oracles import trainer_parent
 from oracles.trainer_parent import clip_gradient, loss_and_per_example_grads
 
-from conftest import make_cohort, raw_cohort
+from conftest import make_cohort, oracle_config, raw_cohort
 
 
 def _split_of(c, pivot=2002):
@@ -87,6 +87,22 @@ def test_config_refuses_noise_without_clip_norm():
         dp_optim.DPTrainingConfig(noise_multiplier=1.0)
     none = dp_optim.DPTrainingConfig.from_level("none")
     assert (none.clip_norm, none.noise_multiplier) == (None, 0.0)
+
+
+def test_config_refuses_batch_size_below_one():
+    for batch_size in (0, -64):
+        with pytest.raises(ConfigurationError) as err:
+            dp_optim.DPTrainingConfig(batch_size=batch_size,
+                                      microbatch_count=1)
+        assert str(err.value) == "batch_size: must be >= 1"
+
+
+def test_config_refuses_negative_epochs():
+    # Zero epochs is a valid (untrained) config; a negative count is not.
+    with pytest.raises(ConfigurationError) as err:
+        dp_optim.DPTrainingConfig(epochs=-1)
+    assert str(err.value) == "epochs: must be >= 0"
+    assert dp_optim.DPTrainingConfig(epochs=0).epochs == 0
 
 
 def test_config_microbatch_divisibility():
@@ -290,8 +306,9 @@ def test_train_steps_arithmetic():
 
 def test_train_divergence_error():
     c = make_cohort(n=300, d=3, years=(2001, 2002), seed=0)
-    c.features[0, 0] = np.nan
-    split = _split_of(c)
+    features = c.features.copy()
+    features[0, 0] = np.nan
+    split = _split_of(dataclasses.replace(c, features=features))
     config = dp_optim.DPTrainingConfig.from_level(
         "none", learning_rate=0.1, epochs=1, seed=0, batch_size=300,
         microbatch_count=1)
@@ -306,28 +323,20 @@ def test_train_divergence_before_last_step_error(epochs):
     # the emptied stack takes no further step, and train raises the
     # per-model trainer's error.
     c = make_cohort(n=300, d=3, years=(2001, 2002), seed=0)
-    c.features[:, 0] = np.nan
-    split = _split_of(c)
+    features = c.features.copy()
+    features[:, 0] = np.nan
+    split = _split_of(dataclasses.replace(c, features=features))
     config = dp_optim.DPTrainingConfig.from_level(
         "none", learning_rate=0.1, epochs=epochs, seed=0, batch_size=64,
         microbatch_count=1)
     assert split.train.n // 64 > 1
     with pytest.raises(TrainingError) as per_model:
-        trainer_parent.train({"family": "lr-binary"}, split, config)
+        trainer_parent.train({"family": "lr-binary"}, split,
+                             oracle_config(config))
     with pytest.raises(TrainingError) as err:
         dp_optim.train({"family": "lr-binary"}, split, config)
     assert str(err.value) == str(per_model.value)
     assert err.value.epoch == per_model.value.epoch == 0
-
-
-def test_train_adam_reduces_loss():
-    c = make_cohort(n=1000, d=4, years=(2001, 2002), seed=2)
-    split = _split_of(c)
-    config = dp_optim.DPTrainingConfig.from_level(
-        "none", learning_rate=0.05, epochs=5, seed=0)
-    config.optimizer = "adam"
-    trained = dp_optim.train({"family": "lr-binary"}, split, config)
-    assert trained.training_trace[-1] < trained.training_trace[0]
 
 
 def test_train_sigma_zero_private_has_no_finite_guarantee():
@@ -369,9 +378,16 @@ def _same_model(a, b):
             and a.spend == b.spend)
 
 
-@pytest.mark.parametrize("family, optimizer, m", itertools.product(
-    models.FAMILIES, ("sgd", "adam"), (1, 16, 64)))
-def test_stacked_models_equal_frozen_per_model_trainer(family, optimizer, m):
+def _sgd_cases(cases):
+    """pytest params of (family, ...) tuples, each id the family, "sgd"
+    (the one update rule) and the rest, as in `lr-binary-sgd-64-1`."""
+    return [pytest.param(*case, id="-".join(
+        map(str, (case[0], "sgd", *case[1:])))) for case in cases]
+
+
+@pytest.mark.parametrize("family, m", _sgd_cases(itertools.product(
+    models.FAMILIES, (1, 16, 64))))
+def test_stacked_models_equal_frozen_per_model_trainer(family, m):
     # Every model of a stack is, bit for bit, the model the per-model
     # trainer gave (tests/oracles/trainer_parent.py): alone (R = 1), in a
     # stack of its level's seeds, and in a stack of other companions.
@@ -382,12 +398,12 @@ def test_stacked_models_equal_frozen_per_model_trainer(family, optimizer, m):
     for levels in stacks.values():
         configs = [dp_optim.DPTrainingConfig.from_level(
             level, batch_size=64, microbatch_count=m, learning_rate=0.3,
-            epochs=2, seed=seed, optimizer=optimizer)
+            epochs=2, seed=seed)
             for level in levels for seed in (0, 7, 11)]
         stacked = dp_optim.train_stack(spec, split.train, configs)
         reordered = dp_optim.train_stack(spec, split.train, configs[::-2])
         for config, model in zip(configs, stacked):
-            oracle = trainer_parent.train(spec, split, config)
+            oracle = trainer_parent.train(spec, split, oracle_config(config))
             assert model.steps_taken == 2 * (split.train.n // 64) > 2
             assert _same_model(model, oracle)
             assert _same_model(dp_optim.train(spec, split, config), oracle)
@@ -395,11 +411,11 @@ def test_stacked_models_equal_frozen_per_model_trainer(family, optimizer, m):
             assert _same_model(model, stacked[configs.index(config)])
 
 
-@pytest.mark.parametrize("family, optimizer, L, m", [
-    *itertools.product(models.FAMILIES, ("sgd", "adam"), (64,), (1, 16, 64)),
-    *itertools.product(models.FAMILIES, ("sgd", "adam"), (60,), (12,))])
-def test_mixed_level_stack_equals_frozen_per_model_trainer(family, optimizer,
-                                                           L, m, monkeypatch):
+@pytest.mark.parametrize("family, L, m", _sgd_cases([
+    *itertools.product(models.FAMILIES, (64,), (1, 16, 64)),
+    *itertools.product(models.FAMILIES, (60,), (12,))]))
+def test_mixed_level_stack_equals_frozen_per_model_trainer(family, L, m,
+                                                           monkeypatch):
     # `none`, `low` and `high` models share one lockstep stack: it takes
     # the steps of one model, not one run per privacy. Each model equals,
     # bit for bit, the frozen per-model trainer, where a `none` model is
@@ -417,13 +433,13 @@ def test_mixed_level_stack_equals_frozen_per_model_trainer(family, optimizer,
     spec = {"family": family, "h": 5, "l2_lambda": 0.01}
     configs = [dp_optim.DPTrainingConfig.from_level(
         level, batch_size=L, microbatch_count=m, learning_rate=0.3,
-        epochs=2, seed=seed, optimizer=optimizer)
+        epochs=2, seed=seed)
         for seed in (0, 7) for level in ("none", "low", "high")]
     stacked = dp_optim.train_stack(spec, split.train, configs)
     per_model = 2 * (split.train.n // L)
     assert steps == [len(configs)] * per_model
     for config, model in zip(configs, stacked):
-        oracle = trainer_parent.train(spec, split, config)
+        oracle = trainer_parent.train(spec, split, oracle_config(config))
         assert model.steps_taken == per_model > 2
         assert _same_model(model, oracle)
 
@@ -455,7 +471,8 @@ def test_train_stack_forms_its_own_stacks():
         train = c.subset(own)
         try:
             oracle = trainer_parent.train(
-                spec, cohort.CohortSplit(train, train, 0), config)
+                spec, cohort.CohortSplit(train, train, 0),
+                oracle_config(config))
         except ConfigurationError as exc:
             failed += 1
             assert type(model) is ConfigurationError
@@ -479,10 +496,9 @@ def _pivot_jobs(c, levels, seeds, **kwargs):
             for seed in seeds]
 
 
-@pytest.mark.parametrize("family, optimizer", itertools.product(
-    models.FAMILIES, ("sgd", "adam")))
-def test_lockstep_stack_across_pivots_equals_frozen_trainer(family,
-                                                            optimizer):
+@pytest.mark.parametrize("family", _sgd_cases(
+    (family,) for family in models.FAMILIES))
+def test_lockstep_stack_across_pivots_equals_frozen_trainer(family):
     # One stack holds the models of three pivots, each on its own rows of
     # one cohort: n_r of about 150, 300 and 450 records, none a multiple of
     # L = 64, so the models take 2, 4 and 7 steps per epoch and leave the
@@ -492,15 +508,14 @@ def test_lockstep_stack_across_pivots_equals_frozen_trainer(family,
     spec = {"family": family, "h": 5, "l2_lambda": 0.01}
     for levels in (["none"], ["low", "high"]):
         jobs = _pivot_jobs(c, levels, (0, 7), batch_size=64,
-                           microbatch_count=16, learning_rate=0.3, epochs=3,
-                           optimizer=optimizer)
+                           microbatch_count=16, learning_rate=0.3, epochs=3)
         n = sorted({len(rows) for _, rows, _ in jobs})
         assert len(n) == 3 and all(k % 64 for k in n)
         assert len({k // 64 for k in n}) == 3
         stacked = dp_optim.train_stack(spec, c, [j[2] for j in jobs],
                                        [j[1] for j in jobs])
         for (split, rows, config), model in zip(jobs, stacked):
-            oracle = trainer_parent.train(spec, split, config)
+            oracle = trainer_parent.train(spec, split, oracle_config(config))
             assert model.steps_taken == 3 * (len(rows) // 64)
             assert model.accounting_log["q"] == oracle.accounting_log["q"]
             assert _same_model(model, oracle)
@@ -512,7 +527,9 @@ def test_lockstep_divergence_fails_only_its_models():
     # dropped partial batch. Each fails with the frozen trainer's error,
     # epoch included; the pivot-2002 models equal their training alone.
     c = make_cohort(n=360, d=3, years=(2001, 2003), seed=4)
-    c.features[np.flatnonzero(c.years == 2002)[0], 1] = np.nan
+    features = c.features.copy()
+    features[np.flatnonzero(c.years == 2002)[0], 1] = np.nan
+    c = dataclasses.replace(c, features=features)
     jobs = _pivot_jobs(c, ["none"], range(12), batch_size=64,
                        microbatch_count=1, learning_rate=0.1, epochs=3)
     stacked = dp_optim.train_stack({"family": "lr-binary"}, c,
@@ -521,7 +538,7 @@ def test_lockstep_divergence_fails_only_its_models():
     for (split, _, config), model in zip(jobs, stacked):
         try:
             oracle = trainer_parent.train({"family": "lr-binary"}, split,
-                                          config)
+                                          oracle_config(config))
         except TrainingError as exc:
             assert split.pivot_year == 2003
             assert isinstance(model, TrainingError)

@@ -16,7 +16,7 @@ from dp_tails.errors import (ConfigurationError, DomainError, TrainingError,
                              config_from_dict)
 from oracles import trainer_parent
 
-from conftest import make_cohort
+from conftest import make_cohort, oracle_config
 
 
 def _small_config(tmp_path, **overrides):
@@ -269,8 +269,8 @@ def test_run_experiment_byte_identical_rerun(tmp_path):
                                audits=["utility", "fairness"],
                                out_dir=str(tmp_path / run))
         harness.run_experiment(config)
-        payloads.append({name: open(os.path.join(config.out_dir, name),
-                                    "rb").read() for name in names})
+        payloads.append({name: Path(config.out_dir, name).read_bytes()
+                         for name in names})
     assert payloads[0] == payloads[1]
 
 
@@ -446,10 +446,10 @@ def test_stacked_failure_fails_only_its_cell(tmp_path, monkeypatch):
     with pytest.raises(TrainingError) as per_model:
         trainer_parent.train(
             harness._family_spec(config.tasks[0], "task"),
-            split, dp_optim.DPTrainingConfig.from_level(
+            split, oracle_config(dp_optim.DPTrainingConfig.from_level(
                 "low", batch_size=config.batch_size,
                 microbatch_count=config.microbatch_count,
-                learning_rate=config.learning_rate, epochs=1, seed=target))
+                learning_rate=config.learning_rate, epochs=1, seed=target)))
     faulty, failures = harness.run_experiment(
         dataclasses.replace(config, out_dir=str(tmp_path / "faulty")))
     assert failures == 1
@@ -494,11 +494,11 @@ def test_emptied_stack_fails_each_of_its_cells(tmp_path, monkeypatch):
         with pytest.raises(TrainingError) as per_model:
             trainer_parent.train(
                 harness._family_spec(config.tasks[0], "task"),
-                split, dp_optim.DPTrainingConfig.from_level(
+                split, oracle_config(dp_optim.DPTrainingConfig.from_level(
                     "none", batch_size=config.batch_size,
                     microbatch_count=config.microbatch_count,
                     learning_rate=config.learning_rate, epochs=1,
-                    seed=target))
+                    seed=target)))
         expected[seed] = f"TrainingError: {per_model.value}"
     faulty, failures = harness.run_experiment(
         dataclasses.replace(config, out_dir=str(tmp_path / "faulty")))
@@ -616,8 +616,8 @@ def test_objective_perturbation_skips_non_lr_binary_tasks(tmp_path):
 def test_utility_csv_matches_report(tmp_path):
     config = _small_config(tmp_path)
     report, _ = harness.run_experiment(config)
-    path = os.path.join(config.out_dir, "utility_by_year.csv")
-    lines = open(path).read().splitlines()
+    path = Path(config.out_dir, "utility_by_year.csv")
+    lines = path.read_text().splitlines()
     assert lines[0] == "task,level,mechanism,seed,year,auroc,auprc"
     fields = lines[1].split(",")
     row = report["cells"][0]["utility"]["per_year"][0]
@@ -812,6 +812,27 @@ def test_cli_train_delta_outside_unit_interval_exit_code(tmp_path, capsys,
                      "--out", str(out)]) == 2
     assert (capsys.readouterr().err
             == "configuration error: delta: must lie in (0,1)\n")
+    assert not out.exists()
+
+
+def test_cli_train_refuses_optimizer_key(tmp_path, capsys):
+    # SGD is the trainer's only update rule; a training section that still
+    # names `optimizer` is refused, naming the key, before any training.
+    _, config_path = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--out", str(csv_path)]) == 0
+    train_config = tmp_path / "train.json"
+    train_config.write_text(json.dumps({
+        "cohort_csv": str(csv_path), "pivot_year": 2002,
+        "training": {"privacy_level": "none", "epochs": 1,
+                     "optimizer": "adam"}}))
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(train_config),
+                     "--out", str(out)]) == 2
+    assert (capsys.readouterr().err == "configuration error: training: "
+            "unknown key(s): ['optimizer']\n")
     assert not out.exists()
 
 

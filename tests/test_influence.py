@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -340,7 +342,8 @@ def test_shift_variance_growth_malignant_vs_benign():
         variances = {}
         for name, direction in (("malignant", sep), ("benign", benign_dir)):
             shifted = split.test.subset(np.arange(min(300, split.test.n)))
-            shifted.features[:] = shifted.features + 2.0 * direction
+            shifted = dataclasses.replace(
+                shifted, features=shifted.features + 2.0 * direction)
             panel = _panel(engine.matrix(train_sub, shifted))
             variances[name] = float(panel.values.var())
         wins += variances["malignant"] > variances["benign"]

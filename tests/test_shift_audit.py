@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,8 @@ from conftest import make_cohort
 
 
 def _shifted_copy(c, direction, magnitude):
-    out = c.subset(np.arange(c.n))
-    out.features[:] = out.features + magnitude * np.asarray(direction)
-    return out
+    return dataclasses.replace(
+        c, features=c.features + magnitude * np.asarray(direction))
 
 
 def test_no_shift_calibration():
@@ -122,7 +123,7 @@ def test_malignancy_label_flipping_shift_is_malignant():
     # the task model is wrong on the flipped labels.
     split, params, _, ortho = _task_setup()
     shifted = _shifted_copy(split.test, ortho, 2.0)
-    shifted.labels[:] = 1 - shifted.labels
+    shifted = dataclasses.replace(shifted, labels=1 - shifted.labels)
     row, domain = shift_audit.domain_classifier_significance(
         split.train, shifted, seed=0, year=2002)
     assert row["significant"]
@@ -150,7 +151,8 @@ def test_malignancy_ordering_with_disruption():
         shifted = _shifted_copy(split.test, ortho, 2.0)
         r = np.random.default_rng(9)
         flip = r.random(shifted.n) < flip_fraction
-        shifted.labels[flip] = 1 - shifted.labels[flip]
+        shifted = dataclasses.replace(
+            shifted, labels=np.where(flip, 1 - shifted.labels, shifted.labels))
         row, domain = shift_audit.domain_classifier_significance(
             split.train, shifted, seed=0, year=2002)
         assert row["significant"]
