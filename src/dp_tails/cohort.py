@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -81,11 +81,15 @@ class CohortConfig:
         return config_from_dict(cls, raw, "cohort")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cohort:
-    """Records of binary-labelled data. Every label is 0 or 1, checked
-    here once, so no code that reads a cohort checks again. The arrays are
-    then read-only: a changed cohort is a new one (`dataclasses.replace`)."""
+    """Records of binary-labelled data, the single owner of its five arrays.
+    An array that is a view of another is copied once; every array is then
+    made read-only, and every label is checked to be 0 or 1, here only, so
+    no code that reads a cohort checks again. The fields cannot be
+    reassigned: a changed cohort is a new one (`dataclasses.replace`).
+    An array that owns its memory is frozen in place, not copied, so a
+    caller must not keep a writable view of an array it hands over."""
     features: np.ndarray   # n x d, float64
     labels: np.ndarray     # n, int, 0 or 1
     groups: np.ndarray     # n, int
@@ -93,10 +97,14 @@ class Cohort:
     ids: np.ndarray        # n, int, unique
 
     def __post_init__(self):
+        for f in fields(self):
+            array = getattr(self, f.name)
+            if not array.flags.owndata:
+                array = np.array(array, order="C")
+            array.flags.writeable = False
+            object.__setattr__(self, f.name, array)
         if not ((self.labels == 0) | (self.labels == 1)).all():
             raise DomainError("labels must lie in [0,2)")
-        for array in vars(self).values():
-            array.flags.writeable = False
 
     @property
     def n(self):
@@ -107,12 +115,13 @@ class Cohort:
         return self.features.shape[1]
 
     def subset(self, mask_or_index):
+        """The records at an index, a boolean mask or a slice."""
         return Cohort(
-            features=self.features[mask_or_index].copy(),
-            labels=self.labels[mask_or_index].copy(),
-            groups=self.groups[mask_or_index].copy(),
-            years=self.years[mask_or_index].copy(),
-            ids=self.ids[mask_or_index].copy(),
+            features=self.features[mask_or_index],
+            labels=self.labels[mask_or_index],
+            groups=self.groups[mask_or_index],
+            years=self.years[mask_or_index],
+            ids=self.ids[mask_or_index],
         )
 
     def __eq__(self, other):
@@ -327,8 +336,8 @@ def _bulk_parse(fh):
         pieces.append(piece)
     if not pieces:
         return None
-    ids, years, groups, labels = np.concatenate([m for m, _ in pieces],
-                                                axis=1)
+    ids, years, groups, labels = (np.concatenate([m[k] for m, _ in pieces])
+                                  for k in range(4))
     if len(np.unique(ids)) != len(ids):
         return None
     features = np.concatenate([f for _, f in pieces])
@@ -351,8 +360,7 @@ def _parse_chunk(chunk, d):
                                   ("features", np.float64, d)])
     except ValueError:
         return None
-    meta = np.ascontiguousarray(table["meta"].T)
-    features = np.ascontiguousarray(table["features"])
+    meta, features = table["meta"].T, table["features"]
     if (meta[3].min() < 0 or meta[3].max() > 1 or meta[2].min() < 0
             or not np.isfinite(features).all()):
         return None

@@ -68,6 +68,9 @@ class ExperimentConfig:
                      "audits"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name}: must be nonempty")
+        if len(self.cohort.year_list()) < 2:
+            raise ConfigurationError(
+                "cohort.years: the yearly protocol needs >= 2 years")
         for i, task in enumerate(self.tasks):
             _family_spec(task, f"tasks[{i}]")
         for mech in self.mechanisms:

@@ -90,9 +90,8 @@ class InfluenceEngine:
             values = G_tr @ np.linalg.solve(self.hessian, G_te.T)
         np.negative(values, out=values)
         _refuse_non_finite("influence matrix", values)
-        return InfluenceMatrix(values=values,
-                               train_ids=train_subset.ids.copy(),
-                               test_ids=test_subset.ids.copy())
+        return InfluenceMatrix(values=values, train_ids=train_subset.ids,
+                               test_ids=test_subset.ids)
 
 
 def group_influence(matrix: InfluenceMatrix, group_of):

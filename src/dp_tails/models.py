@@ -301,11 +301,18 @@ def lr_hessian(params: ModelParams, features, damping=0.0) -> np.ndarray:
     n = X.shape[0]
     if n == 0:
         raise DomainError("empty subset")
+    if X.shape[1] != params.d:
+        raise ShapeError(f"feature width {X.shape[1]} != d={params.d}")
     p = _sigmoid(X @ params.theta[:-1] + params.theta[-1])
-    w = p * (1.0 - p)
-    Z = np.column_stack([X, np.ones(n)])
-    H = (Z * w[:, None]).T @ Z / n
-    H += (params.l2_lambda + damping) * np.eye(params.d + 1)
+    return _hessian(np.column_stack([X, np.ones(n)]), p,
+                    (params.l2_lambda + damping) * np.eye(params.d + 1))
+
+
+def _hessian(Z, p, ridge):
+    """(1/n) Z^T diag(p(1-p)) Z + ridge, symmetrized: the LR Hessian at
+    sigmoid outputs p of the n rows of Z = [X, 1]."""
+    H = (Z * (p * (1.0 - p))[:, None]).T @ Z / len(Z)
+    H += ridge
     return (H + H.T) / 2.0
 
 
@@ -322,8 +329,8 @@ def fit_lr_newton(features, labels, l2_lambda=1e-3, tol=1e-10, max_iter=100,
     not reach tol within max_iter Newton steps.
 
     Each iterate forms the margins X w + b and their sigmoid once; the
-    gradient, the Hessian (lr_hessian's arithmetic, on [X, 1] built once
-    per solve) and the line search's base objective read them, and an
+    gradient, the Hessian (lr_hessian's helper, on [X, 1] built once per
+    solve) and the line search's base objective read them, and an
     accepted line-search point carries its margins and objective to the
     next iterate.
     """
@@ -361,9 +368,7 @@ def fit_lr_newton(features, labels, l2_lambda=1e-3, tol=1e-10, max_iter=100,
             return params.copy_with(theta)
         if it == max_iter:
             break
-        H = (Z * (p * (1.0 - p))[:, None]).T @ Z / n
-        H += ridge
-        step = np.linalg.solve((H + H.T) / 2.0, grad)
+        step = np.linalg.solve(_hessian(Z, p, ridge), grad)
         # Backtracking keeps the update stable on separable data.
         t, gdots = 1.0, float(grad @ step)
         if base is None:

@@ -118,6 +118,47 @@ def test_cohort_refuses_labels_outside_0_1():
     assert empty.n == 0 and empty.subset(np.arange(0)).n == 0
 
 
+def test_cohort_copies_a_view_of_its_features():
+    base = np.zeros((4, 2))
+    c = raw_cohort(base[:, :], [0, 1, 1, 0])
+    base[0, 0] = 5
+    assert c.features[0, 0] == 0
+
+
+def test_cohort_labels_passed_as_a_view_stay_checked():
+    lab = np.array([0, 1, 1, 0])
+    c = raw_cohort(np.zeros((4, 2)), lab[:])
+    lab[0] = 2
+    assert set(c.labels.tolist()) <= {0, 1}
+
+
+def test_cohort_fields_cannot_be_reassigned():
+    c = raw_cohort(np.zeros((4, 2)), [0, 1, 1, 0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.labels = np.array([2, 2, 2, 2])
+    assert np.array_equal(c.labels, [0, 1, 1, 0])
+
+
+def test_every_entry_point_gives_owned_read_only_arrays(tmp_path):
+    c = make_cohort(n=120, d=3, years=(2001, 2003), seed=5)
+    path = tmp_path / "cohort.csv"
+    cohort.write_cohort(c, path)
+    quoted = tmp_path / "quoted.csv"     # a quote takes the row parser
+    quoted.write_text(path.read_text().replace("\n0,", '\n"0",', 1))
+    split = cohort.split_yearly(c, 2002)
+    built = {"generate_cohort": c, "read_cohort": cohort.read_cohort(path),
+             "read_cohort rows": cohort.read_cohort(quoted),
+             "subset index": c.subset([3, 1, 2]),
+             "subset mask": c.subset(c.labels == 1),
+             "subset slice": c.subset(slice(10, 50)),
+             "split train": split.train, "split test": split.test}
+    for name, got in built.items():
+        for f in dataclasses.fields(got):
+            array = getattr(got, f.name)
+            assert array.flags.owndata, (name, f.name)
+            assert not array.flags.writeable, (name, f.name)
+
+
 def test_io_round_trip(tmp_path):
     c = make_cohort(n=150, d=4, years=(2001, 2003), seed=13,
                     yearly_drift=0.1)

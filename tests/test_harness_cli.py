@@ -91,7 +91,7 @@ def test_config_rejects_multiclass_cohort(tmp_path):
 _LOADERS = [
     ("cohort", cohort.CohortConfig.from_dict, {"n": 100, "d": 3}),
     ("run config", harness.ExperimentConfig.from_dict,
-     {"cohort": {"n": 100, "d": 3}}),
+     {"cohort": {"n": 100, "d": 3, "years": [2001, 2002]}}),
     ("training", lambda raw: config_from_dict(dp_optim.DPTrainingConfig,
                                               raw, "training"), {}),
     ("training", lambda raw: dp_optim.DPTrainingConfig.from_level(
@@ -149,13 +149,13 @@ def test_two_year_cohort_single_pivot_row(tmp_path):
 
 
 def test_single_year_cohort_rejected(tmp_path):
+    # The yearly protocol has no pivot in a one-year cohort, so the config
+    # is refused before any cell runs.
     config = _small_config(tmp_path)
-    config = dataclasses.replace(config, cohort=dataclasses.replace(
-        config.cohort, years=(2001, 2001)))
-    report, failures = harness.run_experiment(config)
-    assert failures == 1
-    assert report["cells"][0]["error"] == (
-        "ConfigurationError: yearly protocol needs >= 2 years")
+    with pytest.raises(ConfigurationError, match=r"cohort\.years: the "
+                       r"yearly protocol needs >= 2 years"):
+        dataclasses.replace(config, cohort=dataclasses.replace(
+            config.cohort, years=(2001, 2001)))
 
 
 def test_stationarity_on_drift_free_cohort(tmp_path):
@@ -1066,6 +1066,8 @@ _PROBE_BASE = {
     ("run", {"cohort": _SMALL_COHORT, "influence_test_cap": 0},
      "influence_test_cap"),
     ("run", {"cohort": _SMALL_COHORT, "influence_panel": 0}, "influence_panel"),
+    ("run", {"cohort": {**_SMALL_COHORT, "years": [2001, 2001]}},
+     "cohort.years"),
     ("run", {"cohort": _SMALL_COHORT, "epochs": 1, "seeds": [0],
              "tasks": [{"name": "o", "l2_lambda": -0.1}]}, "l2_lambda"),
     # Unknown levels failed only their own cells (exit 3).
@@ -1109,6 +1111,7 @@ _PROBE_BASE = {
         "run-epochs-negative", "run-learning-rate-zero",
         "run-microbatches-not-dividing", "run-objpert-lambda-zero",
         "run-train-cap-zero", "run-test-cap-zero", "run-panel-zero",
+        "run-cohort-one-year",
         "run-task-l2-lambda-negative", "run-level-unknown",
         "run-objpert-level-unknown",
         "run-mechanisms-empty", "run-audits-empty", "run-no-cell-audited",
@@ -1194,7 +1197,8 @@ def test_tables_keep_the_old_formula_bytes(tmp_path):
         {"task": "t2", "level": "high", "mechanism": "objective-perturbation",
          "seed": 0, "error": "DomainError: empty"}]}
     config = harness.ExperimentConfig(
-        cohort=cohort.CohortConfig(n=600, d=4), out_dir=str(tmp_path))
+        cohort=cohort.CohortConfig(n=600, d=4, years=(2001, 2002)),
+        out_dir=str(tmp_path))
     harness._write_reports(config, report)
     harness.write_table(str(tmp_path / "shift.csv"),
                         harness.MALIGNANCY_COLUMNS,
@@ -1375,6 +1379,25 @@ def test_cli_audit_influence(tmp_path):
     assert [int(r[0]) for r in rows[1:]] == matrix.train_ids.tolist()
     assert ([[float(c) for c in r[1:]] for r in rows[1:]]
             == matrix.values.tolist())
+
+
+def test_cli_audit_influence_refuses_feature_width(tmp_path, capsys):
+    # Params for d = 3 on a 2-feature CSV: the Hessian read the features
+    # first and ended in numpy's matmul ValueError with a traceback.
+    csv_path = tmp_path / "cohort.csv"
+    cohort.write_cohort(make_cohort(n=40, d=2, seed=1), str(csv_path))
+    params = models.ModelParams("lr-binary", np.zeros(4), d=3, h=0,
+                                l2_lambda=0.1).to_dict()
+    audit_config = tmp_path / "audit.json"
+    audit_config.write_text(json.dumps(
+        {"train_csv": str(csv_path), "test_csv": str(csv_path),
+         "params": params}))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert cli.main(["audit-influence", "--config", str(audit_config),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: feature width 2 != d=3\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, scale, theta, message", [
