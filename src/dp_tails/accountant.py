@@ -10,20 +10,22 @@ Per-step RDP at order alpha:
             its signed terms summed by one signed log-sum-exp.
 The log-sum-exp is scipy.special.logsumexp's arithmetic (scipy 1.17.1)
 without its array-API dispatch, so curves keep scipy's bits.
-scipy.special is imported on the first query, not with this module.
+scipy.special is imported by the first query at 0 < q < 1, not with this
+module nor by a closed-form query (zero steps, q = 0, q = 1).
 
-Every curve is computed at one order grid, DEFAULT_ORDERS, so curves add
-up order by order. What depends on the grid alone is kept between calls
-and filled on first use, not at import: the orders' array, integer mask
-and integer and fractional orders, the log k! table and its
-q-independent window views (about 6 KB), and the fractional orders'
-binomial coefficients (and their logs) for the series chunks up to
-_MEMO_SERIES_TERMS terms. Nothing that depends on (q, sigma) is kept, nor
-the orders x k log-term matrix: queries rarely repeat a (q, sigma), and a
-kept 0.5 MB matrix per program import raised a benchmark's peak RSS by
-4-7 MB.
+A curve is a float64 array of RDP values, one per order of the one order
+grid DEFAULT_ORDERS, so curves compose by adding them order by order, and
+rdp_to_dp converts one curve or a sum of curves. One memo, _grid(), keeps
+read-only what the grid alone decides, filled with that import: the
+orders, their integer mask and the integer and fractional orders; the
+log k! table and its two q-independent window views (about 6 KB); and
+the fractional orders' binomial coefficients (and their logs) for series
+up to _MEMO_SERIES_TERMS terms. Nothing that depends on (q, sigma) is
+kept, nor the orders x k log-term matrix: queries rarely repeat a
+(q, sigma), and a kept 0.5 MB matrix per program import raised a
+benchmark's peak RSS by 4-7 MB.
 Composition over T steps is linear; conversion to (eps, delta) takes the
-minimum of eps(alpha) + log(1/delta)/(alpha-1) over the curve's orders.
+minimum of eps(alpha) + log(1/delta)/(alpha-1) over the orders.
 
 Caveat recorded in every report: Poisson-subsampling accounting is
 applied to shuffled fixed-size-batch training, and with fewer microbatches
@@ -47,7 +49,7 @@ DEFAULT_ORDERS = (1.25, 1.5, 1.75) + tuple(map(float, range(2, 257)))
 # Longest fractional-order series computed (64 * 4**6 terms): q = 0.5 with
 # sigma = 1e5 needs all of it at order 1.25; a NaN term never stops one.
 MAX_SERIES_TERMS = 262144
-# Longest fractional-order series whose coefficients the memo keeps.
+# Longest fractional-order series whose coefficients _grid() keeps.
 _MEMO_SERIES_TERMS = 1024
 
 STANDARD_CAVEATS = (
@@ -73,15 +75,6 @@ class PrivacySpend:
         return {"epsilon": self.epsilon if math.isfinite(self.epsilon) else "inf",
                 "delta": self.delta,
                 "argmin_order": self.argmin_order}
-
-
-@dataclass
-class RdpCurve:
-    orders: tuple
-    eps_rdp: np.ndarray
-    q: float
-    sigma: float
-    steps: int
 
 
 def _logsumexp(a, axis, b=None):
@@ -118,17 +111,50 @@ def _logsumexp(a, axis, b=None):
     return out.squeeze(axis)
 
 
-def _log_a_int(q, sigma, alphas):
-    """log A_alpha for integer orders: the exact binomial sum, an
-    orders x k matrix of log-terms (k > alpha masked out) reduced by one
+@functools.cache
+def _grid():
+    """What DEFAULT_ORDERS alone decides, read-only: the orders, their
+    integer mask, the integer and fractional orders, log k! up to the
+    largest order K - 1, the windows of length K over the reversed log k!
+    (padded where k > alpha) and over the k > alpha mask, and the
+    fractional orders' series coefficients and their logs up to
+    _MEMO_SERIES_TERMS terms."""
+    from scipy import special
+    alphas = np.array(DEFAULT_ORDERS)
+    is_int = alphas == np.floor(alphas)
+    ints, fracs = alphas[is_int].astype(int), alphas[~is_int]
+    size = int(ints.max()) + 1
+    log_fact = special.gammaln(np.arange(1, size + 1))
+    padded = np.concatenate((log_fact[::-1], np.zeros(size - 1)))
+    masked = np.arange(size - 1, -size, -1) < 0
+    coef, log_coef = _series_coefs(fracs, 0, _MEMO_SERIES_TERMS)
+    for a in (alphas, is_int, ints, fracs, log_fact):
+        a.flags.writeable = False
+    return (alphas, is_int, ints, fracs, log_fact,
+            sliding_window_view(padded, size),
+            sliding_window_view(masked, size), coef, log_coef)
+
+
+def _series_coefs(alphas, lo, n):
+    """special.binom(alpha, i) and log|binom(alpha, i)| for i in [lo, n),
+    one row per order of the array `alphas`."""
+    from scipy import special
+    coef = special.binom(alphas[:, None], np.arange(lo, n))
+    log_coef = np.log(np.abs(coef))
+    coef.flags.writeable = log_coef.flags.writeable = False
+    return coef, log_coef
+
+
+def _log_a_int(q, sigma):
+    """log A_alpha for the grid's integer orders: the exact binomial sum,
+    an orders x k matrix of log-terms (k > alpha masked out) reduced by one
     log-sum-exp per order. Each log-term is summed in the direct formula's
     left-to-right order, so it keeps that formula's bits. Row alpha reads
     log (alpha - k)!, alpha - k and the k > alpha mask as one window of a
     reversed vector each: the window of length K = max order + 1 starting
     at K - 1 - alpha."""
-    alphas = np.asarray(alphas)
-    size = int(alphas.max()) + 1
-    log_fact, fact_windows, mask_windows = _int_order_tables(size)
+    _, _, alphas, _, log_fact, fact_windows, mask_windows, _, _ = _grid()
+    size = len(log_fact)
     # rest[j] = K - 1 - j, so its window at K - 1 - alpha is alpha - k.
     rest = np.arange(size - 1, -size, -1)
     windows = (fact_windows,
@@ -156,68 +182,28 @@ def _log_a_int(q, sigma, alphas):
     return log_a
 
 
-@functools.lru_cache(maxsize=1)
-def _int_order_tables(size):
-    """For integer orders up to size - 1: log k! for k < size, and the
-    windows of length `size` over the reversed log-factorials (padded past
-    the table, where k > alpha) and over the k > alpha mask, which
-    _log_a_int reads. Memoized on the largest order alone, which is the
-    grid's; read-only."""
-    from scipy import special
-    log_fact = special.gammaln(np.arange(1, size + 1))
-    log_fact.flags.writeable = False
-    padded = np.concatenate((log_fact[::-1], np.zeros(size - 1)))
-    masked = np.arange(size - 1, -size, -1) < 0
-    return (log_fact, sliding_window_view(padded, size),
-            sliding_window_view(masked, size))
-
-
-@functools.cache
-def _order_grid():
-    """DEFAULT_ORDERS as a read-only array, with its integer mask, its
-    integer orders and the tuple of its fractional orders."""
-    alphas = np.array(DEFAULT_ORDERS)
-    is_int = alphas == np.floor(alphas)
-    ints = alphas[is_int].astype(int)
-    for a in (alphas, is_int, ints):
-        a.flags.writeable = False
-    return alphas, is_int, ints, tuple(alphas[~is_int].tolist())
-
-
-def _series_coefs(alphas, lo, n):
-    """special.binom(alpha, i) and log|binom(alpha, i)| for i in [lo, n),
-    one row per fractional order of the tuple `alphas`."""
-    from scipy import special
-    coef = special.binom(np.array(alphas)[:, None], np.arange(lo, n))
-    log_coef = np.log(np.abs(coef))
-    coef.flags.writeable = log_coef.flags.writeable = False
-    return coef, log_coef
-
-
-# Up to _MEMO_SERIES_TERMS, the grid's series has three chunks: [0, 64),
-# [64, 256) and [256, 1024). Longer series are rare, and their chunks large.
-_memo_series_coefs = functools.lru_cache(maxsize=3)(_series_coefs)
-
-
-def _log_a_frac(q, sigma, alphas):
-    """log A_alpha for the fractional orders of the tuple `alphas`: the erfc
-    series of each order up to its first term below e^-30 past i = alpha,
-    as one orders x i matrix of log-terms (longer series masked out)
-    reduced by one signed log-sum-exp. The index range grows fourfold, each
-    new term computed once, until every order's series has stopped; past
+def _log_a_frac(q, sigma):
+    """log A_alpha for the grid's fractional orders: the erfc series of
+    each order up to its first term below e^-30 past i = alpha, as one
+    orders x i matrix of log-terms (longer series masked out) reduced by
+    one signed log-sum-exp. The index range grows fourfold, each new term
+    computed once, until every order's series has stopped; past
     MAX_SERIES_TERMS it raises DomainError, as the terms then no longer
     fall (a NaN or infinite term never does)."""
     from scipy import special
+    _, _, _, alphas, _, _, _, memo_coef, memo_log_coef = _grid()
     z0 = sigma ** 2 * math.log(1.0 / q - 1.0) + 0.5
     chunks = []
     stopped = np.zeros(len(alphas), dtype=bool)
-    column = np.array(alphas)[:, None]
+    column = alphas[:, None]
     lo, n = 0, 64
     while True:
         i = np.arange(lo, n)
         j = column - i
-        coef, log_coef = (_memo_series_coefs if n <= _MEMO_SERIES_TERMS
-                          else _series_coefs)(alphas, lo, n)
+        if n <= _MEMO_SERIES_TERMS:
+            coef, log_coef = memo_coef[:, lo:n], memo_log_coef[:, lo:n]
+        else:
+            coef, log_coef = _series_coefs(alphas, lo, n)
         log_s0 = (log_coef + i * math.log(q) + j * math.log1p(-q)
                   + (i * i - i) / (2.0 * sigma ** 2)
                   + special.log_ndtr((z0 - i) / sigma))
@@ -241,9 +227,10 @@ def _log_a_frac(q, sigma, alphas):
                       axis=(0, 2), b=np.sign(coef))
 
 
-def rdp_subsampled_gaussian(q, sigma, steps) -> RdpCurve:
-    """The RDP curve at DEFAULT_ORDERS of `steps` steps at sampling rate q
-    and noise multiplier sigma."""
+def rdp_subsampled_gaussian(q, sigma, steps) -> np.ndarray:
+    """The RDP curve of `steps` steps at sampling rate q and noise
+    multiplier sigma: a float64 array, one value per order of
+    DEFAULT_ORDERS."""
     if not 0.0 <= q <= 1.0:
         raise DomainError("sampling rate q must lie in [0,1]")
     if not math.isfinite(sigma):
@@ -261,15 +248,14 @@ def rdp_subsampled_gaussian(q, sigma, steps) -> RdpCurve:
         raise DomainError(f"step count must be an integer, not {steps!r}")
     if steps < 0:
         raise DomainError("step count must be >= 0")
-    orders = DEFAULT_ORDERS
-    alphas, is_int, ints, fracs = _order_grid()
+    size = len(DEFAULT_ORDERS)
     if steps == 0:
-        return RdpCurve(orders, np.zeros(len(orders)), q, sigma, 0)
+        return np.zeros(size)
     if sigma <= 0.0:
         if q > 0.0:
             raise InfinitePrivacyLossError(
                 "sigma = 0 with positive sampling rate has no finite RDP")
-        return RdpCurve(orders, np.zeros(len(orders)), q, sigma, steps)
+        return np.zeros(size)
     # For sigma below about 1e-152 the quadratic log-terms of the larger
     # orders overflow to inf (and an erfc-series term can then be inf - inf),
     # as can the composed curve: those orders' RDP is infinite, a sound
@@ -277,31 +263,34 @@ def rdp_subsampled_gaussian(q, sigma, steps) -> RdpCurve:
     # overflow is expected arithmetic, not an error.
     with np.errstate(over="ignore", invalid="ignore"):
         if q == 0.0:
-            per_step = np.zeros(len(orders))
+            per_step = np.zeros(size)
         elif 1.0 / (2.0 * sigma ** 2) == math.inf:
             # The quadratic log-term (k^2 - k) / (2 sigma^2) of every order
             # overflows (k = 2 already), so every order's RDP is infinite;
             # the series would only reach that through overflow and NaN
             # arithmetic.
-            per_step = np.full(len(orders), math.inf)
+            per_step = np.full(size, math.inf)
         elif q == 1.0:
-            per_step = alphas / (2.0 * sigma ** 2)
+            per_step = np.array(DEFAULT_ORDERS) / (2.0 * sigma ** 2)
         else:
-            log_a = np.empty(len(orders))
-            log_a[is_int] = _log_a_int(q, sigma, ints)
-            log_a[~is_int] = _log_a_frac(q, sigma, fracs)
+            alphas, is_int = _grid()[:2]
+            log_a = np.empty(size)
+            log_a[is_int] = _log_a_int(q, sigma)
+            log_a[~is_int] = _log_a_frac(q, sigma)
             per_step = np.maximum(log_a / (alphas - 1.0), 0.0)
-        eps_rdp = steps * per_step
-    return RdpCurve(orders, eps_rdp, q, sigma, steps)
+        return steps * per_step
 
 
-def rdp_to_dp(curve: RdpCurve, delta=DEFAULT_DELTA) -> PrivacySpend:
+def rdp_to_dp(curve, delta=DEFAULT_DELTA) -> PrivacySpend:
+    """The (epsilon, delta) spend of an RDP curve at DEFAULT_ORDERS, one
+    curve or a sum of curves: the minimum over the orders."""
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0,1)")
-    if len(curve.orders) == 0:
-        raise DomainError("empty RDP curve")
-    orders = np.asarray(curve.orders)
-    candidates = curve.eps_rdp + math.log(1.0 / delta) / (orders - 1.0)
+    if np.shape(curve) != (len(DEFAULT_ORDERS),):
+        raise DomainError(f"an RDP curve has one value per order of "
+                          f"DEFAULT_ORDERS, not shape {np.shape(curve)}")
+    orders = np.array(DEFAULT_ORDERS)   # not _grid(), which imports scipy
+    candidates = curve + math.log(1.0 / delta) / (orders - 1.0)
     idx = int(np.argmin(candidates))
     return PrivacySpend(epsilon=float(candidates[idx]), delta=delta,
                         argmin_order=float(orders[idx]))

@@ -46,7 +46,8 @@ class TrainFile:
     objpert: dict = field(default_factory=dict)
 
     # Each mechanism reads its own sections; a section it would not read
-    # is refused, not silently ignored.
+    # is refused, not silently ignored, and so is a seed in a section: the
+    # top-level seed (or --seed) is the run's.
     UNREAD = {"dp-sgd": ("objpert",),
               "objective-perturbation": ("training", "family_spec")}
 
@@ -59,6 +60,11 @@ class TrainFile:
                 raise ConfigurationError(
                     f"{path}: {key!r}: not read by mechanism "
                     f"{cfg.mechanism!r}")
+        for key in ("training", "objpert"):
+            if "seed" in getattr(cfg, key):
+                raise ConfigurationError(
+                    f"{path}: {key}.seed: not read; set the top-level "
+                    f"'seed' or --seed")
         return cfg
 
 

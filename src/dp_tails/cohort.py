@@ -106,6 +106,11 @@ class Cohort:
         if not ((self.labels == 0) | (self.labels == 1)).all():
             raise DomainError("labels must lie in [0,2)")
 
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild through the constructor, so a
+        # copy's arrays are read-only and its labels checked too.
+        return Cohort, tuple(getattr(self, f.name) for f in fields(self))
+
     @property
     def n(self):
         return self.features.shape[0]
@@ -409,15 +414,16 @@ def _parse_rows(reader):
     n = len(ids)
     if len(set(ids)) != n:
         raise ParseError("duplicate record ids")
-    features = np.asarray(feats, dtype=float).reshape(n, d)
+    # Arrays built here own their memory, so Cohort copies none of them.
+    features = np.array(feats, dtype=float) if n else np.empty((0, d))
     bad = np.argwhere(~np.isfinite(features))
     if len(bad):
         r, j = bad[0]
         raise ParseError("non-finite feature cell", row=int(r) + 1,
                          column=4 + int(j))
     try:
-        ids, years, groups, labels = np.array([ids, years, groups, labels],
-                                              dtype=np.int64)
+        ids, years, groups, labels = (np.array(v, dtype=np.int64) for v in
+                                      (ids, years, groups, labels))
     except OverflowError:
         r, j = next((r, j) for r, meta in enumerate(
             zip(ids, years, groups, labels), start=1)

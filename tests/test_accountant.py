@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,25 +26,25 @@ def goldens():
 
 def test_unsubsampled_closed_form():
     curve = accountant.rdp_subsampled_gaussian(1.0, 1.0, 1)
-    assert curve.eps_rdp[curve.orders.index(2.0)] == 1.0
+    assert curve[accountant.DEFAULT_ORDERS.index(2.0)] == 1.0
 
 
 def test_zero_steps_zero_curve():
     curve = accountant.rdp_subsampled_gaussian(0.01, 1.0, 0)
-    assert np.all(curve.eps_rdp == 0.0)
+    assert np.all(curve == 0.0)
 
 
 def test_q_zero_zero_curve():
     curve = accountant.rdp_subsampled_gaussian(0.0, 1.0, 100)
-    assert np.all(curve.eps_rdp == 0.0)
+    assert np.all(curve == 0.0)
 
 
 def test_golden_curve(goldens):
     g = goldens["curve"]
     curve = accountant.rdp_subsampled_gaussian(g["q"], g["sigma"], g["steps"])
-    assert curve.orders == tuple(g["orders"])
+    assert accountant.DEFAULT_ORDERS == tuple(g["orders"])
     expected = np.asarray(g["eps_rdp"])
-    rel = np.abs(curve.eps_rdp - expected) / np.maximum(expected, 1e-300)
+    rel = np.abs(curve - expected) / np.maximum(expected, 1e-300)
     assert rel.max() < 1e-6
 
 
@@ -55,32 +57,58 @@ def test_golden_grid_epsilon_within_one_percent(goldens):
 
 
 def test_conversion_overhead_limit():
-    orders = tuple(float(a) for a in range(2, 4097))
-    curve = accountant.RdpCurve(orders, np.zeros(len(orders)), 0.0, 1.0, 0)
+    # A zero curve converts at the grid's largest order, 256.
+    curve = np.zeros(len(accountant.DEFAULT_ORDERS))
     spend = accountant.rdp_to_dp(curve, delta=1e-5)
-    assert spend.epsilon <= math.log(1e5) / 4095 + 1e-12
-    assert spend.epsilon < 0.003
+    assert spend.epsilon == math.log(1e5) / 255
+    assert spend.argmin_order == 256.0
 
 
 def test_conversion_single_order():
-    curve = accountant.RdpCurve((2.0,), np.array([1.0]), 0.01, 1.0, 1)
+    # A curve infinite at every order but 2 converts at order 2.
+    curve = np.full(len(accountant.DEFAULT_ORDERS), math.inf)
+    curve[accountant.DEFAULT_ORDERS.index(2.0)] = 1.0
     spend = accountant.rdp_to_dp(curve, delta=1e-5)
     assert abs(spend.epsilon - (1.0 + math.log(1e5))) < 1e-12
     assert spend.argmin_order == 2.0
 
 
 def test_conversion_min_monotonicity():
-    orders = (2.0, 4.0, 8.0)
-    lo = accountant.RdpCurve(orders, np.array([0.1, 0.2, 0.4]), 0.01, 1.0, 1)
-    hi = accountant.RdpCurve(orders, np.array([0.2, 0.3, 0.5]), 0.01, 1.0, 1)
+    lo = np.linspace(0.1, 2.0, len(accountant.DEFAULT_ORDERS))
+    hi = lo + np.random.default_rng(3).uniform(0.0, 0.1, len(lo))
     assert (accountant.rdp_to_dp(lo).epsilon
             <= accountant.rdp_to_dp(hi).epsilon)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 258), (258, 1), ()])
+def test_conversion_refuses_other_shapes(shape):
+    assert len(accountant.DEFAULT_ORDERS) == 258
+    with pytest.raises(DomainError, match="one value per order"):
+        accountant.rdp_to_dp(np.zeros(shape))
+
+
+def test_composition_is_the_sum_of_curves():
+    # Two distinct mechanisms compose by adding their curves order by
+    # order; the sum converts to the frozen reference's epsilon, bit for
+    # bit.
+    c1 = accountant.rdp_subsampled_gaussian(0.01, 1.1, 700)
+    c2 = accountant.rdp_subsampled_gaussian(0.2, 3.0, 50)
+    want = accountant.rdp_to_dp(
+        accountant_parent.rdp_subsampled_gaussian(
+            0.01, 1.1, 700, accountant.DEFAULT_ORDERS)
+        + accountant_parent.rdp_subsampled_gaussian(
+            0.2, 3.0, 50, accountant.DEFAULT_ORDERS))
+    got = accountant.rdp_to_dp(c1 + c2)
+    assert float.hex(got.epsilon) == float.hex(want.epsilon)
+    assert got == want
+    assert got.epsilon > max(accountant.rdp_to_dp(c1).epsilon,
+                             accountant.rdp_to_dp(c2).epsilon)
 
 
 def test_composition_linearity():
     one = accountant.rdp_subsampled_gaussian(0.01, 1.0, 1)
     many = accountant.rdp_subsampled_gaussian(0.01, 1.0, 300)
-    assert np.array_equal(300.0 * one.eps_rdp, many.eps_rdp)
+    assert np.array_equal(300.0 * one, many)
 
 
 def test_epsilon_monotone_in_grid():
@@ -167,7 +195,7 @@ def test_fractional_series_length_cap(monkeypatch):
     # q = 0.5, sigma = 1e5 at order 1.25 needs all MAX_SERIES_TERMS; one
     # fourfold step less raises rather than grows.
     curve = accountant.rdp_subsampled_gaussian(0.5, 1e5, 1)
-    assert np.isfinite(curve.eps_rdp).all()
+    assert np.isfinite(curve).all()
     monkeypatch.setattr(accountant, "MAX_SERIES_TERMS",
                         accountant.MAX_SERIES_TERMS // 4)
     with pytest.raises(DomainError, match="does not converge within 65536"):
@@ -194,7 +222,7 @@ def test_curve_matches_parent_bit_for_bit(q, sigma, steps):
     want = accountant_parent.rdp_subsampled_gaussian(
         q, sigma, steps, accountant.DEFAULT_ORDERS)
     got = accountant.rdp_subsampled_gaussian(q, sigma, steps)
-    assert _same_bits(got.eps_rdp, want)
+    assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("q", [1e-5, 0.01, 0.5, 0.999, 1.0])
@@ -211,24 +239,9 @@ def test_tiny_sigma_sweep_is_quiet_and_matches_parent(q):
         with np.errstate(over="ignore", invalid="ignore"):
             want = accountant_parent.rdp_subsampled_gaussian(
                 q, sigma, 100, accountant.DEFAULT_ORDERS)
-        assert not np.isnan(curve.eps_rdp).any()
-        assert curve.eps_rdp.tobytes() == want.tobytes()
+        assert not np.isnan(curve).any()
+        assert curve.tobytes() == want.tobytes()
         assert spend == accountant.rdp_to_dp(curve)
-
-
-@settings(max_examples=100, deadline=None)
-@given(q=st.floats(1e-6, 0.999), sigma=st.floats(0.05, 100.0),
-       orders=st.lists(st.integers(2, 1024), min_size=1, max_size=40,
-                       unique=True))
-@example(q=0.01, sigma=1.0, orders=[2])
-@example(q=0.999, sigma=0.05, orders=[1024])
-@example(q=1e-6, sigma=100.0, orders=[2, 1024])
-def test_integer_orders_match_parent_unsorted(q, sigma, orders):
-    # _log_a_int works row by row in blocks; orders in any order, with gaps,
-    # give the reference's bits in the caller's order.
-    alphas = np.array(orders)
-    assert _same_bits(accountant._log_a_int(q, sigma, alphas),
-                      accountant_parent._log_a_int(q, sigma, alphas))
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,59 +301,54 @@ def test_non_integer_steps_raise(steps):
         accountant.spend_for_training(0.1, 1.0, steps)
 
 
+def test_closed_form_spends_load_no_scipy():
+    # Zero steps, q = 0 and q = 1 need no series, so a fresh process
+    # answers them without importing scipy.special (about 0.2 s).
+    code = ("import sys\n"
+            "from dp_tails import accountant\n"
+            "for q, steps in ((0.1, 0), (0.0, 10), (1.0, 10)):\n"
+            "    accountant.spend_for_training(q, 1.0, steps)\n"
+            "assert 'scipy.special' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(accountant.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_numpy_integer_steps_are_accounted():
     spend, log = accountant.spend_for_training(0.1, 1.0, np.int64(3))
     assert spend == accountant.spend_for_training(0.1, 1.0, 3)[0]
     assert log["steps"] == 3
 
 
-def _clear_memo():
-    accountant._order_grid.cache_clear()
-    accountant._memo_series_coefs.cache_clear()
-    accountant._int_order_tables.cache_clear()
-
-
 def _parent_epsilon(q, sigma, steps):
     """The frozen reference's epsilon at the default orders and delta."""
-    curve = accountant.RdpCurve(
-        accountant.DEFAULT_ORDERS,
-        accountant_parent.rdp_subsampled_gaussian(
-            q, sigma, steps, accountant.DEFAULT_ORDERS), q, sigma, steps)
-    return accountant.rdp_to_dp(curve).epsilon
+    return accountant.rdp_to_dp(accountant_parent.rdp_subsampled_gaussian(
+        q, sigma, steps, accountant.DEFAULT_ORDERS)).epsilon
 
 
 def test_memo_keeps_nothing_per_query():
-    # The first query runs the default fractional orders' series past 1024
-    # terms, so every memoized chunk ([0, 64), [64, 256), [256, 1024)) is
-    # filled; 200 queries at other (q, sigma) then add no entry, and every
-    # entry is a vector per order or a chunk of coefficients per order.
-    _clear_memo()
+    # The grid memo is one entry, filled by the first query; 200 queries at
+    # other (q, sigma), whose fractional-order series run past 64 terms,
+    # add nothing to it, and every array in it has the grid's shape.
+    accountant._grid.cache_clear()
     accountant.spend_for_training(0.1, 1.0, 10)
-    assert accountant._memo_series_coefs.cache_info().currsize == 3
+    assert accountant._grid.cache_info().currsize == 1
+    grid = accountant._grid()
     rng = np.random.default_rng(15)
     for q, sigma in zip(rng.uniform(1e-3, 0.2, 200),
                         rng.uniform(0.5, 4.0, 200)):
         spend, _ = accountant.spend_for_training(q, sigma, 1000)
         assert spend.epsilon == _parent_epsilon(q, sigma, 1000)
-    grid_info = accountant._order_grid.cache_info()
-    assert (grid_info.currsize, grid_info.hits) == (1, 200)
-    assert accountant._memo_series_coefs.cache_info().currsize == 3
-    # The integer-order tables are keyed on the grid's largest order: one
-    # read-only entry, shared by every query.
-    tables_info = accountant._int_order_tables.cache_info()
-    assert (tables_info.currsize, tables_info.hits) == (1, 200)
-    size = int(max(accountant.DEFAULT_ORDERS)) + 1
-    log_fact, *windows = accountant._int_order_tables(size)
-    assert log_fact.shape == (size,)
-    assert all(w.shape == (size, size) for w in windows)
-    assert not any(a.flags.writeable for a in (log_fact, *windows))
-    alphas, is_int, ints, fracs = accountant._order_grid()
+    info = accountant._grid.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert accountant._grid() is grid
+    (alphas, is_int, ints, fracs, log_fact, fact_windows, mask_windows,
+     coef, log_coef) = grid
     assert alphas.tolist() == list(accountant.DEFAULT_ORDERS)
     assert ints.tolist() == alphas[is_int].tolist()
-    assert fracs == (1.25, 1.5, 1.75)
-    assert not any(a.flags.writeable for a in (alphas, is_int, ints))
-    for lo, n in ((0, 64), (64, 256), (256, 1024)):
-        coef, log_coef = accountant._memo_series_coefs(fracs, lo, n)
-        assert coef.shape == log_coef.shape == (len(fracs), n - lo)
-        assert not coef.flags.writeable and not log_coef.flags.writeable
-    assert accountant._memo_series_coefs.cache_info().currsize == 3
+    assert fracs.tolist() == [1.25, 1.5, 1.75]
+    size = int(max(accountant.DEFAULT_ORDERS)) + 1
+    assert log_fact.shape == (size,)
+    assert fact_windows.shape == mask_windows.shape == (size, size)
+    assert coef.shape == log_coef.shape == (3, accountant._MEMO_SERIES_TERMS)
+    assert not any(a.flags.writeable for a in grid)

@@ -1,8 +1,10 @@
+import copy
 import csv
 import dataclasses
 import itertools
 import json
 import os
+import pickle
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -157,6 +159,48 @@ def test_every_entry_point_gives_owned_read_only_arrays(tmp_path):
             array = getattr(got, f.name)
             assert array.flags.owndata, (name, f.name)
             assert not array.flags.writeable, (name, f.name)
+
+
+@pytest.mark.parametrize("make_copy", [
+    copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_a_cohort_stay_checked(make_copy):
+    # A copy is rebuilt through the constructor: its arrays are read-only
+    # and own their memory, and it equals the original.
+    c = raw_cohort(np.zeros((4, 2)), [0, 1, 1, 0])
+    x = make_copy(c)
+    assert x == c
+    for f in dataclasses.fields(x):
+        array = getattr(x, f.name)
+        assert array.flags.owndata and not array.flags.writeable, f.name
+    with pytest.raises(ValueError, match="read-only"):
+        x.labels[0] = 2
+    assert np.array_equal(x.labels, [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("rows", [0, 30])
+def test_row_parser_hands_cohort_owned_arrays(tmp_path, monkeypatch, rows):
+    # The row parser builds arrays that own their memory, so the
+    # constructor copies none of them; a header-only file still reads.
+    c = make_cohort(n=120, d=3, years=(2001, 2003), seed=5)
+    path = tmp_path / "quoted.csv"     # a quote takes the row parser
+    cohort.write_cohort(c.subset(slice(0, rows)), path)
+    path.write_text(path.read_text().replace("id,", '"id",', 1))
+    handed, real = [], cohort.Cohort
+
+    def spy(**arrays):
+        handed.append(arrays)
+        return real(**arrays)
+
+    monkeypatch.setattr(cohort, "Cohort", spy)
+    back = cohort.read_cohort(path)
+    monkeypatch.undo()
+    assert len(handed) == 1 and sorted(handed[0]) == sorted(
+        f.name for f in dataclasses.fields(back))
+    for name, array in handed[0].items():
+        assert array.flags.owndata, name
+    assert back == c.subset(slice(0, rows))
+    assert back.features.shape == (rows, 3)
 
 
 def test_io_round_trip(tmp_path):

@@ -1083,6 +1083,12 @@ _PROBE_BASE = {
     ("run", {"cohort": _SMALL_COHORT, "audits": ["robustness"],
              "mechanisms": ["objective-perturbation"]}, "audits"),
     ("train", {"training": {"noise_multiplier": 1.0}}, "noise_multiplier"),
+    # A section's seed was overwritten by the top-level seed or --seed.
+    ("train", {"training": {"privacy_level": "high", "seed": 5}},
+     "training.seed: not read; set the top-level 'seed' or --seed"),
+    ("train", {"mechanism": "objective-perturbation",
+               "objpert": {"eps_p": 1.0, "lam": 0.1, "seed": 5}},
+     "objpert.seed: not read; set the top-level 'seed' or --seed"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-smoothness-constant", "objpert-missing", "objpert-unread-training",
         "objpert-unread-family-spec", "dp-sgd-unread-objpert",
@@ -1115,7 +1121,7 @@ _PROBE_BASE = {
         "run-task-l2-lambda-negative", "run-level-unknown",
         "run-objpert-level-unknown",
         "run-mechanisms-empty", "run-audits-empty", "run-no-cell-audited",
-        "train-noise-without-clip-norm"])
+        "train-noise-without-clip-norm", "training-seed", "objpert-seed"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":
