@@ -289,6 +289,8 @@ def rdp_to_dp(curve, delta=DEFAULT_DELTA) -> PrivacySpend:
     if np.shape(curve) != (len(DEFAULT_ORDERS),):
         raise DomainError(f"an RDP curve has one value per order of "
                           f"DEFAULT_ORDERS, not shape {np.shape(curve)}")
+    if not np.all(np.greater_equal(curve, 0.0)):
+        raise DomainError("an RDP curve holds no NaN or negative value")
     orders = np.array(DEFAULT_ORDERS)   # not _grid(), which imports scipy
     candidates = curve + math.log(1.0 / delta) / (orders - 1.0)
     idx = int(np.argmin(candidates))

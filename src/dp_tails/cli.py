@@ -52,10 +52,16 @@ class TrainFile:
               "objective-perturbation": ("training", "family_spec")}
 
     @classmethod
-    def load(cls, path):
+    def load(cls, path, seed=None):
+        """The file at `path` and its mechanism's DPTrainingConfig or
+        ObjPertConfig with the run's seed (`seed`, or if None the file's),
+        all checked before any cohort is read."""
         raw = _load_json(path)
         cfg = config_from_dict(cls, raw, path)
-        for key in cls.UNREAD.get(cfg.mechanism, ()):
+        if cfg.mechanism not in cls.UNREAD:
+            raise ConfigurationError(
+                f"{path}: mechanism: unknown {cfg.mechanism!r}")
+        for key in cls.UNREAD[cfg.mechanism]:
             if key in raw:
                 raise ConfigurationError(
                     f"{path}: {key!r}: not read by mechanism "
@@ -65,7 +71,19 @@ class TrainFile:
                 raise ConfigurationError(
                     f"{path}: {key}.seed: not read; set the top-level "
                     f"'seed' or --seed")
-        return cfg
+        if cfg.mechanism == "objective-perturbation":
+            config = config_from_dict(objective_perturbation.ObjPertConfig,
+                                      cfg.objpert, "objpert")
+        elif "privacy_level" in cfg.training:
+            training = dict(cfg.training)
+            level = harness.level(training.pop("privacy_level"),
+                                  "training.privacy_level")
+            config = level.training(**training)
+        else:
+            config = config_from_dict(dp_optim.DPTrainingConfig,
+                                      cfg.training, "training")
+        return cfg, dataclasses.replace(
+            config, seed=cfg.seed if seed is None else seed)
 
 
 @dataclass
@@ -120,27 +138,15 @@ def cmd_generate_data(args):
 
 
 def cmd_train(args):
-    cfg = TrainFile.load(args.config)
-    cohort = _read_cohort(cfg.cohort_csv)
-    split = cohort_mod.split_yearly(cohort, cfg.pivot_year)
-    seed = args.seed if args.seed is not None else cfg.seed
+    cfg, config = TrainFile.load(args.config, args.seed)
+    spec = config_from_dict(models.FamilySpec, cfg.family_spec, "family_spec")
+    split = cohort_mod.split_yearly(_read_cohort(cfg.cohort_csv),
+                                    cfg.pivot_year)
     if cfg.mechanism == "dp-sgd":
-        training = dict(cfg.training)
-        if "privacy_level" in training:
-            config = dp_optim.DPTrainingConfig.from_level(
-                training.pop("privacy_level"), **training)
-        else:
-            config = config_from_dict(dp_optim.DPTrainingConfig, training,
-                                      "training")
-        trained = dp_optim.train(cfg.family_spec, split,
-                                 dataclasses.replace(config, seed=seed))
-    elif cfg.mechanism == "objective-perturbation":
-        op = config_from_dict(objective_perturbation.ObjPertConfig,
-                              cfg.objpert, "objpert")
-        trained = objective_perturbation.train_objective_perturbation(
-            split.train, dataclasses.replace(op, seed=seed))
+        trained = dp_optim.train(spec, split, config)
     else:
-        raise ConfigurationError(f"unknown mechanism {cfg.mechanism!r}")
+        trained = objective_perturbation.train_objective_perturbation(
+            split.train, config)
     harness.write_json(args.out, trained.to_dict())
     return 0
 

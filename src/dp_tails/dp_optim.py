@@ -11,8 +11,8 @@ dropped so the accountant's sampling rate q = L/n is exact. Every label is
 0 or 1, as `cohort.Cohort` guarantees, so no step checks them.
 
 `train_stack` trains any list of models of one family, each on its own
-records of one cohort (the grid's models of every level, seed and pivot
-year together). It alone decides which models share a lockstep stack:
+records of one cohort (the grid's models of every (C, sigma), seed and
+pivot year together). It alone decides which models share a lockstep stack:
 those equal in the fields of `_SHARED` and in the batch size L, private
 or not. In a stack of R models theta is (R, p), a step's batch (R, L, d),
 and every numpy call of the step covers the whole stack, while each model
@@ -39,13 +39,6 @@ from . import accountant, models
 from .cohort import Cohort, CohortSplit
 from .errors import (ConfigurationError, DomainError, DPTailsError,
                      NumericError, TrainingError, config_from_dict)
-
-PRIVACY_LEVELS = {
-    "none": (None, 0.0),
-    "low": (5.0, 0.1),
-    "high": (1.0, 1.0),
-}
-
 
 @dataclass
 class DPTrainingConfig:
@@ -82,21 +75,6 @@ class DPTrainingConfig:
             raise ConfigurationError("seed: must be >= 0")
         if not 0 < self.delta < 1:
             raise ConfigurationError("delta: must lie in (0,1)")
-
-    @classmethod
-    def from_level(cls, name, **kwargs):
-        """Config of a named privacy level, which alone sets clip_norm and
-        noise_multiplier; kwargs set the other fields."""
-        if not isinstance(name, str) or name not in PRIVACY_LEVELS:
-            raise ConfigurationError(f"unknown privacy level {name!r}")
-        bound = sorted({"clip_norm", "noise_multiplier"} & set(kwargs))
-        if bound:
-            raise ConfigurationError(
-                f"training: {bound} set by privacy_level {name!r}")
-        clip, sigma = PRIVACY_LEVELS[name]
-        return config_from_dict(
-            cls, {**kwargs, "clip_norm": clip, "noise_multiplier": sigma},
-            "training")
 
     @property
     def private(self):

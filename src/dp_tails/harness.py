@@ -1,6 +1,7 @@
 """Experiment orchestration: privacy-level sweeps over yearly protocols,
 with utility, robustness, fairness, and influence audits emitted as
-deterministic JSON/CSV reports.
+deterministic JSON/CSV reports. A level name means what the one table
+LEVELS says: DP-SGD's (C, sigma) and objective perturbation's eps_p.
 
 Every cell of the (task x level x mechanism x seed) grid derives its rng
 from a stable hash so it is independently reproducible, and every epsilon
@@ -36,12 +37,40 @@ from . import (accountant, cohort as cohort_mod, dp_optim, fairness_audit,
 from .cohort import stable_seed
 from .errors import ConfigurationError, DPTailsError, config_from_dict
 
-# Objective-perturbation budgets matched to the named privacy levels; "none"
-# trains the noiseless minimizer, reported as a non-private run.
-OBJPERT_LEVEL_EPS = {"none": math.inf, "low": 3.5e5, "high": 3.54}
-# The privacy level names each mechanism trains.
-MECHANISM_LEVELS = {"dp-sgd": dp_optim.PRIVACY_LEVELS,
-                    "objective-perturbation": OBJPERT_LEVEL_EPS}
+
+@dataclass(frozen=True)
+class Level:
+    """A privacy level: DP-SGD's clip norm C (None: no clipping) and noise
+    multiplier sigma, and objective perturbation's budget eps_p (inf: the
+    noiseless minimizer, a non-private run)."""
+    clip_norm: float | None
+    noise_multiplier: float
+    eps_p: float
+
+    def training(self, **fields):
+        """This level's DPTrainingConfig; `fields` set all but C and sigma."""
+        bound = sorted({"clip_norm", "noise_multiplier"} & set(fields))
+        if bound:
+            raise ConfigurationError(f"training: {bound} set by privacy_level")
+        return config_from_dict(dp_optim.DPTrainingConfig, {
+            **fields, "clip_norm": self.clip_norm,
+            "noise_multiplier": self.noise_multiplier}, "training")
+
+
+# The one table of privacy levels, read by both mechanisms.
+LEVELS = {
+    "none": Level(None, 0.0, math.inf),
+    "low": Level(5.0, 0.1, 3.5e5),
+    "high": Level(1.0, 1.0, 3.54),
+}
+
+
+def level(name, where="privacy_level"):
+    """LEVELS[name], or ConfigurationError naming the config key `where`."""
+    if not isinstance(name, str) or name not in LEVELS:
+        raise ConfigurationError(f"{where}: unknown privacy level {name!r} "
+                                 f"({', '.join(LEVELS)})")
+    return LEVELS[name]
 
 
 @dataclass
@@ -74,14 +103,10 @@ class ExperimentConfig:
         for i, task in enumerate(self.tasks):
             _family_spec(task, f"tasks[{i}]")
         for mech in self.mechanisms:
-            if not isinstance(mech, str) or mech not in MECHANISM_LEVELS:
+            if mech not in ("dp-sgd", "objective-perturbation"):
                 raise ConfigurationError(f"mechanisms: unknown {mech!r}")
-            for level in self.privacy_levels:
-                if (not isinstance(level, str)
-                        or level not in MECHANISM_LEVELS[mech]):
-                    raise ConfigurationError(
-                        f"privacy_levels: {level!r} is not a {mech} level "
-                        f"({', '.join(MECHANISM_LEVELS[mech])})")
+        for name in self.privacy_levels:
+            level(name, "privacy_levels")
         for audit in self.audits:
             if audit not in ("utility", "robustness", "fairness", "influence"):
                 raise ConfigurationError(f"audits: unknown {audit!r}")
@@ -134,13 +159,6 @@ def _caught(fn, *args, **kwargs):
         return exc
 
 
-def _train_objpert(train, level, seed, config):
-    op_config = objective_perturbation.ObjPertConfig(
-        eps_p=OBJPERT_LEVEL_EPS[level], lam=config.objpert_lambda, seed=seed)
-    return objective_perturbation.train_objective_perturbation(
-        train, op_config)
-
-
 def _train_models(cohort, task, mechanism, jobs, pivots, config):
     """Per pivot year, per (level, seed) job of grid cells: the job's
     TrainedModel, trained on the years before the pivot with cell seed
@@ -158,23 +176,26 @@ def _train_models(cohort, task, mechanism, jobs, pivots, config):
                 for pivot in pivots}
         results = dp_optim.train_stack(
             _family_spec(task, "task"), cohort,
-            [dp_optim.DPTrainingConfig.from_level(
-                level, batch_size=config.batch_size,
+            [LEVELS[name].training(
+                batch_size=config.batch_size,
                 microbatch_count=config.microbatch_count,
                 learning_rate=config.learning_rate, epochs=config.epochs,
-                seed=cell_seed) for _, level, cell_seed in slots],
+                seed=cell_seed) for _, name, cell_seed in slots],
             [rows[pivot] for pivot, _, _ in slots])
     else:
         results = []
         for p, pivot in enumerate(pivots):
             train = cohort.subset(cohort_mod.train_rows(cohort, pivot))
             solved = {}
-            for _, level, cell_seed in slots[p * n:(p + 1) * n]:
+            for _, name, cell_seed in slots[p * n:(p + 1) * n]:
                 # The noiseless minimizer reads no seed: one per pivot.
-                key = (level, None if level == "none" else cell_seed)
+                key = (name, None if name == "none" else cell_seed)
                 if key not in solved:
-                    solved[key] = _caught(_train_objpert, train, level,
-                                          cell_seed, config)
+                    solved[key] = _caught(
+                        objective_perturbation.train_objective_perturbation,
+                        train, objective_perturbation.ObjPertConfig(
+                            eps_p=LEVELS[name].eps_p,
+                            lam=config.objpert_lambda, seed=cell_seed))
                 results.append(solved[key])
     return [results[p * n:(p + 1) * n] for p in range(len(pivots))]
 

@@ -139,8 +139,8 @@ def test_criterion_3_influence_loo_fidelity():
 def _trained_auroc(level, cc, seed, epochs=5, lr=0.5):
     c = cohort.generate_cohort(cc)
     split = cohort.split_yearly(c, 2002)
-    config = dp_optim.DPTrainingConfig.from_level(
-        level, epochs=epochs, learning_rate=lr, seed=seed)
+    config = harness.level(level).training(
+        epochs=epochs, learning_rate=lr, seed=seed)
     trained = dp_optim.train({"family": "lr-binary", "l2_lambda": 0.01},
                              split, config)
     scores = models.predict(trained.params, split.test.features)

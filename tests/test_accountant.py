@@ -87,6 +87,19 @@ def test_conversion_refuses_other_shapes(shape):
         accountant.rdp_to_dp(np.zeros(shape))
 
 
+@pytest.mark.parametrize("value", [math.nan, -1e-3, -math.inf])
+def test_conversion_refuses_nan_and_negative_orders(value):
+    # One bad order spoiled the minimum: NaN gave epsilon = nan, a negative
+    # value a ConfigurationError from PrivacySpend.
+    curve = np.zeros(len(accountant.DEFAULT_ORDERS))
+    curve[5] = value
+    with pytest.raises(DomainError, match="NaN or negative"):
+        accountant.rdp_to_dp(curve)
+    # An infinite curve is no guarantee, not an error.
+    assert accountant.rdp_to_dp(np.full_like(curve, math.inf)).epsilon \
+        == math.inf
+
+
 def test_composition_is_the_sum_of_curves():
     # Two distinct mechanisms compose by adding their curves order by
     # order; the sum converts to the frozen reference's epsilon, bit for

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dp_tails import accountant, cohort, dp_optim, metrics, models
+from dp_tails import accountant, cohort, dp_optim, harness, metrics, models
 from dp_tails.errors import ConfigurationError, NumericError, TrainingError
 from oracles import trainer_parent
 from oracles.trainer_parent import clip_gradient, loss_and_per_example_grads
@@ -72,20 +72,28 @@ def test_clip_non_finite_error():
 
 
 def test_config_level_binding():
-    cfg = dp_optim.DPTrainingConfig.from_level("high")
-    assert (cfg.clip_norm, cfg.noise_multiplier) == (1.0, 1.0)
-    cfg = dp_optim.DPTrainingConfig.from_level("low")
-    assert (cfg.clip_norm, cfg.noise_multiplier) == (5.0, 0.1)
-    with pytest.raises(ConfigurationError):
-        dp_optim.DPTrainingConfig.from_level("high", clip_norm=2.0)
-    with pytest.raises(ConfigurationError):
-        dp_optim.DPTrainingConfig.from_level("medium")
+    # The one table: DP-SGD's (C, sigma) and objective perturbation's eps_p
+    # per level name, as the grid and `train` read them.
+    table = {"none": (None, 0.0, math.inf), "low": (5.0, 0.1, 3.5e5),
+             "high": (1.0, 1.0, 3.54)}
+    assert set(harness.LEVELS) == set(table)
+    for name, (clip, sigma, eps_p) in table.items():
+        level = harness.level(name)
+        assert (level.clip_norm, level.noise_multiplier,
+                level.eps_p) == (clip, sigma, eps_p)
+        cfg = level.training(epochs=3)
+        assert (cfg.clip_norm, cfg.noise_multiplier, cfg.epochs) == (
+            clip, sigma, 3)
+    with pytest.raises(ConfigurationError, match="clip_norm"):
+        harness.level("high").training(clip_norm=2.0)
+    with pytest.raises(ConfigurationError, match="'medium'"):
+        harness.level("medium")
 
 
 def test_config_refuses_noise_without_clip_norm():
     with pytest.raises(ConfigurationError, match="noise_multiplier"):
         dp_optim.DPTrainingConfig(noise_multiplier=1.0)
-    none = dp_optim.DPTrainingConfig.from_level("none")
+    none = harness.level("none").training()
     assert (none.clip_norm, none.noise_multiplier) == (None, 0.0)
 
 
@@ -142,8 +150,8 @@ def test_step_determinism(rng):
     X = rng.normal(size=(32, 3))
     y = rng.integers(2, size=32)
     params = models.init_params("lr-binary", 3)
-    config = dp_optim.DPTrainingConfig.from_level("high", batch_size=32,
-                                                  microbatch_count=16)
+    config = harness.level("high").training(batch_size=32,
+                                            microbatch_count=16)
     a = _step(params, X, y, config, seeds=(5,))
     b = _step(params, X, y, config, seeds=(5, 6, 5))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[0], b[2])
@@ -181,8 +189,8 @@ def test_step_rejects_non_finite_gradient(rng, monkeypatch):
     split = _split_of(raw_cohort(np.vstack([X, X]), np.ones(32, dtype=int),
                                  years=[2001] * 16 + [2002] * 16))
     for m in (4, 16):
-        config = dp_optim.DPTrainingConfig.from_level(
-            "high", batch_size=16, microbatch_count=m, epochs=1)
+        config = harness.level("high").training(
+            batch_size=16, microbatch_count=m, epochs=1)
         with pytest.raises(NumericError), np.errstate(over="ignore"):
             dp_optim.train({"family": "lr-binary"}, split, config)
     # A non-finite clipped sum is refused on the step path too, and only
@@ -195,8 +203,8 @@ def test_step_rejects_non_finite_gradient(rng, monkeypatch):
         total[1] = np.nan
         return loss, total, norms
     monkeypatch.setattr(models, "clipped_grad_sum", poisoned)
-    config = dp_optim.DPTrainingConfig.from_level(
-        "high", batch_size=16, microbatch_count=4)
+    config = harness.level("high").training(
+        batch_size=16, microbatch_count=4)
     configs = [dataclasses.replace(config, seed=s) for s in (0, 1, 2)]
     stack = dp_optim._Stack(configs, np.zeros((3, 4)))
     dp_optim._step(stack, models.FamilySpec(),
@@ -231,8 +239,8 @@ def test_noise_calibration():
 def test_train_reduction_to_plain_sgd_path():
     c = make_cohort(n=500, d=4, years=(2001, 2002), seed=3)
     split = _split_of(c)
-    config = dp_optim.DPTrainingConfig.from_level(
-        "none", batch_size=64, microbatch_count=16, learning_rate=0.4,
+    config = harness.level("none").training(
+        batch_size=64, microbatch_count=16, learning_rate=0.4,
         epochs=3, seed=11)
     trained = dp_optim.train({"family": "lr-binary", "l2_lambda": 0.01},
                              split, config)
@@ -257,8 +265,8 @@ def test_train_separable_auroc():
     c = make_cohort(n=2000, d=5, years=(2001, 2002), seed=0,
                     class_separation=3.0)
     split = _split_of(c)
-    config = dp_optim.DPTrainingConfig.from_level(
-        "none", learning_rate=0.5, epochs=20, seed=0)
+    config = harness.level("none").training(
+        learning_rate=0.5, epochs=20, seed=0)
     trained = dp_optim.train({"family": "lr-binary"}, split, config)
     scores = models.predict(trained.params, split.train.features)
     assert metrics.auroc(scores, split.train.labels) >= 0.95
@@ -267,8 +275,8 @@ def test_train_separable_auroc():
 def test_train_high_level_finite_epsilon():
     c = make_cohort(n=2000, d=5, years=(2001, 2002), seed=0)
     split = _split_of(c)
-    config = dp_optim.DPTrainingConfig.from_level(
-        "high", learning_rate=0.1, epochs=2, seed=0)
+    config = harness.level("high").training(
+        learning_rate=0.1, epochs=2, seed=0)
     trained = dp_optim.train({"family": "lr-binary"}, split, config)
     assert math.isfinite(trained.spend.epsilon)
     assert trained.spend.epsilon > 0
@@ -281,8 +289,8 @@ def test_train_high_level_finite_epsilon():
 def test_train_zero_epochs():
     c = make_cohort(n=500, d=3, years=(2001, 2002), seed=0)
     split = _split_of(c)
-    config = dp_optim.DPTrainingConfig.from_level(
-        "high", learning_rate=0.1, epochs=0, seed=0)
+    config = harness.level("high").training(
+        learning_rate=0.1, epochs=0, seed=0)
     trained = dp_optim.train({"family": "lr-binary"}, split, config)
     assert np.array_equal(trained.params.theta, np.zeros(4))
     assert trained.spend.epsilon == 0.0
@@ -296,8 +304,8 @@ def test_train_zero_epochs():
 def test_train_steps_arithmetic():
     c = make_cohort(n=500, d=3, years=(2001, 2002), seed=1)
     split = _split_of(c)
-    config = dp_optim.DPTrainingConfig.from_level(
-        "none", batch_size=64, learning_rate=0.1, epochs=4, seed=0)
+    config = harness.level("none").training(
+        batch_size=64, learning_rate=0.1, epochs=4, seed=0)
     trained = dp_optim.train({"family": "lr-binary"}, split, config)
     # Fixed-size batches, last partial batch dropped.
     assert trained.steps_taken == 4 * (split.train.n // 64)
@@ -309,8 +317,8 @@ def test_train_divergence_error():
     features = c.features.copy()
     features[0, 0] = np.nan
     split = _split_of(dataclasses.replace(c, features=features))
-    config = dp_optim.DPTrainingConfig.from_level(
-        "none", learning_rate=0.1, epochs=1, seed=0, batch_size=300,
+    config = harness.level("none").training(
+        learning_rate=0.1, epochs=1, seed=0, batch_size=300,
         microbatch_count=1)
     with pytest.raises(TrainingError) as err:
         dp_optim.train({"family": "lr-binary"}, split, config)
@@ -326,8 +334,8 @@ def test_train_divergence_before_last_step_error(epochs):
     features = c.features.copy()
     features[:, 0] = np.nan
     split = _split_of(dataclasses.replace(c, features=features))
-    config = dp_optim.DPTrainingConfig.from_level(
-        "none", learning_rate=0.1, epochs=epochs, seed=0, batch_size=64,
+    config = harness.level("none").training(
+        learning_rate=0.1, epochs=epochs, seed=0, batch_size=64,
         microbatch_count=1)
     assert split.train.n // 64 > 1
     with pytest.raises(TrainingError) as per_model:
@@ -359,8 +367,8 @@ def test_monotone_utility_trend():
             c = make_cohort(n=4000, d=10, prevalence=0.1,
                             years=(2001, 2002), seed=seed)
             split = _split_of(c)
-            config = dp_optim.DPTrainingConfig.from_level(
-                level, learning_rate=0.5, epochs=3, seed=seed)
+            config = harness.level(level).training(
+                learning_rate=0.5, epochs=3, seed=seed)
             trained = dp_optim.train(
                 {"family": "lr-binary", "l2_lambda": 0.01}, split, config)
             scores = models.predict(trained.params, split.test.features)
@@ -396,8 +404,8 @@ def test_stacked_models_equal_frozen_per_model_trainer(family, m):
     spec = {"family": family, "h": 5, "l2_lambda": 0.01}
     stacks = {"none": ["none"], "private": ["low", "high"]}
     for levels in stacks.values():
-        configs = [dp_optim.DPTrainingConfig.from_level(
-            level, batch_size=64, microbatch_count=m, learning_rate=0.3,
+        configs = [harness.level(level).training(
+            batch_size=64, microbatch_count=m, learning_rate=0.3,
             epochs=2, seed=seed)
             for level in levels for seed in (0, 7, 11)]
         stacked = dp_optim.train_stack(spec, split.train, configs)
@@ -431,8 +439,8 @@ def test_mixed_level_stack_equals_frozen_per_model_trainer(family, L, m,
     c = make_cohort(n=400, d=4, years=(2001, 2002), seed=5)
     split = _split_of(c)
     spec = {"family": family, "h": 5, "l2_lambda": 0.01}
-    configs = [dp_optim.DPTrainingConfig.from_level(
-        level, batch_size=L, microbatch_count=m, learning_rate=0.3,
+    configs = [harness.level(level).training(
+        batch_size=L, microbatch_count=m, learning_rate=0.3,
         epochs=2, seed=seed)
         for seed in (0, 7) for level in ("none", "low", "high")]
     stacked = dp_optim.train_stack(spec, split.train, configs)
@@ -453,8 +461,8 @@ def test_train_stack_forms_its_own_stacks():
     # its error where 16 microbatches do not divide the reduced batch 30.
     c = make_cohort(n=600, d=3, years=(2001, 2002), seed=0)
     spec = {"family": "lr-binary", "l2_lambda": 0.01}
-    none, low = (dp_optim.DPTrainingConfig.from_level(
-        level, batch_size=64, microbatch_count=16, epochs=2, seed=seed)
+    none, low = (harness.level(level).training(
+        batch_size=64, microbatch_count=16, epochs=2, seed=seed)
         for level, seed in (("none", 1), ("low", 2)))
     jobs = [(low, 300), (none, 30),
             (dataclasses.replace(low, noise_multiplier=0.0, seed=3), 300),
@@ -491,7 +499,7 @@ def _pivot_jobs(c, levels, seeds, **kwargs):
     """(split, rows, config) per (pivot, level, seed) of a cohort: the
     models a grid stack trains across its pivots."""
     return [(cohort.split_yearly(c, pivot), cohort.train_rows(c, pivot),
-             dp_optim.DPTrainingConfig.from_level(level, seed=seed, **kwargs))
+             harness.level(level).training(seed=seed, **kwargs))
             for pivot in cohort.pivot_years(c) for level in levels
             for seed in seeds]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dp_tails import cohort, dp_optim, fairness_audit, models
+from dp_tails import cohort, dp_optim, fairness_audit, harness, models
 from dp_tails.errors import DomainError
 
 GAPS = ("auroc_gap", "parity_gap", "recall_gap", "specificity_gap")
@@ -132,8 +132,8 @@ def test_yearly_variance_smaller_under_high_privacy():
             gaps = {key: [] for key in wins}
             for pivot in range(2002, 2007):
                 split = cohort.split_yearly(base, pivot)
-                train_config = dp_optim.DPTrainingConfig.from_level(
-                    level, epochs=epochs, learning_rate=lr,
+                train_config = harness.level(level).training(
+                    epochs=epochs, learning_rate=lr,
                     seed=seed * 100 + pivot)
                 trained = dp_optim.train(
                     {"family": "lr-binary", "l2_lambda": 0.1}, split,

@@ -94,8 +94,7 @@ _LOADERS = [
      {"cohort": {"n": 100, "d": 3, "years": [2001, 2002]}}),
     ("training", lambda raw: config_from_dict(dp_optim.DPTrainingConfig,
                                               raw, "training"), {}),
-    ("training", lambda raw: dp_optim.DPTrainingConfig.from_level(
-        "high", **raw), {}),
+    ("training", lambda raw: harness.level("high").training(**raw), {}),
     ("objpert", lambda raw: config_from_dict(
         objective_perturbation.ObjPertConfig, raw, "objpert"),
      {"eps_p": 1.0, "lam": 0.1}),
@@ -446,8 +445,8 @@ def test_stacked_failure_fails_only_its_cell(tmp_path, monkeypatch):
     with pytest.raises(TrainingError) as per_model:
         trainer_parent.train(
             harness._family_spec(config.tasks[0], "task"),
-            split, oracle_config(dp_optim.DPTrainingConfig.from_level(
-                "low", batch_size=config.batch_size,
+            split, oracle_config(harness.level("low").training(
+                batch_size=config.batch_size,
                 microbatch_count=config.microbatch_count,
                 learning_rate=config.learning_rate, epochs=1, seed=target)))
     faulty, failures = harness.run_experiment(
@@ -494,8 +493,8 @@ def test_emptied_stack_fails_each_of_its_cells(tmp_path, monkeypatch):
         with pytest.raises(TrainingError) as per_model:
             trainer_parent.train(
                 harness._family_spec(config.tasks[0], "task"),
-                split, oracle_config(dp_optim.DPTrainingConfig.from_level(
-                    "none", batch_size=config.batch_size,
+                split, oracle_config(harness.level("none").training(
+                    batch_size=config.batch_size,
                     microbatch_count=config.microbatch_count,
                     learning_rate=config.learning_rate, epochs=1,
                     seed=target)))
@@ -941,7 +940,8 @@ _PARAMS = {"family": "lr-binary", "dims": {"d": 3, "h": 16},
 
 
 # Keys every probe of a command starts from, "csv" standing for the cohort
-# CSV; a probe value of None deletes the key.
+# CSV; a probe value of None deletes the key. _NO_CSV names no file.
+_NO_CSV = "no-such-dir/cohort.csv"
 _PROBE_BASE = {
     "train": {"cohort_csv": "csv", "pivot_year": 2002},
     "audit-fairness": {"cohort_csv": "csv", "params": {}},
@@ -1089,6 +1089,16 @@ _PROBE_BASE = {
     ("train", {"mechanism": "objective-perturbation",
                "objpert": {"eps_p": 1.0, "lam": 0.1, "seed": 5}},
      "objpert.seed: not read; set the top-level 'seed' or --seed"),
+    # A bad config was reported only after its cohort CSV was read: with a
+    # missing CSV, as a missing file.
+    ("train", {"cohort_csv": _NO_CSV, "training": {"privacy_level": "medium"}},
+     "training.privacy_level: unknown privacy level 'medium'"),
+    ("train", {"cohort_csv": _NO_CSV, "mechanism": "dp-sdg"},
+     "mechanism: unknown 'dp-sdg'"),
+    ("train", {"cohort_csv": _NO_CSV, "training": {"batch_size": 0}},
+     "batch_size: must be >= 1"),
+    ("train", {"cohort_csv": _NO_CSV, "family_spec": {"family": "mlp-2"}},
+     "family: unknown 'mlp-2'"),
 ], ids=["training-unknown-key", "level-and-clip-norm", "objpert-unknown-key",
         "objpert-smoothness-constant", "objpert-missing", "objpert-unread-training",
         "objpert-unread-family-spec", "dp-sgd-unread-objpert",
@@ -1121,7 +1131,9 @@ _PROBE_BASE = {
         "run-task-l2-lambda-negative", "run-level-unknown",
         "run-objpert-level-unknown",
         "run-mechanisms-empty", "run-audits-empty", "run-no-cell-audited",
-        "train-noise-without-clip-norm", "training-seed", "objpert-seed"])
+        "train-noise-without-clip-norm", "training-seed", "objpert-seed",
+        "missing-csv-level-unknown", "missing-csv-mechanism-unknown",
+        "missing-csv-batch-size-zero", "missing-csv-family-unknown"])
 def test_config_probe_fails_with_key_named(tmp_path, capsys, command, raw,
                                            key):
     if command == "api":

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dp_tails import cohort, dp_optim, influence, models
+from dp_tails import cohort, dp_optim, harness, influence, models
 from dp_tails.errors import (ConditioningError, DomainError, NumericError,
                              UnsupportedFamilyError)
 
@@ -294,8 +294,8 @@ def _trained_panel(seed, level, epochs, lr, association=0.0,
                                  seed=seed)
     c = cohort.generate_cohort(config)
     split = cohort.split_yearly(c, 2002)
-    train_config = dp_optim.DPTrainingConfig.from_level(
-        level, epochs=epochs, learning_rate=lr, seed=seed)
+    train_config = harness.level(level).training(
+        epochs=epochs, learning_rate=lr, seed=seed)
     trained = dp_optim.train({"family": "lr-binary", "l2_lambda": 0.05},
                              split, train_config)
     train_sub = split.train.subset(np.arange(min(1000, split.train.n)))
@@ -326,8 +326,8 @@ def test_shift_variance_growth_malignant_vs_benign():
                                      class_separation=2.0, seed=seed)
         c = cohort.generate_cohort(config)
         split = cohort.split_yearly(c, 2002)
-        train_config = dp_optim.DPTrainingConfig.from_level(
-            "none", epochs=30, learning_rate=0.5, seed=seed)
+        train_config = harness.level("none").training(
+            epochs=30, learning_rate=0.5, seed=seed)
         trained = dp_optim.train({"family": "lr-binary", "l2_lambda": 0.01},
                                  split, train_config)
         engine = influence.InfluenceEngine(trained.params, split.train)
