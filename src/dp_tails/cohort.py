@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, ParseError,
-                     SplitError, config_from_dict)
+                     config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,11 @@ def split_yearly(cohort: Cohort, pivot_year: int) -> CohortSplit:
     """The cumulative split at a pivot year: train on every earlier year,
     test on the pivot year."""
     if pivot_year not in set(cohort.years.tolist()):
-        raise SplitError(f"pivot year {pivot_year} not present in cohort")
+        raise ConfigurationError(
+            f"pivot year {pivot_year} not present in cohort")
     rows = train_rows(cohort, pivot_year)
     if not len(rows):
-        raise SplitError(f"no data prior to pivot year {pivot_year}")
+        raise ConfigurationError(f"no data prior to pivot year {pivot_year}")
     return CohortSplit(cohort.subset(rows),
                        cohort.subset(cohort.years == pivot_year), pivot_year)
 

@@ -151,8 +151,11 @@ def _step(stack, family_spec, X, y, config, epochs):
     gradient or, if it clips, pre-clip norm (NumericError) is not finite,
     the others untouched; then each private model's own noise draw and the
     update, each model's sum divided by its unit count."""
-    loss, total, norms = models.clipped_grad_sum(
-        family_spec, stack.theta, X, y, stack.clip, config.microbatch_count)
+    # A pass that overflows is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, total, norms = models.clipped_grad_sum(
+            family_spec, stack.theta, X, y, stack.clip,
+            config.microbatch_count)
     diverged = ~np.isfinite(loss)
     failed = diverged | ~np.isfinite(total).all(axis=1)
     if norms is not None:

@@ -12,7 +12,8 @@ class DPTailsError(Exception):
 
 
 class ConfigurationError(DPTailsError):
-    """Invalid configuration value; message names the offending field."""
+    """Invalid configuration, naming the field: an unknown family, a yearly
+    split whose pivot year is absent or has no year before it, ..."""
 
 
 def check_keys(raw, allowed, required, where):
@@ -80,12 +81,8 @@ def config_from_dict(cls, raw, where):
     return cls(**raw)
 
 
-class SplitError(DPTailsError):
-    """Yearly split cannot be constructed (missing pivot or no prior data)."""
-
-
 class ParseError(DPTailsError):
-    """Cohort file violates the CSV schema."""
+    """Cohort file violates the CSV schema; carries the row and column."""
 
     def __init__(self, message, row=None, column=None):
         loc = ""
@@ -102,15 +99,17 @@ class ShapeError(DPTailsError):
 
 
 class DomainError(DPTailsError):
-    """Input outside the operation's domain (empty subset, k < 1, ...)."""
+    """Input outside the operation's domain: an empty subset or training
+    cohort, under 10 records on a side of the shift test, k < 1, ..."""
 
 
 class UnsupportedFamilyError(DPTailsError):
-    """Operation only defined for a subset of model families."""
+    """Operation defined for lr-binary alone (the Hessian, influence)."""
 
 
 class NumericError(DPTailsError):
-    """Non-finite values where finite ones are required."""
+    """Non-finite values where finite ones are required, or a Hessian that
+    cannot be inverted (l2_lambda + damping = 0, a failed Cholesky)."""
 
 
 class TrainingError(DPTailsError):
@@ -129,17 +128,6 @@ class InfinitePrivacyLossError(DPTailsError):
     """No finite RDP bound exists (sigma = 0 with positive sampling rate)."""
 
 
-class InsufficientDataError(DPTailsError):
-    """Too few records to run the audit."""
-
-
 class UndefinedMetricError(DPTailsError):
-    """Metric undefined for the given label composition."""
-
-
-class UndefinedCorrelationError(DPTailsError):
-    """Correlation undefined (zero variance input)."""
-
-
-class ConditioningError(DPTailsError):
-    """Linear system too ill-conditioned to solve at zero damping."""
+    """Metric undefined for its input: labels of one class for an AUROC,
+    fewer than 3 points or zero variance for a correlation, ..."""

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import (ConditioningError, DomainError, NumericError,
-                     UnsupportedFamilyError)
+from .errors import DomainError, NumericError, UnsupportedFamilyError
 
 SIGN_CONVENTION = ("negative = helpful (removal raises test loss), "
                    "positive = harmful")
@@ -33,12 +32,12 @@ DEFAULT_DAMPING = 1e-3
 DEFAULT_PANEL = 100
 
 
-def _refuse_non_finite(what, values, error=NumericError):
-    """Raise `error` counting the non-finite entries of `values`, if any."""
+def _refuse_non_finite(what, values):
+    """Raise NumericError counting the non-finite entries of `values`."""
     bad = np.size(values) - int(np.count_nonzero(np.isfinite(values)))
     if bad:
-        raise error(f"{what} has {bad} non-finite entries of "
-                    f"{np.size(values)}")
+        raise NumericError(f"{what} has {bad} non-finite entries of "
+                           f"{np.size(values)}")
 
 
 @dataclass
@@ -59,7 +58,7 @@ class InfluenceEngine:
         if damping is None:
             damping = DEFAULT_DAMPING if params.l2_lambda == 0.0 else 0.0
         if params.l2_lambda + damping <= 0:
-            raise ConditioningError(
+            raise NumericError(
                 "need l2_lambda + damping > 0 for an invertible Hessian")
         self.params = params
         self.damping = float(damping)
@@ -68,11 +67,11 @@ class InfluenceEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             self.hessian = models.lr_hessian(params, train_cohort.features,
                                              damping=damping)
-        _refuse_non_finite("Hessian", self.hessian, ConditioningError)
+        _refuse_non_finite("Hessian", self.hessian)
         try:
             np.linalg.cholesky(self.hessian)
         except np.linalg.LinAlgError as exc:
-            raise ConditioningError(f"Hessian factorization failed: {exc}")
+            raise NumericError(f"Hessian factorization failed: {exc}")
 
     def _grads(self, subset):
         """Per-record cross-entropy gradients, (p - y) [x; 1] for LR."""

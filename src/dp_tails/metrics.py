@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedCorrelationError, UndefinedMetricError
+from .errors import UndefinedMetricError
 
 
 @dataclass
@@ -125,15 +125,15 @@ def pearson(x, y) -> TestResult:
     ya = np.asarray(y, dtype=float).ravel()
     n = len(xa)
     if len(ya) != n or n < 3:
-        raise UndefinedCorrelationError("need equal-length vectors, n >= 3")
+        raise UndefinedMetricError("need equal-length vectors, n >= 3")
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
-        raise UndefinedCorrelationError("zero variance input")
+        raise UndefinedMetricError("zero variance input")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     sx = float(xc @ xc)
     sy = float(yc @ yc)
     if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("zero variance input")
+        raise UndefinedMetricError("zero variance input")
     denom = np.sqrt(sx * sy)
     if not 0.0 < denom < math.inf:
         # sx * sy under- or overflowed (say, values near 1e-100).

@@ -46,7 +46,7 @@ def param_count(family, d, h=16):
         return d + 1
     if family == "mlp-1":
         return h * d + h + 2 * h + 2
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
+    FamilySpec(family)  # refuses the unknown family
 
 
 @dataclass
@@ -76,10 +76,7 @@ class ModelParams:
     l2_lambda: float = FamilySpec.l2_lambda
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UnsupportedFamilyError(f"unknown family {self.family!r}")
-        if self.l2_lambda < 0:
-            raise ConfigurationError("l2_lambda: must be >= 0")
+        FamilySpec(self.family, self.h, self.l2_lambda)
         self.theta = np.asarray(self.theta, dtype=float)
         expected = param_count(self.family, self.d, self.h)
         if self.theta.shape != (expected,):

@@ -71,7 +71,11 @@ def budget_split(n, config: ObjPertConfig):
                                  + c * c / (n * n * lam * lam))
     if eps_prime > 0:
         return eps_prime, 0.0, "slack-free"
-    delta_reg = c / (n * (math.exp(eps_p / 4.0) - 1.0)) - lam
+    denominator = math.exp(eps_p / 4.0) - 1.0
+    if denominator == 0.0:
+        raise DomainError(f"eps_p: {eps_p!r} is too small, exp(eps_p / 4) "
+                          "- 1 rounds to 0")
+    delta_reg = c / (n * denominator) - lam
     return eps_p / 2.0, max(delta_reg, 0.0), "extra-regularization"
 
 

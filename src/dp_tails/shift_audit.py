@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics, models
 from .cohort import Cohort, CohortSplit, stable_seed
-from .errors import DomainError, DPTailsError, InsufficientDataError
+from .errors import DomainError, DPTailsError
 
 ALPHA = 0.05
 
@@ -30,7 +30,7 @@ def domain_classifier_significance(train_cohort: Cohort, test_cohort: Cohort,
     if seed < 0 or year < 0:
         raise DomainError(f"seed and year must be >= 0, got {seed}, {year}")
     if train_cohort.n < 10 or test_cohort.n < 10:
-        raise InsufficientDataError(
+        raise DomainError(
             "need at least 10 records on each side of the shift test")
     rng = np.random.default_rng(np.random.SeedSequence([seed, int(year), 4]))
 

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dp_tails import cli, cohort, influence
-from dp_tails.errors import (ConfigurationError, DomainError, ParseError,
-                             SplitError)
+from dp_tails.errors import ConfigurationError, DomainError, ParseError
 
 from conftest import make_cohort, raw_cohort
 from oracles.cohort_reader_oracle import read_cohort as oracle_read_cohort
@@ -92,9 +91,9 @@ def test_split_four_year_train_fraction():
 
 def test_split_errors():
     c = make_cohort(n=200, d=3, years=(2001, 2002), seed=0)
-    with pytest.raises(SplitError):
+    with pytest.raises(ConfigurationError):
         cohort.split_yearly(c, 1999)
-    with pytest.raises(SplitError):
+    with pytest.raises(ConfigurationError):
         cohort.split_yearly(c, 2001)  # no prior year
 
 

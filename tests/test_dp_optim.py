@@ -325,6 +325,20 @@ def test_train_divergence_error():
     assert err.value.epoch == 0
 
 
+def test_train_overflow_is_refused_without_warnings():
+    # A ridge term that overflows the loss and gradient: the pass warned
+    # twice (vecdot and multiply) before the step refused the non-finite
+    # loss; under filterwarnings = ["error"] the warning was the error.
+    split = _split_of(make_cohort(n=300, d=3, years=(2001, 2002), seed=0))
+    config = dp_optim.DPTrainingConfig(epochs=2)
+    with pytest.raises(TrainingError) as err:
+        dp_optim.train({"l2_lambda": 1e300}, split, config)
+    # Two steps per epoch: the first moves the weights off zero, the
+    # second's ridge gradient (1e300 times them) makes them huge, and the
+    # third step's loss overflows.
+    assert err.value.epoch == 1
+
+
 @pytest.mark.parametrize("epochs", [1, 2])
 def test_train_divergence_before_last_step_error(epochs):
     # The only model diverges at the first of several steps of an epoch;

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dp_tails import (accountant, cli, cohort, dp_optim, harness, influence,
-                      metrics, models, objective_perturbation)
+from dp_tails import (accountant, cli, cohort, dp_optim, errors, harness,
+                      influence, metrics, models, objective_perturbation)
 from dp_tails.errors import (ConfigurationError, DomainError, TrainingError,
                              config_from_dict)
 from oracles import trainer_parent
@@ -814,6 +814,33 @@ def test_cli_train_delta_outside_unit_interval_exit_code(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mechanism, section, message", [
+    ("dp-sgd", {"family_spec": {"l2_lambda": 1e300}},
+     "error: training diverged (non-finite loss)"),
+    ("objective-perturbation", {"objpert": {"eps_p": 1e-300, "lam": 0.01}},
+     "error: eps_p: 1e-300 is too small, exp(eps_p / 4) - 1 rounds to 0"),
+], ids=["dp-sgd-overflow", "objpert-tiny-eps"])
+def test_cli_train_failure_is_one_line(tmp_path, capsys, mechanism, section,
+                                       message):
+    # A diverging DP-SGD model printed two numpy RuntimeWarnings before its
+    # error (here, filterwarnings = ["error"] raises the first); objective
+    # perturbation at eps_p = 1e-300 ended in a ZeroDivisionError traceback.
+    _, config_path = _write_cohort_config(tmp_path)
+    csv_path = tmp_path / "cohort.csv"
+    assert cli.main(["generate-data", "--config", str(config_path),
+                     "--out", str(csv_path)]) == 0
+    train_config = tmp_path / "train.json"
+    train_config.write_text(json.dumps({
+        "cohort_csv": str(csv_path), "pivot_year": 2002,
+        "mechanism": mechanism, **section}))
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(train_config),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 def test_cli_train_refuses_optimizer_key(tmp_path, capsys):
     # SGD is the trainer's only update rule; a training section that still
     # names `optimizer` is refused, naming the key, before any training.
@@ -1404,7 +1431,7 @@ def test_cli_audit_influence_refuses_feature_width(tmp_path, capsys):
     # first and ended in numpy's matmul ValueError with a traceback.
     csv_path = tmp_path / "cohort.csv"
     cohort.write_cohort(make_cohort(n=40, d=2, seed=1), str(csv_path))
-    params = models.ModelParams("lr-binary", np.zeros(4), d=3, h=0,
+    params = models.ModelParams("lr-binary", np.zeros(4), d=3, h=1,
                                 l2_lambda=0.1).to_dict()
     audit_config = tmp_path / "audit.json"
     audit_config.write_text(json.dumps(
@@ -1442,7 +1469,7 @@ def test_cli_audit_overflowing_params_exit_code(tmp_path, capsys, command,
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
     cohort.write_cohort(base.subset(slice(0, 200)), str(train_csv))
     cohort.write_cohort(base.subset(slice(200, 400)), str(test_csv))
-    params = models.ModelParams("lr-binary", np.array(theta), d=4, h=0,
+    params = models.ModelParams("lr-binary", np.array(theta), d=4, h=1,
                                 l2_lambda=0.0).to_dict()
     audit_config = tmp_path / "audit.json"
     audit_config.write_text(json.dumps(
@@ -1457,6 +1484,80 @@ def test_cli_audit_overflowing_params_exit_code(tmp_path, capsys, command,
                        if command == "audit-influence" else [])) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists() and not csv_out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit-fairness", "audit-influence"])
+def test_cli_audits_refuse_params_without_units(tmp_path, capsys, command):
+    # A saved mlp-1 model with h = 0 scores every record with one constant:
+    # audit-fairness exited 0 with AUROC 0.5 in both groups and every gap
+    # 0. Saved params pass FamilySpec's rules, as a train config does.
+    csv_path = tmp_path / "cohort.csv"
+    cohort.write_cohort(make_cohort(n=40, d=2, seed=1), str(csv_path))
+    params = {"family": "mlp-1", "dims": {"d": 2, "h": 0},
+              "l2_lambda": 0.0, "theta": [0.0, 0.0]}
+    audit_config = tmp_path / "audit.json"
+    audit_config.write_text(json.dumps(
+        {"train_csv": str(csv_path), "test_csv": str(csv_path),
+         "params": params} if command == "audit-influence"
+        else {"cohort_csv": str(csv_path), "params": params}))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(audit_config),
+                     "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "configuration error: h: need h >= 1 units\n")
+    assert not out.exists()
+
+
+def test_unknown_family_is_one_class_and_message(tmp_path, capsys):
+    # A train config's family_spec and a saved model's params named an
+    # unknown family with two classes and two messages.
+    csv_path = tmp_path / "cohort.csv"
+    cohort.write_cohort(make_cohort(n=40, d=2, seed=1), str(csv_path))
+    params = models.ModelParams("lr-binary", np.zeros(3), d=2).to_dict()
+    configs = {
+        "train": {"cohort_csv": str(csv_path), "pivot_year": 2002,
+                  "family_spec": {"family": "lr-binomial"}},
+        "audit-fairness": {"cohort_csv": str(csv_path),
+                           "params": {**params, "family": "lr-binomial"}}}
+    expected = ("family: unknown 'lr-binomial', must be one of "
+                "('lr-binary', 'mlp-1')")
+    for command, raw in configs.items():
+        config, out = tmp_path / "config.json", tmp_path / "out.json"
+        config.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(config),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"configuration error: "
+                                           f"{expected}\n")
+        assert not out.exists()
+    for build in (lambda: models.param_count("lr-binomial", 2),
+                  lambda: models.ModelParams("lr-binomial", np.zeros(3), 2)):
+        with pytest.raises(ConfigurationError) as err:
+            build()
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("cls", errors.DPTailsError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_error_class_contract(tmp_path, capsys, monkeypatch, cls):
+    # Each failure has one class: README's error table names every class,
+    # and the CLI prints each with its prefix and exits 2.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"| `{cls.__name__}` |" in readme
+
+    def fail(**_):
+        raise cls("x")
+
+    monkeypatch.setattr(accountant, "spend_for_training", fail)
+    out = tmp_path / "eps.json"
+    capsys.readouterr()
+    assert cli.main(["account", "--q", "0.01", "--sigma", "1.0",
+                     "--steps", "10", "--out", str(out)]) == 2
+    prefix = ("configuration error" if cls is ConfigurationError
+              else "error")
+    assert capsys.readouterr().err == f"{prefix}: x\n"
+    assert not out.exists()
 
 
 def test_cli_commands_load_scipy_on_first_use(tmp_path):

@@ -104,6 +104,15 @@ def test_noise_rate_and_budget_cover_rescaled_records():
             rel=1e-12)
 
 
+@pytest.mark.parametrize("eps_p", [1e-300, 4e-16])
+def test_budget_split_refuses_eps_p_whose_denominator_rounds_to_zero(eps_p):
+    # exp(eps_p / 4) - 1 rounds to 0 below about 4.4e-16: the extra
+    # regularization divided by it with a ZeroDivisionError.
+    config = op.ObjPertConfig(eps_p=eps_p, lam=0.01)
+    with pytest.raises(DomainError, match="eps_p"):
+        op.budget_split(100, config)
+
+
 def test_budget_split_both_branches_reachable():
     branches = set()
     for eps_p in (1e-4, 10.0):
